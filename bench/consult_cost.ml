@@ -1,8 +1,8 @@
 (** Consult-path cost gate: ns + GC minor words per [resolve] for every
-    registered manager, on both STM backends and the simulator's policy
-    table.
+    registered manager, through the consult entry points of both STM
+    backends (the simulator shares the locator's).
 
-    Usage: consult_cost.exe [iters] [--backend locator|tl2|sim|all] [--check]
+    Usage: consult_cost.exe [iters] [--backend locator|tl2|all] [--check]
 
     [--check] is the @cm-smoke bound: zero minor words per resolve
     (within noise), an absolute latency ceiling, and a per-backend
@@ -37,13 +37,12 @@ let backend_arg =
 let rows =
   match backend_arg with
   | "all" -> C.measure_all ~iters ()
-  | "sim" -> C.measure_sim ~iters ()
   | name -> (
       match Tcm_stm.Stm.backend_of_name name with
       | Some b -> C.measure_backend ~iters b
       | None ->
           Printf.eprintf
-            "consult_cost: unknown backend %S (locator, tl2, sim or all)\n" name;
+            "consult_cost: unknown backend %S (locator, tl2 or all)\n" name;
           exit 2)
 
 let () =

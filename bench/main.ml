@@ -44,9 +44,8 @@
     tables and the ledger-vs-metrics reconciliation, and adds
     [kind = "obs"] attribution entries to the JSON dump.  [--consult]
     runs the consult-path microbench (ns + minor words per resolve for
-    every manager through both backend consult entry points and the
-    simulator policy table) and adds [kind = "consult"] entries to the
-    JSON dump. *)
+    every manager through both backend consult entry points) and adds
+    [kind = "consult"] entries to the JSON dump. *)
 
 open Tcm_workload
 
@@ -60,8 +59,8 @@ let with_obs = Array.exists (( = ) "--obs") Sys.argv
 let with_service = with_obs || Array.exists (( = ) "--service") Sys.argv
 
 (* --consult: the consult-path microbench (ns + minor words per
-   resolve, every manager through both backend consult entry points
-   plus the simulator policy table); prints the table and adds
+   resolve, every manager through both backend consult entry points);
+   prints the table and adds
    [kind = "consult"] entries to the JSON dump. *)
 let with_consult = Array.exists (( = ) "--consult") Sys.argv
 
@@ -171,7 +170,7 @@ let run_adversarial_table () =
   List.iter
     (fun s ->
       let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~granularity ~s () in
-      let r = Tcm_sim.Engine.run_instance ~ranks ~policy:(Tcm_sim.Policy.greedy ()) inst in
+      let r = Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst in
       let greedy = Option.value r.Tcm_sim.Engine.makespan ~default:(-1) in
       let optimal = granularity * Tcm_sched.Adversarial.optimal_makespan ~s in
       Format.fprintf fmt "%6d %16d %16d %8.2f %24d@." s greedy optimal
@@ -191,7 +190,7 @@ let run_theorem9_sweep () =
     (fun (n, s) ->
       for seed = 1 to trials do
         let inst = Tcm_sim.Scenarios.random_instance ~seed ~n ~s () in
-        let r = Tcm_sim.Engine.run_instance ~policy:(Tcm_sim.Policy.greedy ()) inst in
+        let r = Tcm_sim.Engine.run_instance ~manager:(module Tcm_core.Greedy) inst in
         let rep = Tcm_sim.Props.theorem9_check ~inst r in
         if not rep.Tcm_sim.Props.ok then incr violations;
         if rep.Tcm_sim.Props.optimal > 0 then
@@ -246,7 +245,7 @@ let run_ablations () =
   List.iter
     (fun (label, ts) ->
       let r =
-        Tcm_sim.Engine.run ~horizon ~ts_on_restart:ts ~policy:(Tcm_sim.Policy.greedy ())
+        Tcm_sim.Engine.run ~horizon ~ts_on_restart:ts ~manager:(module Tcm_core.Greedy)
           ~n_objects:1 streams
       in
       Format.fprintf fmt
@@ -266,30 +265,27 @@ let run_ablations () =
      Scherer-Scott managers. *)
   let inst = Tcm_sim.Scenarios.halted_owner ~n:4 () in
   List.iter
-    (fun p ->
-      let r = Tcm_sim.Engine.run_instance ~horizon:20_000 ~policy:p inst in
+    (fun name ->
+      let r =
+        Tcm_sim.Engine.run_instance ~horizon:20_000
+          ~manager:(Tcm_core.Registry.find_exn name) inst
+      in
       Format.fprintf fmt "  %-12s survivors-committed=%d/3 finished=%b@."
-        r.Tcm_sim.Engine.policy_name r.Tcm_sim.Engine.commits r.Tcm_sim.Engine.completed)
-    [
-      Tcm_sim.Policy.greedy ();
-      Tcm_sim.Policy.greedy_ft ();
-      Tcm_sim.Policy.timestamp ();
-      Tcm_sim.Policy.killblocked ();
-      Tcm_sim.Policy.aggressive ();
-    ];
+        r.Tcm_sim.Engine.manager_name r.Tcm_sim.Engine.commits r.Tcm_sim.Engine.completed)
+    [ "greedy"; "greedy-ft"; "timestamp"; "killblocked"; "aggressive" ];
   Format.fprintf fmt "@.";
 
   section "Ablation: greedy vs greedy-ft on the chain (no failures)";
   List.iter
     (fun s ->
       let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s () in
-      let m p =
-        let r = Tcm_sim.Engine.run_instance ~ranks ~policy:p inst in
+      let m manager =
+        let r = Tcm_sim.Engine.run_instance ~ranks ~manager inst in
         Option.value r.Tcm_sim.Engine.makespan ~default:(-1)
       in
       Format.fprintf fmt "  s=%2d greedy=%4d greedy-ft=%4d@." s
-        (m (Tcm_sim.Policy.greedy ()))
-        (m (Tcm_sim.Policy.greedy_ft ())))
+        (m (module Tcm_core.Greedy))
+        (m (module Tcm_core.Greedy_ft)))
     (if quick then [ 4 ] else [ 4; 8; 12 ]);
   Format.fprintf fmt "@.";
 
@@ -375,6 +371,11 @@ let run_latency_table () =
 (* Open problems (Section 6)                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Greedy, karma and aggressive: the small simulator line-up used by
+   the sequence experiment and the metrics capture. *)
+let sim_trio : Tcm_stm.Cm_intf.factory list =
+  [ (module Tcm_core.Greedy); (module Tcm_core.Karma); (module Tcm_core.Aggressive) ]
+
 let run_open_problems () =
   section "Open problem: randomized priorities on the adversarial chain";
   (* The chain is crafted against arrival-order priorities.  Random
@@ -384,16 +385,15 @@ let run_open_problems () =
   let s = if quick then 6 else 10 in
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s () in
   let greedy_m =
-    let r = Tcm_sim.Engine.run_instance ~ranks ~policy:(Tcm_sim.Policy.greedy ()) inst in
+    let r = Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst in
     Option.value r.Tcm_sim.Engine.makespan ~default:(-1)
   in
   let trials = if quick then 10 else 50 in
   let rand_ms =
     List.init trials (fun seed ->
         let r =
-          Tcm_sim.Engine.run_instance ~ranks
-            ~policy:(Tcm_sim.Policy.randomized_greedy ~seed ())
-            inst
+          Tcm_sim.Engine.run_instance ~ranks ~seed
+            ~manager:(module Tcm_core.Randomized_greedy) inst
         in
         float_of_int (Option.value r.Tcm_sim.Engine.makespan ~default:(-1)))
   in
@@ -420,16 +420,16 @@ let run_open_problems () =
            Some (Tcm_sim.Spec.txn ~dur [ Tcm_sim.Spec.write ~at:0 ~obj ]))
   in
   List.iter
-    (fun (p : Tcm_sim.Policy.t) ->
-      let r = Tcm_sim.Engine.run ~policy:p ~n_objects:(threads + 1) streams in
+    (fun manager ->
+      let r = Tcm_sim.Engine.run ~manager ~n_objects:(threads + 1) streams in
       let hot_work = threads * k / 2 * dur in
       match r.Tcm_sim.Engine.makespan with
       | Some m ->
           Format.fprintf fmt "  %-12s makespan=%5d ticks  hot-object lower bound=%d  ratio=%.2f@."
-            r.Tcm_sim.Engine.policy_name m hot_work
+            r.Tcm_sim.Engine.manager_name m hot_work
             (float_of_int m /. float_of_int hot_work)
-      | None -> Format.fprintf fmt "  %-12s did not finish@." r.Tcm_sim.Engine.policy_name)
-    [ Tcm_sim.Policy.greedy (); Tcm_sim.Policy.karma (); Tcm_sim.Policy.aggressive () ];
+      | None -> Format.fprintf fmt "  %-12s did not finish@." r.Tcm_sim.Engine.manager_name)
+    sim_trio;
   Format.fprintf fmt "@."
 
 (* ------------------------------------------------------------------ *)
@@ -533,20 +533,20 @@ let run_service_sweep () =
   (* The open-loop sweep above only contends when worker domains truly
      overlap; on a single-core host it prices clean runs.  The
      deterministic simulator contends by construction, so with tcm.obs
-     on we also sweep the whole policy zoo over the fig1 list model —
+     on we also sweep the whole manager zoo over the fig1 list model —
      the priced ranking in EXPERIMENTS.md reads from the resulting
      runtime=sim ledger rows (same tick currency, same reconcile). *)
   if with_obs then begin
     Format.fprintf fmt
-      "(tcm.obs: pricing the policy zoo on the sim list model, %d threads, \
+      "(tcm.obs: pricing the manager zoo on the sim list model, %d threads, \
        horizon %d)@.@."
       16 sim_horizon;
     List.iter
-      (fun policy ->
+      (fun manager ->
         ignore
-          (Sim_load.run ~horizon:sim_horizon ~seed ~threads:16 ~policy
+          (Sim_load.run ~horizon:sim_horizon ~seed ~threads:16 ~manager
              Sim_load.list_model))
-      (Tcm_sim.Policy.all ~seed ())
+      Tcm_core.Registry.simulated
   end;
   Tcm_metrics.disable ();
   let snap = Tcm_metrics.snapshot () in
@@ -763,7 +763,7 @@ let run_trace_capture path =
   let granularity = 2 in
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~granularity ~s () in
   Tcm_trace.Sink.start ();
-  ignore (Tcm_sim.Engine.run_instance ~ranks ~policy:(Tcm_sim.Policy.greedy ()) inst);
+  ignore (Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst);
   Tcm_trace.Sink.stop ();
   let chain = Tcm_trace.Sink.collect () in
   let pc = Tcm_trace.Analysis.pending_commit chain in
@@ -786,7 +786,7 @@ let run_trace_capture path =
         fun _ -> Some (Tcm_sim.Spec.txn ~dur:3 [ Tcm_sim.Spec.write ~at:0 ~obj:0 ]))
   in
   ignore
-    (Tcm_sim.Engine.run ~horizon:60 ~policy:(Tcm_sim.Policy.aggressive ())
+    (Tcm_sim.Engine.run ~horizon:60 ~manager:(module Tcm_core.Aggressive)
        ~n_objects:1 duel);
   Tcm_trace.Sink.stop ();
   let duel_tr = Tcm_trace.Sink.collect () in
@@ -825,7 +825,7 @@ let run_metrics_capture path =
   (* Simulator: the same instrument names under runtime="sim" (ticks),
      so live and simulated behaviour line up in one snapshot. *)
   List.iter
-    (fun (p : Tcm_sim.Policy.t) ->
+    (fun manager ->
       let streams =
         Array.init 4 (fun tid ->
             fun idx ->
@@ -834,8 +834,8 @@ let run_metrics_capture path =
                let obj = if (tid + idx) mod 2 = 0 then 0 else 1 + tid in
                Some (Tcm_sim.Spec.txn ~dur:3 [ Tcm_sim.Spec.write ~at:0 ~obj ]))
       in
-      ignore (Tcm_sim.Engine.run ~horizon:5_000 ~policy:p ~n_objects:5 streams))
-    [ Tcm_sim.Policy.greedy (); Tcm_sim.Policy.karma (); Tcm_sim.Policy.aggressive () ];
+      ignore (Tcm_sim.Engine.run ~horizon:5_000 ~manager ~n_objects:5 streams))
+    sim_trio;
   Tcm_metrics.Sampler.force sampler;
   Tcm_metrics.disable ();
   let snap = Tcm_metrics.snapshot () in
@@ -877,7 +877,7 @@ let micro_tests () =
     Test.make ~name:"table:sec4-chain-sim"
       (Staged.stage (fun () ->
            let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s:8 () in
-           ignore (Tcm_sim.Engine.run_instance ~ranks ~policy:(Tcm_sim.Policy.greedy ()) inst)))
+           ignore (Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst)))
   in
   Test.make_grouped ~name:"tcm"
     [

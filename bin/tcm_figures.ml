@@ -33,6 +33,12 @@ let horizon_arg =
   let doc = "Ticks per data point (sim mode)." in
   Arg.(value & opt int 6000 & info [ "horizon" ] ~doc)
 
+let usec_per_tick_arg =
+  let doc =
+    "Microseconds of manager backoff or wait per simulated tick (sim mode; default 1)."
+  in
+  Arg.(value & opt (some int) None & info [ "usec-per-tick" ] ~doc)
+
 let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
@@ -209,7 +215,7 @@ let summarize path =
       | Some _ -> Printf.printf "\n== (malformed figure kind) ==\n")
     (jarr (member "figures" j))
 
-let run_figures figure mode threads duration horizon seed backend =
+let run_figures figure mode threads duration horizon usec_per_tick seed backend =
   let backend =
     match Tcm_stm.Stm.backend_of_name backend with
     | Some b -> b
@@ -235,17 +241,22 @@ let run_figures figure mode threads duration horizon seed backend =
         Printf.eprintf "unknown mode %S (sim or real)\n" m;
         exit 2
   in
+  (match usec_per_tick with
+  | Some n when n < 1 ->
+      Printf.eprintf "--usec-per-tick must be at least 1 (got %d)\n" n;
+      exit 2
+  | _ -> ());
   let threads_list = parse_threads threads in
   List.iter
     (fun spec ->
-      let r = Figures.run ~threads_list ~seed ~mode ~backend spec in
+      let r = Figures.run ~threads_list ~seed ~mode ~backend ?usec_per_tick spec in
       Report.print_figure Format.std_formatter r)
     specs
 
-let run summary figure mode threads duration horizon seed backend =
+let run summary figure mode threads duration horizon usec_per_tick seed backend =
   match summary with
   | Some path -> summarize path
-  | None -> run_figures figure mode threads duration horizon seed backend
+  | None -> run_figures figure mode threads duration horizon usec_per_tick seed backend
 
 let cmd =
   let doc = "Reproduce the figures of 'Toward a Theory of Transactional Contention Managers'." in
@@ -253,6 +264,6 @@ let cmd =
     (Cmd.info "tcm-figures" ~doc)
     Term.(
       const run $ summary_arg $ figure_arg $ mode_arg $ threads_arg $ duration_arg
-      $ horizon_arg $ seed_arg $ backend_arg)
+      $ horizon_arg $ usec_per_tick_arg $ seed_arg $ backend_arg)
 
 let () = exit (Cmd.eval cmd)

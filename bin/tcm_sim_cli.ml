@@ -5,18 +5,19 @@
     - [bound-sweep]: Theorem 9 check over random instances.
     - [lemma7]: scores of random partitions of G(m, s).
     - [cycle]: the dependency cycle that defeats unbounded FIFO
-      waiting, run under every policy.
-    - [policies]: one-shot random instance across all policies. *)
+      waiting, run under every manager.
+    - [policies]: one-shot random instance across all managers. *)
 
 open Cmdliner
+
+let greedy_manager = Tcm_core.Registry.find_exn "greedy"
 
 let adversarial s_max =
   Printf.printf "%6s %16s %16s %8s %12s\n" "s" "greedy" "optimal" "ratio" "bound";
   for s = 1 to s_max do
     let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s () in
     let r =
-      Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~policy:(Tcm_sim.Policy.greedy ())
-        inst
+      Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~manager:greedy_manager inst
     in
     let greedy = Option.value r.Tcm_sim.Engine.makespan ~default:(-1) in
     let optimal = 2 * Tcm_sched.Adversarial.optimal_makespan ~s in
@@ -31,7 +32,7 @@ let bound_sweep trials n s =
   let violations = ref 0 in
   for seed = 1 to trials do
     let inst = Tcm_sim.Scenarios.random_instance ~seed ~n ~s () in
-    let r = Tcm_sim.Engine.run_instance ~policy:(Tcm_sim.Policy.greedy ()) inst in
+    let r = Tcm_sim.Engine.run_instance ~manager:greedy_manager inst in
     let rep = Tcm_sim.Props.theorem9_check ~inst r in
     if not rep.Tcm_sim.Props.ok then incr violations;
     if rep.Tcm_sim.Props.optimal > 0 then
@@ -64,50 +65,51 @@ let lemma7 m s rounds =
 let cycle () =
   let inst = Tcm_sim.Scenarios.dependency_cycle () in
   List.iter
-    (fun p ->
-      let r = Tcm_sim.Engine.run_instance ~horizon:100_000 ~policy:p inst in
-      Printf.printf "%-14s completed=%-5b makespan=%s aborts=%d\n" r.Tcm_sim.Engine.policy_name
+    (fun manager ->
+      let r = Tcm_sim.Engine.run_instance ~horizon:100_000 ~seed:1 ~manager inst in
+      Printf.printf "%-22s completed=%-5b makespan=%s aborts=%d\n" r.Tcm_sim.Engine.manager_name
         r.Tcm_sim.Engine.completed
         (match r.Tcm_sim.Engine.makespan with Some m -> string_of_int m | None -> "-")
         r.Tcm_sim.Engine.aborts)
-    (Tcm_sim.Policy.queue_on_block ~mode:`Unbounded ()
-    :: Tcm_sim.Policy.all ~seed:1 ())
+    ((module Tcm_core.Queue_on_block.Unbounded) :: Tcm_core.Registry.simulated)
 
-let timeline s policy_name =
+let timeline s manager_name =
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s () in
-  let policy =
+  let manager =
     match
       List.find_opt
-        (fun p -> String.equal p.Tcm_sim.Policy.name policy_name)
-        (Tcm_sim.Policy.all ~seed:1 ())
+        (fun m -> Tcm_stm.Cm_intf.name m = String.lowercase_ascii manager_name)
+        Tcm_core.Registry.simulated
     with
-    | Some p -> p
+    | Some m -> m
     | None ->
-        Printf.eprintf "unknown policy %S\n" policy_name;
+        Printf.eprintf "unknown manager %S\n" manager_name;
         exit 2
   in
-  let r = Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~horizon:5_000 ~policy inst in
-  Printf.printf "chain s=%d under %s (thread i plays T_i):\n%s" s policy_name
+  let r =
+    Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~horizon:5_000 ~seed:1 ~manager inst
+  in
+  Printf.printf "chain s=%d under %s (thread i plays T_i):\n%s" s manager_name
     (Tcm_sim.Timeline.render r)
 
 let halted n =
   let inst = Tcm_sim.Scenarios.halted_owner ~n () in
   List.iter
-    (fun p ->
-      let r = Tcm_sim.Engine.run_instance ~horizon:50_000 ~policy:p inst in
+    (fun manager ->
+      let r = Tcm_sim.Engine.run_instance ~horizon:50_000 ~seed:1 ~manager inst in
       Printf.printf "%-14s finished=%-5b survivors-committed=%d/%d\n"
-        r.Tcm_sim.Engine.policy_name r.Tcm_sim.Engine.completed r.Tcm_sim.Engine.commits (n - 1))
-    (Tcm_sim.Policy.all ~seed:1 ())
+        r.Tcm_sim.Engine.manager_name r.Tcm_sim.Engine.completed r.Tcm_sim.Engine.commits (n - 1))
+    Tcm_core.Registry.simulated
 
 let policies seed n s =
   let inst = Tcm_sim.Scenarios.random_instance ~seed ~n ~s () in
   List.iter
-    (fun p ->
-      let r = Tcm_sim.Engine.run_instance ~horizon:100_000 ~policy:p inst in
-      Printf.printf "%-14s makespan=%-6s commits=%d aborts=%d\n" r.Tcm_sim.Engine.policy_name
+    (fun manager ->
+      let r = Tcm_sim.Engine.run_instance ~horizon:100_000 ~seed ~manager inst in
+      Printf.printf "%-14s makespan=%-6s commits=%d aborts=%d\n" r.Tcm_sim.Engine.manager_name
         (match r.Tcm_sim.Engine.makespan with Some m -> string_of_int m | None -> "-")
         r.Tcm_sim.Engine.commits r.Tcm_sim.Engine.aborts)
-    (Tcm_sim.Policy.all ~seed ())
+    Tcm_core.Registry.simulated
 
 let s_arg = Arg.(value & opt int 8 & info [ "s" ] ~doc:"Number of shared objects.")
 let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of transactions.")
@@ -125,17 +127,17 @@ let cmds =
       Term.(const bound_sweep $ trials_arg $ n_arg $ Arg.(value & opt int 3 & info [ "s" ]));
     Cmd.v (Cmd.info "lemma7" ~doc:"Scores of random partitions of G(m,s).")
       Term.(const lemma7 $ m_arg $ Arg.(value & opt int 2 & info [ "s" ]) $ rounds_arg);
-    Cmd.v (Cmd.info "cycle" ~doc:"Dependency cycle under each policy.") Term.(const cycle $ const ());
+    Cmd.v (Cmd.info "cycle" ~doc:"Dependency cycle under each manager.") Term.(const cycle $ const ());
     Cmd.v
-      (Cmd.info "halted" ~doc:"Halted transaction holding a hot object, under each policy.")
+      (Cmd.info "halted" ~doc:"Halted transaction holding a hot object, under each manager.")
       Term.(const halted $ n_arg);
     Cmd.v
-      (Cmd.info "timeline" ~doc:"ASCII timeline of the chain under a chosen policy.")
+      (Cmd.info "timeline" ~doc:"ASCII timeline of the chain under a chosen manager.")
       Term.(
         const timeline
         $ Arg.(value & opt int 5 & info [ "s" ])
         $ Arg.(value & opt string "greedy" & info [ "policy" ]));
-    Cmd.v (Cmd.info "policies" ~doc:"One random instance across all policies.")
+    Cmd.v (Cmd.info "policies" ~doc:"One random instance across all managers.")
       Term.(const policies $ seed_arg $ n_arg $ Arg.(value & opt int 3 & info [ "s" ]));
   ]
 

@@ -15,7 +15,7 @@ let () =
   Printf.printf "Chain instance: %d transactions over %d objects.\n" (s + 1) s;
   Printf.printf "T_i opens X_(i+1) at time 0 and X_i at time 1-eps; T_i is older than T_(i-1).\n\n";
   let r =
-    Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~policy:(Tcm_sim.Policy.greedy ()) inst
+    Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~manager:(module Tcm_core.Greedy) inst
   in
   Printf.printf "Commit order under greedy (tick = %d per paper time unit):\n" granularity;
   List.iter

@@ -110,13 +110,30 @@ module Cm_state = struct
       Mutex.unlock reg.mutex
     end
 
+  (* An open [scoped] region on this domain: where its slots go and
+     where its PRNG seeds come from. *)
+  type scope = { seeds : Splitmix.t; mutable slots : slot list }
+
+  let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
   (* Manager instances are per-domain and live as long as the domain:
      tie the slot's lifetime to the domain the way PR 4 ties hazard
-     slots, so a spawned-and-joined domain leaves nothing behind. *)
+     slots, so a spawned-and-joined domain leaves nothing behind.
+     Inside [scoped], the scope owns the slot instead. *)
   let acquire ~words =
     let s = acquire_raw ~words in
-    Domain.at_exit (fun () -> release s);
+    (match Domain.DLS.get scope_key with
+    | Some sc -> sc.slots <- s :: sc.slots
+    | None -> Domain.at_exit (fun () -> release s));
     s
+
+  let scoped ~seed f =
+    let outer = Domain.DLS.get scope_key in
+    let sc = { seeds = Splitmix.create seed; slots = [] } in
+    Domain.DLS.set scope_key (Some sc);
+    Fun.protect f ~finally:(fun () ->
+        Domain.DLS.set scope_key outer;
+        List.iter release sc.slots)
 
   let live_slots () =
     Mutex.lock reg.mutex;
@@ -137,12 +154,17 @@ end
     draw is plain int arithmetic on those cells — unlike the previous
     [Splitmix] wrapper, whose boxed [Int64] state allocated on each
     [next].  Seeded from a process-unique [Splitmix] stream at create
-    time (create-time allocation is fine; draw-time is not). *)
+    time, or from the enclosing [Cm_state.scoped] seed (create-time
+    allocation is fine; draw-time is not). *)
 module Prng = struct
   type t = { arr : int array; ix : int }  (* state cells at ix, ix + 1 *)
 
   let seed_cells arr ix =
-    let s = Splitmix.create_self_seeded () in
+    let s =
+      match Domain.DLS.get Cm_state.scope_key with
+      | Some sc -> sc.Cm_state.seeds
+      | None -> Splitmix.create_self_seeded ()
+    in
     let nonzero v d = if v = 0 then d else v in
     arr.(ix) <- nonzero (Int64.to_int (Splitmix.next s) land max_int) 0x9E3779B9;
     arr.(ix + 1) <- nonzero (Int64.to_int (Splitmix.next s) land max_int) 0x6C078965

@@ -20,13 +20,22 @@ module Cm_state : sig
 
   val acquire : words:int -> slot
   (** Carve a zeroed slot of [words] ints off the slab and register a
-      [Domain.at_exit] hook (on the calling domain) that releases it.
+      [Domain.at_exit] hook (on the calling domain) that releases it —
+      or, inside {!scoped}, hand it to the scope to release.
       Call once per manager instance from [create] — never on the
       consult path (it takes a mutex and may allocate a chunk). *)
 
   val release : slot -> unit
   (** Scrub the slot and return it to the freelist.  Idempotent: the
       domain-exit hook and an explicit release do not double-free. *)
+
+  val scoped : seed:int -> (unit -> 'a) -> 'a
+  (** [scoped ~seed f] runs [f] with manager creation made
+      deterministic and short-lived: slots acquired inside [f] are
+      released when [f] returns (not at domain exit), and every
+      {!Prng} created inside [f] is seeded from [seed], in creation
+      order.  The simulator builds its per-thread managers this way, so
+      runs are reproducible and leave no slots behind. *)
 
   val get : slot -> int -> int
   val set : slot -> int -> int -> unit
@@ -46,7 +55,8 @@ end
 (** Deterministic per-instance pseudo-random stream for backoff jitter
     and coin flips.  State is two slab cells; every draw is plain int
     arithmetic — no allocation (the previous [Splitmix]-based wrapper
-    boxed an [Int64] per draw).  Seeded process-uniquely at creation. *)
+    boxed an [Int64] per draw).  Seeded process-uniquely at creation,
+    or from the seed of an enclosing {!Cm_state.scoped}. *)
 module Prng : sig
   type t
 

@@ -6,9 +6,9 @@
     - {b Phase A} (access phase, thread-id order): threads start
       pending transactions, re-check waits and backoffs, and attempt
       the object accesses due at their current progress point.
-      Conflicts are resolved through the policy; aborts take effect
-      immediately (the victim restarts at the next tick, keeping its
-      timestamp).
+      Conflicts are resolved by the thread's contention manager;
+      aborts take effect immediately (the victim restarts at the next
+      tick, keeping its timestamp).
     - {b Phase B} (work phase): every thread still running advances one
       tick of work; a thread completing its duration commits at the end
       of the tick.
@@ -17,9 +17,17 @@
     which reproduces the paper's "at time 1 - epsilon, T1 accesses X1,
     aborting T0" scheduling of the Section 4 chain exactly.
 
-    Everything is deterministic: thread-id order breaks ties, policies
-    draw randomness from seeded streams, and timestamps are assigned in
-    arrival order. *)
+    The managers are the live [Tcm_core] modules, one instance per
+    simulated thread, each seeing the real [Txn.t] descriptors it sees
+    in the runtimes.  Managers never read a clock: all time reaches
+    them as {!Tcm_stm.Decision} durations, which the engine converts
+    at [usec_per_tick] (default {!default_usec_per_tick}).
+
+    Everything is deterministic: thread-id order breaks ties, managers
+    draw their jitter from streams seeded by [seed], and timestamps are
+    assigned in arrival order. *)
+
+open Tcm_stm
 
 type cell_kind = Run | Wait | Back | Idle | Done
 
@@ -40,35 +48,25 @@ type thread_status =
 type tstate = {
   tid : int;
   stream : int -> Spec.txn option;
+  cm : Cm_intf.packed;  (** This thread's manager instance. *)
   mutable txn_index : int;
-  mutable txn : Spec.txn option;
-  mutable timestamp : int;
+  mutable spec : Spec.txn option;
+  mutable txn : Txn.t;
+      (** The current attempt's descriptor — all the manager sees of
+          this thread, exactly as in the live runtimes. *)
   mutable attempt : int;  (** Global per-thread attempt counter. *)
-  mutable attempt_uid : int;
-      (** Trace-level attempt identity, from the same counter the STM
-          runtime draws [Txn.attempt_id] from, so merged traces never
-          collide. *)
   mutable status : thread_status;
   mutable attempt_start : int;  (** Tick the current attempt began (metrics). *)
-  mutable opens_base : int;
-      (** [opens] at the current attempt's start; the difference is the
-          attempt's read-set size ([opens] itself is cumulative, the
-          policies read it as pressure). *)
+  mutable opens : int;  (** Opens in the current attempt (its read-set size). *)
   mutable progress : int;
   mutable pending : Spec.access list;
   mutable held : int list;  (** Objects owned for writing. *)
   mutable reading : int list;  (** Objects registered as reader. *)
-  mutable waiting_flag : bool;
-  priority : int ref;
   mutable aborts : int;
-  mutable opens : int;
   mutable stuck : int;  (** Consecutive resolves at the current access. *)
   mutable commits : int;
   mutable cur_aborts : int;  (** Restarts of the current transaction. *)
   mutable aborted_this_tick : bool;
-  view : Policy.view;
-      (** Cached policy view, refreshed in place by [view_of] before
-          each resolve — no per-conflict allocation. *)
 }
 
 type obj_state = { mutable owner : int option; mutable readers : int list }
@@ -87,40 +85,48 @@ type result = {
       (** Worst number of restarts any single transaction needed — the
           starvation metric for the timestamp-retention ablation. *)
   grid : cell array array;  (** [grid.(tick).(thread)], possibly empty. *)
-  policy_name : string;
+  manager_name : string;
 }
 
 let default_horizon = 1_000_000
 
-let view_of (t : tstate) : Policy.view =
-  let v = t.view in
-  v.Policy.timestamp <- t.timestamp;
-  v.Policy.waiting <- t.waiting_flag;
-  v.Policy.aborts <- t.aborts;
-  v.Policy.opens <- t.opens;
-  v
+let cm_begin (Cm_intf.Packed ((module M), st)) txn = M.begin_attempt st txn
+let cm_opened (Cm_intf.Packed ((module M), st)) txn = M.opened st txn
+let cm_committed (Cm_intf.Packed ((module M), st)) txn = M.committed st txn
+let cm_aborted (Cm_intf.Packed ((module M), st)) txn = M.aborted st txn
+
+(* Manager durations are live microseconds.  One tick is one of them:
+   a live greedy attempt on the 2-domain list workload takes 3.9 us at
+   the median and a simulated one 3.5 ticks (EXPERIMENTS.md, metrics
+   table), about 1.1 us per tick. *)
+let default_usec_per_tick = 1
+
+let new_shared timestamp =
+  { Txn.timestamp; priority = 0; aborts = 0; opens = 0; cm_stamp = Txn.no_cm_stamp }
 
 let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
-    ?(ts_on_restart = `Keep) ~(policy : Policy.t) ~n_objects
-    (streams : (int -> Spec.txn option) array) : result =
+    ?(ts_on_restart = `Keep) ?(seed = 0) ?(usec_per_tick = default_usec_per_tick)
+    ~(manager : Cm_intf.factory) ~n_objects (streams : (int -> Spec.txn option) array) :
+    result =
+  if usec_per_tick < 1 then invalid_arg "Engine.run: usec_per_tick < 1";
+  (* Rounded up, so any nonzero duration costs at least a tick. *)
+  let ticks_of_usec us = (us + usec_per_tick - 1) / usec_per_tick in
+  (* Managers built in the scope draw their jitter from [seed] and hand
+     their slab slots back when the run ends. *)
+  Tcm_core.Cm_util.Cm_state.scoped ~seed @@ fun () ->
   let n = Array.length streams in
+  let manager_name = Cm_intf.name manager in
   (* Same instrument names as the live runtime; runtime="sim" keeps the
      units (ticks vs us) apart in the registry.  The simulator models
      the eager locator protocol, so its series carry backend="locator"
      explicitly. *)
   let mx =
-    Tcm_metrics.Conventions.for_manager ~runtime:"sim" ~backend:"locator"
-      policy.Policy.name
+    Tcm_metrics.Conventions.for_manager ~runtime:"sim" ~backend:"locator" manager_name
   in
   (* Matching obs handles: aborts/waits priced in ticks, conflict keys
      are the scenario's object ids. *)
-  let obs =
-    Tcm_obs.Ledger.for_manager ~runtime:"sim" ~backend:"locator"
-      policy.Policy.name
-  in
-  let hot =
-    Tcm_obs.Hot.for_manager ~runtime:"sim" ~backend:"locator" policy.Policy.name
-  in
+  let obs = Tcm_obs.Ledger.for_manager ~runtime:"sim" ~backend:"locator" manager_name in
+  let hot = Tcm_obs.Hot.for_manager ~runtime:"sim" ~backend:"locator" manager_name in
   let ts_counter =
     (* Later transactions must be younger than any explicit rank. *)
     ref (match ranks with None -> 0 | Some r -> Array.fold_left max 0 r)
@@ -136,41 +142,26 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
   in
   let threads =
     Array.init n (fun tid ->
-        (* The cached view shares the [priority] ref with the thread
-           state, so Eruption's pressure transfer lands in both. *)
-        let priority = ref 0 in
         {
           tid;
           stream = streams.(tid);
+          cm = Cm_intf.instantiate manager;
           txn_index = 0;
-          txn = None;
-          timestamp = max_int;
+          spec = None;
+          txn = Txn.committed_sentinel;
           attempt = 0;
-          attempt_uid = 0;
           status = Idle_s;
           attempt_start = 0;
-          opens_base = 0;
+          opens = 0;
           progress = 0;
           pending = [];
           held = [];
           reading = [];
-          waiting_flag = false;
-          priority;
           aborts = 0;
-          opens = 0;
           stuck = 0;
           commits = 0;
           cur_aborts = 0;
           aborted_this_tick = false;
-          view =
-            {
-              Policy.id = tid;
-              timestamp = max_int;
-              waiting = false;
-              priority;
-              aborts = 0;
-              opens = 0;
-            };
         })
   in
   let objs = Array.init n_objects (fun _ -> { owner = None; readers = [] }) in
@@ -185,7 +176,7 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
      prematurely").  Its thread is dead: if an enemy aborts it, the
      thread is finished rather than restarted. *)
   let is_halted (t : tstate) =
-    match t.txn with
+    match t.spec with
     | Some { Spec.halts_at = Some p; _ } -> t.progress >= p
     | _ -> false
   in
@@ -199,43 +190,53 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     t.reading <- []
   in
 
+  (* A fresh attempt of the current transaction, starting at [start]:
+     the same lifecycle the live runtime drives ([Txn.new_attempt],
+     then the manager's [begin_attempt]). *)
+  let begin_attempt (t : tstate) shared ~start =
+    t.txn <- Txn.new_attempt shared;
+    t.attempt <- t.attempt + 1;
+    t.attempt_start <- start;
+    t.opens <- 0;
+    t.progress <- 0;
+    t.stuck <- 0;
+    t.pending <- (match t.spec with Some s -> s.Spec.accesses | None -> []);
+    cm_begin t.cm t.txn;
+    Tcm_metrics.Conventions.attempt_begin mx;
+    Tcm_trace.Sink.attempt_begin ~txid:(Txn.timestamp t.txn)
+      ~attempt:t.txn.Txn.attempt_id ~tick:start
+  in
+
   let abort (victim : tstate) ~now =
     let halted = is_halted victim in
-    Tcm_trace.Sink.attempt_abort ~txid:victim.timestamp
-      ~attempt:victim.attempt_uid ~tick:now;
+    Tcm_trace.Sink.attempt_abort ~txid:(Txn.timestamp victim.txn)
+      ~attempt:victim.txn.Txn.attempt_id ~tick:now;
     Tcm_metrics.Conventions.attempt_abort mx ~duration:(now - victim.attempt_start);
-    Tcm_obs.Ledger.charge_abort obs ~work:(victim.opens - victim.opens_base);
+    Tcm_obs.Ledger.charge_abort obs ~work:victim.opens;
     release victim;
-    victim.waiting_flag <- false;
+    ignore (Txn.try_abort victim.txn);
+    cm_aborted victim.cm victim.txn;
     victim.aborts <- victim.aborts + 1;
     victim.cur_aborts <- victim.cur_aborts + 1;
     max_aborts_one_txn := max !max_aborts_one_txn victim.cur_aborts;
+    victim.aborted_this_tick <- true;
     if halted then begin
       (* The thread behind it is dead; clearing the objects is all an
          enemy can do. *)
-      victim.txn <- None;
-      victim.status <- Finished_s;
-      victim.aborted_this_tick <- true
+      victim.spec <- None;
+      victim.status <- Finished_s
     end
     else begin
       (* Ablation hook: the paper's greedy retains the timestamp across
          aborts; [`Fresh] deliberately breaks that to demonstrate why. *)
-      (match ts_on_restart with
-      | `Keep -> ()
-      | `Fresh -> victim.timestamp <- fresh_timestamp ());
-      victim.progress <- 0;
-      victim.stuck <- 0;
-      victim.pending <- (match victim.txn with Some t -> t.Spec.accesses | None -> []);
-      victim.aborted_this_tick <- true;
-      (* Restart (same timestamp, same txn) at the next tick. *)
+      let shared =
+        match ts_on_restart with
+        | `Keep -> victim.txn.Txn.shared
+        | `Fresh -> { victim.txn.Txn.shared with timestamp = fresh_timestamp () }
+      in
+      (* Restart (same transaction) at the next tick. *)
       victim.status <- Backing_off_s { until = now + 1 };
-      victim.attempt <- victim.attempt + 1;
-      victim.attempt_uid <- Tcm_stm.Txid.next_attempt_id ();
-      victim.attempt_start <- now + 1;
-      victim.opens_base <- victim.opens;
-      Tcm_metrics.Conventions.attempt_begin mx;
-      Tcm_trace.Sink.attempt_begin ~txid:victim.timestamp
-        ~attempt:victim.attempt_uid ~tick:(now + 1)
+      begin_attempt victim shared ~start:(now + 1)
     end;
     incr total_aborts
   in
@@ -271,9 +272,10 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
           t.reading <- a.Spec.obj :: t.reading
         end);
     t.opens <- t.opens + 1;
-    t.priority := !(t.priority) + 1;
+    Txn.record_open t.txn;
+    cm_opened t.cm t.txn;
     t.stuck <- 0;
-    Tcm_trace.Sink.acquired ~txid:t.timestamp ~obj:a.Spec.obj
+    Tcm_trace.Sink.acquired ~txid:(Txn.timestamp t.txn) ~obj:a.Spec.obj
       ~write:(a.Spec.kind = Spec.Write) ~tick:now
   in
 
@@ -297,65 +299,48 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
               t.pending <- rest;
               process_accesses t ~now
           | Some enemy -> (
-              let d =
-                policy.Policy.resolve ~me:(view_of t) ~other:(view_of enemy) ~attempts:t.stuck
-                  ~now
-              in
+              (* The locator backend's conflict adapter: the simulator
+                 models the eager locator protocol, so its verdicts
+                 come from the code path the live runtime takes. *)
+              let d = Runtime.consult t.cm ~me:t.txn ~other:enemy.txn ~attempts:t.stuck in
               (* Trace decision codes double as metrics verdict codes. *)
-              let dcode =
-                match d with
-                | Policy.Abort_other -> Tcm_trace.Event.d_abort_other
-                | Policy.Abort_self -> Tcm_trace.Event.d_abort_self
-                | Policy.Block _ -> Tcm_trace.Event.d_block
-                | Policy.Backoff _ -> Tcm_trace.Event.d_backoff
-              in
+              let dcode = Runtime_intf.decision_trace_code d in
               if Tcm_trace.Sink.enabled () then
-                Tcm_trace.Sink.conflict ~me:t.timestamp ~other:enemy.timestamp
-                  ~decision:dcode ~tick:now;
+                Tcm_trace.Sink.conflict ~me:(Txn.timestamp t.txn)
+                  ~other:(Txn.timestamp enemy.txn) ~decision:dcode ~tick:now;
               Tcm_metrics.Conventions.resolve mx dcode;
               Tcm_obs.Hot.record hot a.Spec.obj;
               t.stuck <- t.stuck + 1;
               match d with
-              | Policy.Abort_other ->
+              | Decision.Abort_other ->
                   abort enemy ~now;
                   process_accesses t ~now
-              | Policy.Abort_self -> abort t ~now
-              | Policy.Block { timeout } ->
-                  t.waiting_flag <- true;
-                  Tcm_trace.Sink.wait_begin ~me:t.timestamp
-                    ~enemy:enemy.timestamp ~tick:now;
+              | Decision.Abort_self -> abort t ~now
+              | Decision.Block { timeout_usec } ->
+                  Atomic.set t.txn.Txn.waiting true;
+                  Tcm_trace.Sink.wait_begin ~me:(Txn.timestamp t.txn)
+                    ~enemy:(Txn.timestamp enemy.txn) ~tick:now;
                   t.status <-
                     Waiting_s
                       {
                         obj = a.Spec.obj;
                         enemy = (enemy.tid, enemy.attempt);
-                        deadline = Option.map (fun d -> now + d) timeout;
+                        deadline = Option.map (fun d -> now + ticks_of_usec d) timeout_usec;
                         since = now;
                       }
-              | Policy.Backoff d ->
-                  t.status <- Backing_off_s { until = now + max 1 d }))
+              | Decision.Backoff { usec } ->
+                  t.status <- Backing_off_s { until = now + max 1 (ticks_of_usec usec) }))
     | _ -> ()
   in
 
   let start_next_txn (t : tstate) ~now =
     match t.stream t.txn_index with
     | None -> t.status <- Finished_s
-    | Some txn ->
-        t.txn <- Some txn;
-        t.timestamp <-
-          (if t.txn_index = 0 then initial_timestamp t.tid else fresh_timestamp ());
+    | Some spec ->
+        t.spec <- Some spec;
+        let ts = if t.txn_index = 0 then initial_timestamp t.tid else fresh_timestamp () in
         t.cur_aborts <- 0;
-        t.progress <- 0;
-        t.pending <- txn.Spec.accesses;
-        t.stuck <- 0;
-        t.priority := 0;
-        t.attempt <- t.attempt + 1;
-        t.attempt_uid <- Tcm_stm.Txid.next_attempt_id ();
-        t.attempt_start <- now;
-        t.opens_base <- t.opens;
-        Tcm_metrics.Conventions.attempt_begin mx;
-        Tcm_trace.Sink.attempt_begin ~txid:t.timestamp ~attempt:t.attempt_uid
-          ~tick:now;
+        begin_attempt t (new_shared ts) ~start:now;
         t.status <- Running_s;
         process_accesses t ~now
   in
@@ -380,19 +365,19 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
               | Some w ->
                   w <> enemy_tid
                   || threads.(w).attempt <> enemy_attempt
-                  || threads.(w).waiting_flag)
+                  || Txn.is_waiting threads.(w).txn)
               || match deadline with Some d -> now >= d | None -> false
             in
             if resume then begin
-              t.waiting_flag <- false;
+              Atomic.set t.txn.Txn.waiting false;
               Tcm_metrics.Conventions.wait mx ~duration:(now - since);
               (* Ticks are the sim's native duration, so cost and the
                  ladder-tick pricing coincide (and the metrics
                  histogram sum reconciles exactly). *)
               Tcm_obs.Ledger.charge_wait obs ~cost:(now - since)
                 ~ticks:(now - since);
-              Tcm_trace.Sink.wait_end ~me:t.timestamp
-                ~enemy:threads.(enemy_tid).timestamp ~tick:now;
+              Tcm_trace.Sink.wait_end ~me:(Txn.timestamp t.txn)
+                ~enemy:(Txn.timestamp threads.(enemy_tid).txn) ~tick:now;
               t.status <- Running_s;
               process_accesses t ~now
             end)
@@ -404,24 +389,24 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
       (fun t ->
         match t.status with
         | Running_s when (not t.aborted_this_tick) && not (is_halted t) -> (
-            match t.txn with
+            match t.spec with
             | None -> ()
-            | Some txn ->
+            | Some spec ->
                 t.progress <- t.progress + 1;
-                if t.progress >= txn.Spec.dur then begin
+                if t.progress >= spec.Spec.dur then begin
                   release t;
-                  Tcm_trace.Sink.attempt_commit ~txid:t.timestamp
-                    ~attempt:t.attempt_uid ~tick:(now + 1);
+                  ignore (Txn.try_commit t.txn);
+                  Tcm_trace.Sink.attempt_commit ~txid:(Txn.timestamp t.txn)
+                    ~attempt:t.txn.Txn.attempt_id ~tick:(now + 1);
                   Tcm_metrics.Conventions.attempt_commit mx
-                    ~duration:(now + 1 - t.attempt_start)
-                    ~read_set:(t.opens - t.opens_base);
-                  Tcm_obs.Ledger.note_commit obs ~work:(t.opens - t.opens_base);
+                    ~duration:(now + 1 - t.attempt_start) ~read_set:t.opens;
+                  Tcm_obs.Ledger.note_commit obs ~work:t.opens;
+                  cm_committed t.cm t.txn;
                   t.commits <- t.commits + 1;
                   incr total_commits;
                   commit_log := (t.tid, t.txn_index, now + 1) :: !commit_log;
-                  t.txn <- None;
+                  t.spec <- None;
                   t.txn_index <- t.txn_index + 1;
-                  t.priority := 0;
                   t.status <- Idle_s
                 end)
         | _ -> ())
@@ -471,16 +456,17 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     per_thread_aborts = Array.map (fun (t : tstate) -> t.aborts) threads;
     max_aborts_one_txn = !max_aborts_one_txn;
     grid = Array.of_list (List.rev !grid);
-    policy_name = policy.Policy.name;
+    manager_name;
   }
 
 (** One transaction per thread, all arriving at tick 0.  Without
     [ranks], thread order is priority order (thread 0 oldest);
     [ranks.(i)] overrides the timestamp of thread [i]'s transaction
     (smaller = older). *)
-let run_instance ?horizon ?record_grid ?ranks ?ts_on_restart ~policy (inst : Spec.instance) :
-    result =
+let run_instance ?horizon ?record_grid ?ranks ?ts_on_restart ?seed ~manager
+    (inst : Spec.instance) : result =
   let streams =
     Array.map (fun txn k -> if k = 0 then Some txn else None) inst.txns
   in
-  run ?horizon ?record_grid ?ranks ?ts_on_restart ~policy ~n_objects:inst.n_objects streams
+  run ?horizon ?record_grid ?ranks ?ts_on_restart ?seed ~manager
+    ~n_objects:inst.n_objects streams

@@ -2,12 +2,19 @@
 
     Each tick: {b Phase A} (thread-id order) starts pending
     transactions, re-checks waits/backoffs and performs the due object
-    accesses, resolving conflicts through the policy — aborts take
+    accesses, resolving conflicts through the manager — aborts take
     effect immediately, victims restart next tick with their timestamp
     retained.  {b Phase B} advances every still-running thread one tick
     of work; completed transactions commit at the end of the tick.
     Accesses thus strictly precede same-tick commits, reproducing the
-    paper's "at time 1-eps, T1 accesses X1, aborting T0" exactly. *)
+    paper's "at time 1-eps, T1 accesses X1, aborting T0" exactly.
+
+    Conflicts are resolved by the live [Tcm_core] managers, one
+    instance per thread, over real [Txn.t] descriptors, through the
+    locator backend's [Runtime.consult]; decision durations convert to
+    ticks at [usec_per_tick] (default {!default_usec_per_tick}). *)
+
+open Tcm_stm
 
 type cell_kind = Run | Wait | Back | Idle | Done
 
@@ -26,31 +33,42 @@ type result = {
   max_aborts_one_txn : int;
       (** Worst restarts of a single transaction (starvation metric). *)
   grid : cell array array;  (** [grid.(tick).(thread)] when recorded. *)
-  policy_name : string;
+  manager_name : string;
 }
 
 val default_horizon : int
+
+val default_usec_per_tick : int
+(** Microseconds of a [Block] timeout or [Backoff] per tick (1, rounded
+    up): the measured ratio of a live list attempt's duration to a
+    simulated one's. *)
 
 val run :
   ?horizon:int ->
   ?record_grid:bool ->
   ?ranks:int array ->
   ?ts_on_restart:[ `Keep | `Fresh ] ->
-  policy:Policy.t ->
+  ?seed:int ->
+  ?usec_per_tick:int ->
+  manager:Cm_intf.factory ->
   n_objects:int ->
   (int -> Spec.txn option) array ->
   result
-(** [run ~policy ~n_objects streams]: thread [i] executes
+(** [run ~manager ~n_objects streams]: thread [i] executes
     [streams.(i) 0], [streams.(i) 1], ... until [None].  [ranks]
     overrides the first transactions' timestamps; [ts_on_restart]
-    is the Theorem 1 ablation hook ([`Fresh] breaks retention). *)
+    is the Theorem 1 ablation hook ([`Fresh] breaks retention); [seed]
+    (default 0) seeds the managers' jitter; [usec_per_tick] scales
+    decision durations to ticks (a sensitivity knob).
+    @raise Invalid_argument if [usec_per_tick < 1]. *)
 
 val run_instance :
   ?horizon:int ->
   ?record_grid:bool ->
   ?ranks:int array ->
   ?ts_on_restart:[ `Keep | `Fresh ] ->
-  policy:Policy.t ->
+  ?seed:int ->
+  manager:Cm_intf.factory ->
   Spec.instance ->
   result
 (** One transaction per thread, all arriving at tick 0; without

@@ -80,9 +80,11 @@ let theorem9_check ~(inst : Spec.instance) (r : Engine.result) : bound_report =
       let factor = Tcm_sched.Bounds.pending_commit_factor ~s in
       { s; measured; optimal; factor; ok = measured <= factor * optimal }
 
-(** Bounded-commit check (Theorem 1 flavour): under greedy, a
-    transaction with [k] older concurrent transactions restarts at most
-    [k] times.  We check the aggregate version: total aborts in a
-    one-shot n-transaction run are at most n(n-1)/2. *)
+(** Abort budget (Theorem 1 flavour): total aborts in a one-shot
+    n-transaction greedy run are at most n(n-1)/2.  It holds when every
+    transaction writes one object (between two commits an object's
+    owners only get older).  With several objects per transaction it
+    can fail: Rule 1 lets a younger transaction abort a waiting older
+    one, which then aborts the younger again. *)
 let greedy_abort_budget ~n (r : Engine.result) : bool =
   r.Engine.aborts <= n * (n - 1) / 2

@@ -21,4 +21,5 @@ val theorem9_check : inst:Spec.instance -> Engine.result -> bound_report
 (** Simulated makespan vs the best off-line list schedule. *)
 
 val greedy_abort_budget : n:int -> Engine.result -> bool
-(** Aggregate Theorem 1 check: one-shot aborts <= n(n-1)/2. *)
+(** Aggregate Theorem 1 check: one-shot aborts <= n(n-1)/2.  A theorem
+    when every transaction writes one object; it can fail otherwise. *)

@@ -5,7 +5,7 @@
     defeats unbounded FIFO waiting. *)
 
 (* Deterministic splitmix64 for instance generation. *)
-module Prng = Policy.Prng
+module Prng = Tcm_stm.Splitmix
 
 (** The Section 4 chain, in ticks of [granularity] per paper time unit
     (>= 2 so the late access lands strictly before the commit, the
@@ -35,8 +35,8 @@ let adversarial_chain ?(granularity = 2) ~s () : Spec.instance * int array =
   (inst, ranks)
 
 (** Two transactions that each open the other's first object late —
-    under unbounded FIFO waiting ([Policy.queue_on_block
-    ~mode:`Unbounded]) they cycle forever. *)
+    under unbounded FIFO waiting ([Tcm_core.Queue_on_block.Unbounded])
+    they cycle forever. *)
 let dependency_cycle () : Spec.instance =
   Spec.instance
     [

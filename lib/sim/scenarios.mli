@@ -1,7 +1,5 @@
 (** Canonical simulation scenarios. *)
 
-module Prng = Policy.Prng
-
 val adversarial_chain :
   ?granularity:int -> s:int -> unit -> Spec.instance * int array
 (** The Section 4 chain in [granularity] ticks per paper time unit

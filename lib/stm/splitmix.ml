@@ -1,7 +1,7 @@
 (** Deterministic splitmix64 pseudo-random stream.
 
-    Used everywhere randomness is needed — contention-manager jitter,
-    simulator policies, workload generators — so that every experiment
+    Used everywhere randomness is needed — seeding contention-manager
+    jitter, simulator scenarios, workload generators — so that every experiment
     is reproducible from its seed and nothing touches the global
     [Random] state shared across domains. *)
 

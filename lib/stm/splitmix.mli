@@ -1,7 +1,7 @@
 (** Deterministic splitmix64 pseudo-random stream.
 
-    Used wherever randomness is needed — manager jitter, simulator
-    policies, workload generators — so every experiment reproduces from
+    Used wherever randomness is needed — seeding manager jitter,
+    simulator scenarios, workload generators — so every experiment reproduces from
     its seed and nothing touches the global [Random] state shared
     across domains. *)
 

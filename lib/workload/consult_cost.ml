@@ -11,20 +11,20 @@
     loop.  Everything runs on one domain, so the single-domain GC
     counters are exact.
 
-    Rows exist for both STM backends (whose [consult] entry points are
-    distinct code paths) and for the simulator's policy table, which
-    shares the allocation discipline.  The gates in {!check} are the
-    teeth: at most {!max_minor_words} minor words per resolve (i.e.
-    zero, with room for measurement noise), an absolute latency
-    ceiling, and a flatness band across managers of the same backend —
-    a manager whose consult is an order of magnitude off its peers has
-    smuggled work onto the decision path. *)
+    Rows exist for both STM backends, whose [consult] entry points are
+    distinct code paths.  The simulator takes its verdicts through the
+    locator's [Runtime.consult], so the locator rows cover it too.  The
+    gates in {!check} are the teeth: at most {!max_minor_words} minor
+    words per resolve (i.e. zero, with room for measurement noise), an
+    absolute latency ceiling, and a flatness band across managers of the
+    same backend — a manager whose consult is an order of magnitude off
+    its peers has smuggled work onto the decision path. *)
 
 open Tcm_stm
 
 type row = {
   manager : string;
-  backend : string;  (** "locator", "tl2" or "sim". *)
+  backend : string;  (** "locator" or "tl2". *)
   ns_per_resolve : float;
   minor_words_per_resolve : float;
 }
@@ -114,49 +114,11 @@ let measure_manager ~iters backend factory =
     minor_words_per_resolve = minor;
   }
 
-(* Sim rows: one cached view per party (as the engine keeps them),
-   parameters chosen so age- and priority-based policies take their
-   non-trivial branches and the adaptive analogue is in its fight
-   phase on both sides. *)
-let measure_policy ~iters (p : Tcm_sim.Policy.t) =
-  let view id ts pri =
-    {
-      Tcm_sim.Policy.id;
-      timestamp = ts;
-      waiting = false;
-      priority = ref pri;
-      aborts = 2;
-      opens = 20;
-    }
-  in
-  let me = view 0 2 5 and other = view 1 1 6 in
-  let ns, minor =
-    measure_loop ~iters (fun n ->
-        for i = 1 to n do
-          match
-            p.Tcm_sim.Policy.resolve ~me ~other ~attempts:(i land 3) ~now:i
-          with
-          | Tcm_sim.Policy.Abort_other -> incr sink
-          | _ -> ()
-        done)
-  in
-  {
-    manager = p.Tcm_sim.Policy.name;
-    backend = "sim";
-    ns_per_resolve = ns;
-    minor_words_per_resolve = minor;
-  }
-
 let measure_backend ?(iters = 200_000) backend =
   List.map (measure_manager ~iters backend) Tcm_core.Registry.all
 
-let measure_sim ?(iters = 200_000) () =
-  List.map (measure_policy ~iters) (Tcm_sim.Policy.all ~seed:42 ())
-
 let measure_all ?iters () =
-  measure_backend ?iters Stm.Locator
-  @ measure_backend ?iters Stm.Tl2_backend
-  @ measure_sim ?iters ()
+  measure_backend ?iters Stm.Locator @ measure_backend ?iters Stm.Tl2_backend
 
 (* ------------------------------------------------------------------ *)
 (* Gate                                                                *)

@@ -1,12 +1,12 @@
 (** Consult-path cost probe: ns and GC minor words per [resolve], per
-    manager × backend ("locator", "tl2", plus the simulator's policy
-    table as backend "sim").  Measurement core shared by
-    [bench/consult_cost.exe] (the @cm-smoke gate) and [bench
+    manager × backend ("locator" or "tl2"; the simulator takes its
+    verdicts through the locator's entry point).  Measurement core
+    shared by [bench/consult_cost.exe] (the @cm-smoke gate) and [bench
     --consult]; {!check} holds the gate thresholds. *)
 
 type row = {
   manager : string;
-  backend : string;  (** "locator", "tl2" or "sim". *)
+  backend : string;  (** "locator" or "tl2". *)
   ns_per_resolve : float;
   minor_words_per_resolve : float;
 }
@@ -20,11 +20,8 @@ val measure_backend : ?iters:int -> Tcm_stm.Stm.backend -> row list
 (** One row per registered manager, driven through the given backend's
     [consult] entry point. *)
 
-val measure_sim : ?iters:int -> unit -> row list
-(** One row per simulator policy ([Tcm_sim.Policy.all]). *)
-
 val measure_all : ?iters:int -> unit -> row list
-(** Both backends, then the simulator. *)
+(** Both backends. *)
 
 val check : row list -> string list
 (** Violation messages for the allocation (≤ {!max_minor_words} minor

@@ -66,11 +66,6 @@ type result = {
 
 type detailed_row = { d_threads : int; outcomes : (string * Harness.outcome) list }
 
-(* Managers for real mode; names are shared with sim policies. *)
-let real_managers : Cm_intf.factory list = Tcm_core.Registry.paper_figures
-
-let sim_policies ~seed () = Tcm_sim.Policy.paper_figures ~seed ()
-
 (* Full per-manager outcomes (latency percentiles, abort breakdown);
    the throughput-only [run] below and the bench's JSON dump are both
    views of this sweep.  [backend] selects the runtime executing the
@@ -97,13 +92,13 @@ let run_real_detailed ?(threads_list = default_threads) ?(seed = 42)
               }
             in
             (Cm_intf.name manager, Harness.run cfg))
-          real_managers
+          Tcm_core.Registry.paper_figures
       in
       { d_threads = threads; outcomes })
     threads_list
 
 let run ?(threads_list = default_threads) ?(seed = 42) ?(backend = Stm.Locator)
-    ~mode (spec : spec) : result =
+    ?usec_per_tick ~mode (spec : spec) : result =
   match mode with
   | Real { duration_s } ->
       let rows =
@@ -123,12 +118,13 @@ let run ?(threads_list = default_threads) ?(seed = 42) ?(backend = Stm.Locator)
           (fun threads ->
             let cells =
               List.map
-                (fun policy ->
+                (fun manager ->
                   let o =
-                    Sim_load.run ~horizon ~seed ~tail:spec.sim_tail ~threads ~policy model
+                    Sim_load.run ~horizon ~seed ~tail:spec.sim_tail ?usec_per_tick ~threads
+                      ~manager model
                   in
-                  (policy.Tcm_sim.Policy.name, o.Sim_load.throughput))
-                (sim_policies ~seed ())
+                  (Cm_intf.name manager, o.Sim_load.throughput))
+                Tcm_core.Registry.paper_figures
             in
             { threads; cells })
           threads_list

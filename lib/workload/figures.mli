@@ -60,8 +60,10 @@ val run :
   ?threads_list:int list ->
   ?seed:int ->
   ?backend:Tcm_stm.Stm.backend ->
+  ?usec_per_tick:int ->
   mode:mode ->
   spec ->
   result
 (** [backend] applies to [Real] mode only; the simulator models the
-    locator protocol. *)
+    locator protocol.  [usec_per_tick] applies to [Sim] mode only (see
+    {!Tcm_sim.Engine.run}). *)

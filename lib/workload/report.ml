@@ -430,8 +430,8 @@ let json_of_obs_figure ~(row : Tcm_obs.Ledger.row)
 
 (* tcm-bench/6: consult-path microbench figures — one entry per
    (backend, manager), latency and minor-heap allocation per resolve
-   from the consult-cost probe (backend "sim" rows cover the simulator
-   policy table). *)
+   from the consult-cost probe (dumps up to BENCH_10 also carry
+   backend "sim" rows, from the simulator's former policy table). *)
 let json_of_consult_figure (r : Consult_cost.row) : Json.t =
   Json.Obj
     [

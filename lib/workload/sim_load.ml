@@ -4,7 +4,7 @@
     thread, so the live multicore benchmark cannot exhibit the paper's
     1–32-thread scaling shapes.  This module models each benchmark
     structure's {e access pattern} as simulator transactions and runs
-    them under the simulated contention-manager policies, which yields
+    them under the same contention managers, which yields
     deterministic, hardware-independent reproductions of the Figure 1–4
     shapes:
 
@@ -152,15 +152,18 @@ type outcome = {
 }
 
 (** Run [threads] infinite streams of the model's transactions under
-    [policy] for [horizon] ticks.  Fully deterministic in [seed]. *)
-let run ?(horizon = 6_000) ?(seed = 42) ?(tail = 0) ?ts_on_restart ~threads
-    ~(policy : Policy.t) (model : model) : outcome =
+    [manager] for [horizon] ticks.  Fully deterministic in [seed]. *)
+let run ?(horizon = 6_000) ?(seed = 42) ?(tail = 0) ?ts_on_restart ?usec_per_tick ~threads
+    ~(manager : Cm_intf.factory) (model : model) : outcome =
   let stream tid idx =
     let rng = Splitmix.create ((seed * 1_000_003) + (tid * 7919) + idx) in
     Some (model.gen rng ~tail)
   in
   let streams = Array.init threads (fun tid -> stream tid) in
-  let r = Engine.run ~horizon ?ts_on_restart ~policy ~n_objects:model.n_objects streams in
+  let r =
+    Engine.run ~horizon ?ts_on_restart ~seed ?usec_per_tick ~manager
+      ~n_objects:model.n_objects streams
+  in
   {
     commits = r.Engine.commits;
     aborts = r.Engine.aborts;

@@ -37,9 +37,11 @@ val run :
   ?seed:int ->
   ?tail:int ->
   ?ts_on_restart:[ `Keep | `Fresh ] ->
+  ?usec_per_tick:int ->
   threads:int ->
-  policy:Policy.t ->
+  manager:Tcm_stm.Cm_intf.factory ->
   model ->
   outcome
 (** [threads] infinite streams of the model's transactions for
-    [horizon] ticks; deterministic in [seed]. *)
+    [horizon] ticks; deterministic in [seed].  [usec_per_tick] as in
+    {!Tcm_sim.Engine.run}. *)

@@ -52,6 +52,27 @@ let t_greedy_no_wait_cycle () =
   let db = resolve (module Greedy) st ~me:b ~other:a ~attempts:0 in
   Alcotest.(check bool) "at most one side waits" false (is_block da && is_block db)
 
+(* Randomized greedy: the rank is drawn at the first attempt, kept by
+   every retry of the same logical transaction, and orders conflicts
+   strictly — exactly one side of any pair waits. *)
+let t_rand_greedy_ranks () =
+  let st = Randomized_greedy.create () in
+  let a, b = fresh_pair () in
+  Randomized_greedy.begin_attempt st a;
+  Randomized_greedy.begin_attempt st b;
+  let rank = Txn.cm_stamp a in
+  Alcotest.(check bool) "rank drawn" true (rank <> Txn.no_cm_stamp);
+  let retry = Txn.new_attempt a.Txn.shared in
+  Randomized_greedy.begin_attempt st retry;
+  Alcotest.(check int) "rank survives the abort" rank (Txn.cm_stamp retry);
+  let da = resolve (module Randomized_greedy) st ~me:a ~other:b ~attempts:0 in
+  let db = resolve (module Randomized_greedy) st ~me:b ~other:a ~attempts:0 in
+  Alcotest.(check bool) "exactly one side waits" true (is_block da <> is_block db);
+  let loser, winner = if is_block da then (a, b) else (b, a) in
+  set_waiting winner true;
+  check_abort_other "waiting enemies are aborted regardless of rank"
+    (resolve (module Randomized_greedy) st ~me:loser ~other:winner ~attempts:0)
+
 (* ------------------------------------------------------------------ *)
 (* Greedy-FT                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -341,6 +362,15 @@ let t_queue_on_block () =
   check_abort_other "defensive timeout"
     (resolve (module Queue_on_block) st ~me:a ~other:b ~attempts:Queue_on_block.max_waits)
 
+let t_queue_on_block_unbounded () =
+  let st = Queue_on_block.Unbounded.create () in
+  let a, b = fresh_pair () in
+  Alcotest.check decision "waits forever, however often asked"
+    Decision.block_forever
+    (resolve (module Queue_on_block.Unbounded) st ~me:a ~other:b ~attempts:1_000);
+  Alcotest.(check bool) "kept out of the registry" true
+    (Registry.find Queue_on_block.Unbounded.name = None)
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -616,6 +646,24 @@ let t_slab_no_cross_domain_bleed () =
         true (Domain.join dom))
     domains
 
+(* The simulator's scope: managers built inside draw the same jitter
+   for the same seed, and their slots are back on the freelist when it
+   closes. *)
+let t_slab_scoped () =
+  let baseline = Cm_util.Cm_state.live_slots () in
+  let draws seed =
+    Cm_util.Cm_state.scoped ~seed (fun () ->
+        let p = Cm_util.Prng.create () in
+        let _table = Cm_util.Table.create ~cap:16 in
+        Alcotest.(check int) "slots live in the scope" (baseline + 2)
+          (Cm_util.Cm_state.live_slots ());
+        List.init 8 (fun _ -> Cm_util.Prng.int p 1_000_000))
+  in
+  Alcotest.(check (list int)) "same seed, same stream" (draws 7) (draws 7);
+  Alcotest.(check bool) "different seed, different stream" true (draws 7 <> draws 8);
+  Alcotest.(check int) "scope exit released the slots" baseline
+    (Cm_util.Cm_state.live_slots ())
+
 let t_table_ops () =
   let t = Cm_util.Table.create ~cap:16 in
   Alcotest.(check int) "miss returns default" (-1)
@@ -656,6 +704,7 @@ let () =
         [
           Alcotest.test_case "the two rules" `Quick t_greedy_rules;
           Alcotest.test_case "no mutual waiting" `Quick t_greedy_no_wait_cycle;
+          Alcotest.test_case "randomized ranks" `Quick t_rand_greedy_ranks;
         ] );
       ( "greedy-ft",
         [
@@ -687,7 +736,11 @@ let () =
           Alcotest.test_case "eruption pressure transfer" `Quick t_eruption_pressure;
           Alcotest.test_case "polka gap backoffs" `Quick t_polka;
         ] );
-      ("queueonblock", [ Alcotest.test_case "bounded FIFO waiting" `Quick t_queue_on_block ]);
+      ( "queueonblock",
+        [
+          Alcotest.test_case "bounded FIFO waiting" `Quick t_queue_on_block;
+          Alcotest.test_case "unbounded variant" `Quick t_queue_on_block_unbounded;
+        ] );
       ( "sto-adaptive",
         [
           Alcotest.test_case "timid phase concedes" `Quick t_sto_timid;
@@ -720,6 +773,7 @@ let () =
           Alcotest.test_case "release is idempotent" `Quick t_slab_release_idempotent;
           Alcotest.test_case "domain exit releases" `Quick t_slab_domain_exit_releases;
           Alcotest.test_case "no cross-domain bleed" `Quick t_slab_no_cross_domain_bleed;
+          Alcotest.test_case "scoped seeding and release" `Quick t_slab_scoped;
           Alcotest.test_case "table round-trip and reset" `Quick t_table_ops;
           Alcotest.test_case "table bounded under pressure" `Quick t_table_bounded;
         ] );

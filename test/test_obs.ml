@@ -232,7 +232,7 @@ let t_reconcile_sim () =
          else Some (Tcm_sim.Spec.txn ~dur:3 [ Tcm_sim.Spec.write ~at:0 ~obj:0 ]))
   in
   ignore
-    (Tcm_sim.Engine.run ~horizon:4_000 ~policy:(Tcm_sim.Policy.greedy ())
+    (Tcm_sim.Engine.run ~horizon:4_000 ~manager:(module Tcm_core.Greedy)
        ~n_objects:1 streams);
   Tcm_metrics.disable ();
   Tcm_obs.disable ();

@@ -1,7 +1,7 @@
 (** Tests for the discrete-event simulator: specs, the two-phase
     engine, the canonical scenarios, the pending-commit and Theorem 9
-    property checkers, and the simulated policies' end-to-end
-    behaviour. *)
+    property checkers, and the managers' end-to-end behaviour in the
+    simulator. *)
 
 open Tcm_sim
 
@@ -13,7 +13,10 @@ let makespan_exn (r : Engine.result) =
   | Some m -> m
   | None -> Alcotest.fail "expected a completed run"
 
-let greedy () = Policy.greedy ()
+let greedy : Tcm_stm.Cm_intf.factory = (module Tcm_core.Greedy)
+let manager = Tcm_core.Registry.find_exn
+let unbounded_fifo : Tcm_stm.Cm_intf.factory = (module Tcm_core.Queue_on_block.Unbounded)
+let rand_greedy : Tcm_stm.Cm_intf.factory = (module Tcm_core.Randomized_greedy)
 
 (* ------------------------------------------------------------------ *)
 (* Specs                                                               *)
@@ -57,7 +60,7 @@ let t_to_task_system () =
 
 let t_single_txn () =
   let inst = Spec.instance [ Spec.txn ~dur:4 [ Spec.write ~at:0 ~obj:0 ] ] in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   check_bool "completed" true r.Engine.completed;
   check_int "makespan = dur" 4 (makespan_exn r);
   check_int "one commit" 1 r.Engine.commits;
@@ -68,7 +71,7 @@ let t_disjoint_parallel () =
     Spec.instance
       [ Spec.txn ~dur:3 [ Spec.write ~at:0 ~obj:0 ]; Spec.txn ~dur:5 [ Spec.write ~at:0 ~obj:1 ] ]
   in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   check_int "parallel makespan" 5 (makespan_exn r);
   check_int "no aborts" 0 r.Engine.aborts
 
@@ -78,7 +81,7 @@ let t_conflict_younger_blocks () =
     Spec.instance
       [ Spec.txn ~dur:3 [ Spec.write ~at:0 ~obj:0 ]; Spec.txn ~dur:3 [ Spec.write ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   check_int "serialized" 6 (makespan_exn r);
   check_int "no aborts under greedy here" 0 r.Engine.aborts
 
@@ -90,7 +93,7 @@ let t_conflict_older_aborts () =
     Spec.instance
       [ Spec.txn ~dur:4 [ Spec.write ~at:1 ~obj:0 ]; Spec.txn ~dur:4 [ Spec.write ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   check_bool "completed" true r.Engine.completed;
   check_int "one abort (the younger)" 1 r.Engine.aborts;
   (* Thread 0 commits first at 4; thread 1 restarts at tick 1+1 and
@@ -105,7 +108,7 @@ let t_ranks_override () =
     Spec.instance
       [ Spec.txn ~dur:4 [ Spec.write ~at:1 ~obj:0 ]; Spec.txn ~dur:4 [ Spec.write ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~ranks:[| 2; 1 |] ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~ranks:[| 2; 1 |] ~manager:greedy inst in
   let first_committer, _, _ = List.hd r.Engine.commit_log in
   check_int "re-ranked winner" 1 first_committer;
   (* Thread 0 is now the younger party: it waits instead of aborting. *)
@@ -116,7 +119,7 @@ let t_read_read_no_conflict () =
     Spec.instance
       [ Spec.txn ~dur:3 [ Spec.read ~at:0 ~obj:0 ]; Spec.txn ~dur:3 [ Spec.read ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   check_int "readers share" 3 (makespan_exn r);
   check_int "no aborts" 0 r.Engine.aborts
 
@@ -125,14 +128,14 @@ let t_write_read_conflict () =
     Spec.instance
       [ Spec.txn ~dur:3 [ Spec.read ~at:0 ~obj:0 ]; Spec.txn ~dur:3 [ Spec.write ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   check_bool "completed" true r.Engine.completed;
   check_bool "serialized (makespan > 3)" true (makespan_exn r > 3)
 
 let t_determinism () =
   let run () =
     let inst = Scenarios.random_instance ~seed:123 ~n:6 ~s:3 () in
-    let r = Engine.run_instance ~policy:(Policy.polite ~seed:9 ()) inst in
+    let r = Engine.run_instance ~seed:9 ~manager:(manager "backoff") inst in
     (r.Engine.commits, r.Engine.aborts, r.Engine.makespan, r.Engine.commit_log)
   in
   check_bool "identical reruns" true (run () = run ())
@@ -141,22 +144,39 @@ let t_horizon_stops () =
   let inst = Scenarios.dependency_cycle () in
   let r =
     Engine.run_instance ~horizon:500
-      ~policy:(Policy.queue_on_block ~mode:`Unbounded ())
+      ~manager:unbounded_fifo
       inst
   in
   check_bool "not completed" false r.Engine.completed;
   check_int "stopped at horizon" 500 r.Engine.ticks;
   check_bool "no makespan" true (r.Engine.makespan = None)
 
+(* Karma backs off 40-79 us when it cannot out-invest the owner: 40-79
+   ticks at the default scale, long after the owner commits at tick 4;
+   2-3 ticks at 32 us per tick, so the loser retries while the owner
+   still runs and commits by tick 12. *)
+let t_usec_per_tick () =
+  let streams =
+    Array.init 2 (fun tid k ->
+        if k = 0 then Some (Spec.txn ~dur:4 [ Spec.write ~at:tid ~obj:0 ]) else None)
+  in
+  let makespan usec_per_tick =
+    makespan_exn (Engine.run ?usec_per_tick ~manager:(manager "karma") ~n_objects:1 streams)
+  in
+  check_bool "1 us per tick: waits out 40+ ticks" true (makespan None >= 41);
+  check_bool "32 us per tick: 2-3 tick backoffs" true (makespan (Some 32) <= 12);
+  Alcotest.check_raises "scale below one tick rejected"
+    (Invalid_argument "Engine.run: usec_per_tick < 1") (fun () -> ignore (makespan (Some 0)))
+
 let t_empty_instance () =
-  let r = Engine.run ~policy:(greedy ()) ~n_objects:0 [||] in
+  let r = Engine.run ~manager:greedy ~n_objects:0 [||] in
   check_bool "completed" true r.Engine.completed;
   check_int "zero commits" 0 r.Engine.commits
 
 let t_multi_txn_stream () =
   (* One thread, three sequential transactions. *)
   let stream k = if k < 3 then Some (Spec.txn ~dur:2 [ Spec.write ~at:0 ~obj:0 ]) else None in
-  let r = Engine.run ~policy:(greedy ()) ~n_objects:1 [| stream |] in
+  let r = Engine.run ~manager:greedy ~n_objects:1 [| stream |] in
   check_int "three commits" 3 r.Engine.commits;
   (* Idle tick between transactions: each txn takes 2 ticks + 1 idle. *)
   check_bool "makespan >= 6" true (makespan_exn r >= 6)
@@ -169,21 +189,21 @@ let t_chain_exact_makespans () =
   List.iter
     (fun s ->
       let inst, ranks = Scenarios.adversarial_chain ~s () in
-      let r = Engine.run_instance ~ranks ~policy:(greedy ()) inst in
+      let r = Engine.run_instance ~ranks ~manager:greedy inst in
       check_int (Printf.sprintf "greedy makespan s=%d" s) (2 * (s + 1)) (makespan_exn r))
     [ 1; 2; 3; 5; 8; 12 ]
 
 let t_chain_commit_order () =
   let s = 5 in
   let inst, ranks = Scenarios.adversarial_chain ~s () in
-  let r = Engine.run_instance ~ranks ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~ranks ~manager:greedy inst in
   Alcotest.(check (list int)) "T_s first, then descending" [ 5; 4; 3; 2; 1; 0 ]
     (List.map (fun (tid, _, _) -> tid) r.Engine.commit_log)
 
 let t_chain_optimal_vs_greedy () =
   let s = 6 in
   let inst, ranks = Scenarios.adversarial_chain ~s () in
-  let r = Engine.run_instance ~ranks ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~ranks ~manager:greedy inst in
   let opt = 2 * Tcm_sched.Adversarial.optimal_makespan ~s in
   check_int "optimal stays 2 units" 4 opt;
   check_bool "greedy linear in s" true (makespan_exn r = 2 * (s + 1));
@@ -194,12 +214,12 @@ let t_chain_aborts_budget () =
   let s = 8 in
   let n = s + 1 in
   let inst, ranks = Scenarios.adversarial_chain ~s () in
-  let r = Engine.run_instance ~ranks ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~ranks ~manager:greedy inst in
   check_bool "abort budget n(n-1)/2" true (Props.greedy_abort_budget ~n r)
 
 let t_chain_granularity () =
   let inst, ranks = Scenarios.adversarial_chain ~granularity:4 ~s:3 () in
-  let r = Engine.run_instance ~ranks ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~ranks ~manager:greedy inst in
   check_int "scales with granularity" (4 * 4) (makespan_exn r)
 
 let t_chain_validation () =
@@ -217,13 +237,13 @@ let t_pending_commit_greedy () =
   List.iter
     (fun seed ->
       let inst = Scenarios.random_instance ~seed ~n:5 ~s:3 () in
-      let r = Engine.run_instance ~record_grid:true ~policy:(greedy ()) inst in
+      let r = Engine.run_instance ~record_grid:true ~manager:greedy inst in
       check_bool (Printf.sprintf "pending commit (seed %d)" seed) true (Props.pending_commit r))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let t_pending_commit_needs_grid () =
   let inst = Spec.instance [ Spec.txn ~dur:1 [ Spec.write ~at:0 ~obj:0 ] ] in
-  let r = Engine.run_instance ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~manager:greedy inst in
   Alcotest.check_raises "requires grid"
     (Invalid_argument "Props.pending_commit: run with ~record_grid:true") (fun () ->
       ignore (Props.pending_commit r))
@@ -232,7 +252,7 @@ let t_pending_commit_incomplete () =
   let inst = Scenarios.dependency_cycle () in
   let r =
     Engine.run_instance ~horizon:200 ~record_grid:true
-      ~policy:(Policy.queue_on_block ~mode:`Unbounded ())
+      ~manager:unbounded_fifo
       inst
   in
   check_bool "false on livelock" false (Props.pending_commit r)
@@ -242,7 +262,7 @@ let prop_theorem9 =
     QCheck.(pair (int_bound 100_000) (int_range 3 6))
     (fun (seed, n) ->
       let inst = Scenarios.random_instance ~seed ~n ~s:3 () in
-      let r = Engine.run_instance ~policy:(greedy ()) inst in
+      let r = Engine.run_instance ~manager:greedy inst in
       (Props.theorem9_check ~inst r).Props.ok)
 
 let prop_greedy_completes =
@@ -250,16 +270,33 @@ let prop_greedy_completes =
     QCheck.(pair (int_bound 100_000) (int_range 2 8))
     (fun (seed, n) ->
       let inst = Scenarios.random_instance ~seed ~n ~s:4 () in
-      let r = Engine.run_instance ~horizon:100_000 ~policy:(greedy ()) inst in
+      let r = Engine.run_instance ~horizon:100_000 ~manager:greedy inst in
       Props.all_committed r)
 
+(* The n(n-1)/2 budget is a theorem when every transaction writes a
+   single object.  A waiting transaction then holds nothing, so only
+   Rule 1's age clause aborts anyone: an older transaction takes an
+   object from a younger owner.  Between two commits the owners of one
+   object therefore get strictly older, so with m transactions left at
+   most m-1 aborts happen before the next commit, and the sum over
+   m = n..1 is n(n-1)/2. *)
 let prop_greedy_abort_budget =
   QCheck.Test.make ~name:"greedy one-shot aborts <= n(n-1)/2" ~count:80
-    QCheck.(pair (int_bound 100_000) (int_range 2 8))
-    (fun (seed, n) ->
-      let inst = Scenarios.random_instance ~seed ~n ~s:4 () in
-      let r = Engine.run_instance ~policy:(greedy ()) inst in
+    QCheck.(triple (int_bound 100_000) (int_range 2 8) (int_range 1 4))
+    (fun (seed, n, s) ->
+      let inst = Scenarios.random_instance ~seed ~n ~s ~max_acc:1 () in
+      let r = Engine.run_instance ~manager:greedy inst in
       Props.greedy_abort_budget ~n r)
+
+(* With several objects per transaction the budget fails: Rule 1 lets
+   a younger transaction abort a waiting older one, which restarts and
+   aborts the younger again. *)
+let t_abort_budget_counterexample () =
+  let inst = Scenarios.random_instance ~seed:22267 ~n:3 ~s:4 () in
+  let r = Engine.run_instance ~manager:greedy inst in
+  check_bool "completed" true r.Engine.completed;
+  check_int "4 aborts, over the n(n-1)/2 = 3 budget" 4 r.Engine.aborts;
+  check_bool "budget fails" false (Props.greedy_abort_budget ~n:3 r)
 
 (* ------------------------------------------------------------------ *)
 (* Policies end-to-end                                                 *)
@@ -267,39 +304,30 @@ let prop_greedy_abort_budget =
 
 let t_cycle_by_policy () =
   let inst = Scenarios.dependency_cycle () in
-  let completes p =
-    (Engine.run_instance ~horizon:50_000 ~policy:p inst).Engine.completed
+  let completes m =
+    (Engine.run_instance ~horizon:50_000 ~manager:m inst).Engine.completed
   in
-  check_bool "unbounded FIFO livelocks" false
-    (completes (Policy.queue_on_block ~mode:`Unbounded ()));
+  check_bool "unbounded FIFO livelocks" false (completes unbounded_fifo);
   List.iter
-    (fun p -> check_bool (Printf.sprintf "%s completes" p.Policy.name) true (completes p))
-    [
-      greedy ();
-      Policy.greedy_ft ();
-      Policy.aggressive ();
-      Policy.timestamp ();
-      Policy.killblocked ();
-      Policy.karma ();
-      Policy.queue_on_block ~mode:`Bounded ();
-    ]
+    (fun name -> check_bool (name ^ " completes") true (completes (manager name)))
+    [ "greedy"; "greedy-ft"; "aggressive"; "timestamp"; "killblocked"; "karma"; "queueonblock" ]
 
 let t_all_policies_random_instances () =
   (* Every shipped policy eventually finishes small random instances
      (their timeouts/priorities rule out permanent livelock). *)
   List.iter
-    (fun p ->
+    (fun m ->
       let inst = Scenarios.random_instance ~seed:77 ~n:6 ~s:3 () in
-      let r = Engine.run_instance ~horizon:1_000_000 ~policy:p inst in
-      check_bool (Printf.sprintf "%s completes" p.Policy.name) true r.Engine.completed)
-    (Policy.all ~seed:5 ())
+      let r = Engine.run_instance ~horizon:1_000_000 ~seed:5 ~manager:m inst in
+      check_bool (Tcm_stm.Cm_intf.name m ^ " completes") true r.Engine.completed)
+    Tcm_core.Registry.simulated
 
 let t_timid_self_aborts () =
   let inst =
     Spec.instance
       [ Spec.txn ~dur:6 [ Spec.write ~at:0 ~obj:0 ]; Spec.txn ~dur:2 [ Spec.write ~at:1 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~policy:(Policy.timid ()) inst in
+  let r = Engine.run_instance ~manager:(manager "timid") inst in
   check_bool "completed" true r.Engine.completed;
   check_bool "the timid one aborted itself" true (r.Engine.per_thread_aborts.(1) > 0);
   check_int "owner kept the object" 0 r.Engine.per_thread_aborts.(0)
@@ -314,7 +342,7 @@ let t_eruption_pressure () =
         Spec.txn ~dur:8 [ Spec.write ~at:0 ~obj:1 ];
       ]
   in
-  let r = Engine.run_instance ~policy:(Policy.eruption ()) inst in
+  let r = Engine.run_instance ~manager:(manager "eruption") inst in
   check_bool "completed" true r.Engine.completed
 
 let t_randomized_greedy () =
@@ -325,9 +353,8 @@ let t_randomized_greedy () =
   List.iter
     (fun seed ->
       let r =
-        Engine.run_instance ~ranks ~record_grid:true
-          ~policy:(Policy.randomized_greedy ~seed ())
-          inst
+        Engine.run_instance ~ranks ~record_grid:true ~seed
+          ~manager:rand_greedy inst
       in
       check_bool "completes" true r.Engine.completed;
       check_bool "pending commit" true (Props.pending_commit r);
@@ -338,7 +365,7 @@ let t_randomized_greedy () =
     let ms =
       List.init 20 (fun seed ->
           let r =
-            Engine.run_instance ~ranks ~policy:(Policy.randomized_greedy ~seed ()) inst
+            Engine.run_instance ~ranks ~seed ~manager:rand_greedy inst
           in
           float_of_int (Option.get r.Engine.makespan))
     in
@@ -349,13 +376,13 @@ let t_randomized_greedy () =
 
 let t_timeline_render () =
   let inst, ranks = Scenarios.adversarial_chain ~s:3 () in
-  let r = Engine.run_instance ~ranks ~record_grid:true ~policy:(greedy ()) inst in
+  let r = Engine.run_instance ~ranks ~record_grid:true ~manager:greedy inst in
   let s = Timeline.render r in
   check_bool "mentions threads" true (String.length s > 0);
   check_bool "has commit marks" true (String.contains s 'C');
   check_bool "has abort marks" true (String.contains s 'X');
   (* Without a grid, render degrades gracefully. *)
-  let r2 = Engine.run_instance ~ranks ~policy:(greedy ()) inst in
+  let r2 = Engine.run_instance ~ranks ~manager:greedy inst in
   check_bool "no-grid message" true
     (String.length (Timeline.render r2) > 0 && not (String.contains (Timeline.render r2) 'C'))
 
@@ -365,7 +392,7 @@ let t_oldest_never_aborted () =
   List.iter
     (fun seed ->
       let inst = Scenarios.random_instance ~seed ~n:6 ~s:3 () in
-      let r = Engine.run_instance ~policy:(greedy ()) inst in
+      let r = Engine.run_instance ~manager:greedy inst in
       (* Thread 0 carries the oldest timestamp in run_instance. *)
       check_int
         (Printf.sprintf "oldest unharmed (seed %d)" seed)
@@ -376,41 +403,43 @@ let t_oldest_never_aborted () =
 let t_golden_sim_values () =
   (* Deterministic end-to-end pin: any engine or policy change that
      alters scheduling shows up here first. *)
-  let run policy =
+  let run manager =
     let o =
-      Tcm_workload.Sim_load.run ~horizon:1_000 ~seed:42 ~threads:4 ~policy
+      Tcm_workload.Sim_load.run ~horizon:1_000 ~seed:42 ~threads:4 ~manager
         Tcm_workload.Sim_load.skiplist_model
     in
     o.Tcm_workload.Sim_load.commits
   in
-  let greedy_c = run (Policy.greedy ()) in
-  let karma_c = run (Policy.karma ()) in
+  let greedy_c = run greedy in
+  let karma_c = run (manager "karma") in
   check_bool "greedy commits plausible" true (greedy_c > 300 && greedy_c < 800);
   check_bool "karma commits plausible" true (karma_c > 300 && karma_c < 800);
   (* The exact values are pinned so regressions are loud; update them
      deliberately if the engine's semantics change. *)
-  check_int "greedy pinned" greedy_c (run (Policy.greedy ()));
-  check_int "karma pinned" karma_c (run (Policy.karma ()))
+  check_int "greedy pinned" greedy_c (run greedy);
+  check_int "karma pinned" karma_c (run (manager "karma"))
 
 let t_halted_transactions () =
   (* Section 6: a transaction halts while holding the hot object.
      Pure greedy waits on the corpse forever; greedy-ft and the
      timeout-based managers abort it and let everyone else finish. *)
   let inst = Scenarios.halted_owner ~n:4 () in
-  let run p = Engine.run_instance ~horizon:20_000 ~policy:p inst in
-  let g = run (greedy ()) in
+  (* Backoff's ten doubling rounds from 16 us take ~16k ticks before it
+     aborts the corpse. *)
+  let run m = Engine.run_instance ~horizon:100_000 ~seed:3 ~manager:m inst in
+  let g = run greedy in
   check_bool "greedy never finishes" false g.Engine.completed;
   check_int "greedy: nobody commits" 0 g.Engine.commits;
   (* Aggressive livelocks on the survivors' mutual aborts — the paper's
      "prone to livelocks" — and timid starves itself. *)
-  check_bool "aggressive livelocks" false (run (Policy.aggressive ())).Engine.completed;
-  check_bool "timid starves" false (run (Policy.timid ())).Engine.completed;
+  check_bool "aggressive livelocks" false (run (manager "aggressive")).Engine.completed;
+  check_bool "timid starves" false (run (manager "timid")).Engine.completed;
   List.iter
-    (fun p ->
-      let r = run p in
-      check_bool (Printf.sprintf "%s finishes" p.Policy.name) true r.Engine.completed;
-      check_int (Printf.sprintf "%s: survivors commit" p.Policy.name) 3 r.Engine.commits)
-    [ Policy.greedy_ft (); Policy.timestamp (); Policy.killblocked (); Policy.polite ~seed:3 () ]
+    (fun name ->
+      let r = run (manager name) in
+      check_bool (name ^ " finishes") true r.Engine.completed;
+      check_int (name ^ ": survivors commit") 3 r.Engine.commits)
+    [ "greedy-ft"; "timestamp"; "killblocked"; "backoff" ]
 
 let t_halts_at_validation () =
   Alcotest.check_raises "halts_at out of range"
@@ -425,7 +454,7 @@ let t_starvation_ablation () =
         if tid = 0 then fun _ -> Some (Spec.txn ~dur:24 [ Spec.write ~at:0 ~obj:0 ])
         else fun _ -> Some (Spec.txn ~dur:2 [ Spec.write ~at:0 ~obj:0 ]))
   in
-  let run ts = Engine.run ~horizon:2_000 ~ts_on_restart:ts ~policy:(greedy ()) ~n_objects:1 streams in
+  let run ts = Engine.run ~horizon:2_000 ~ts_on_restart:ts ~manager:greedy ~n_objects:1 streams in
   let keep = run `Keep and fresh = run `Fresh in
   check_bool "keep: long txn commits repeatedly" true (keep.Engine.per_thread_commits.(0) > 5);
   check_bool "keep: restarts bounded by competitors" true (keep.Engine.max_aborts_one_txn <= 6);
@@ -454,6 +483,7 @@ let () =
           Alcotest.test_case "runs are deterministic" `Quick t_determinism;
           Alcotest.test_case "horizon stops livelock" `Quick t_horizon_stops;
           Alcotest.test_case "empty instance" `Quick t_empty_instance;
+          Alcotest.test_case "usec_per_tick scales backoffs" `Quick t_usec_per_tick;
           Alcotest.test_case "sequential stream of transactions" `Quick t_multi_txn_stream;
         ] );
       ( "chain",
@@ -473,6 +503,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_theorem9;
           QCheck_alcotest.to_alcotest prop_greedy_completes;
           QCheck_alcotest.to_alcotest prop_greedy_abort_budget;
+          Alcotest.test_case "abort budget fails with several objects" `Quick
+            t_abort_budget_counterexample;
         ] );
       ( "policies",
         [

@@ -345,7 +345,7 @@ let t_sim_greedy_chain () =
   let granularity = 2 in
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~granularity ~s () in
   Sink.start ();
-  let r = Tcm_sim.Engine.run_instance ~ranks ~policy:(Tcm_sim.Policy.greedy ()) inst in
+  let r = Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst in
   Sink.stop ();
   let tr = Sink.collect () in
   let pc = Analysis.pending_commit tr in
@@ -375,7 +375,7 @@ let t_sim_aggressive_duel_violates () =
   in
   Sink.start ();
   let r =
-    Tcm_sim.Engine.run ~horizon:60 ~policy:(Tcm_sim.Policy.aggressive ()) ~n_objects:1
+    Tcm_sim.Engine.run ~horizon:60 ~manager:(module Tcm_core.Aggressive) ~n_objects:1
       streams
   in
   Sink.stop ();
@@ -396,7 +396,7 @@ let with_temp_file f =
 let t_export_jsonl_roundtrip () =
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s:4 () in
   Sink.start ();
-  ignore (Tcm_sim.Engine.run_instance ~ranks ~policy:(Tcm_sim.Policy.greedy ()) inst);
+  ignore (Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst);
   Sink.stop ();
   let tr = Sink.collect () in
   check_bool "nonempty trace" true (Array.length tr > 0);

@@ -189,7 +189,7 @@ let t_forest_long_txns_exist () =
 
 let t_sim_run_deterministic () =
   let run () =
-    Sim_load.run ~horizon:800 ~seed:9 ~threads:4 ~policy:(Tcm_sim.Policy.karma ())
+    Sim_load.run ~horizon:800 ~seed:9 ~threads:4 ~manager:(module Tcm_core.Karma)
       Sim_load.rbtree_model
   in
   let a = run () and b = run () in
@@ -198,7 +198,7 @@ let t_sim_run_deterministic () =
 
 let t_sim_run_scales () =
   let thr n =
-    (Sim_load.run ~horizon:800 ~threads:n ~policy:(Tcm_sim.Policy.greedy ())
+    (Sim_load.run ~horizon:800 ~threads:n ~manager:(module Tcm_core.Greedy)
        Sim_load.rbtree_model)
       .Sim_load.throughput
   in
