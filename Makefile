@@ -26,7 +26,8 @@ metrics-smoke:
 	dune build @metrics-smoke
 
 # Allocation regression gate: minor words per committed transaction on
-# the pooled write path must stay under the budget in write_cost.ml.
+# the pooled write path must stay under the budget in write_cost.ml,
+# and turning tcm.metrics on must not add any.
 write-smoke:
 	dune build @write-smoke
 
@@ -43,13 +44,14 @@ service-smoke:
 
 # Forced-overload service run with the flight recorder armed: bundles
 # must land and round-trip through the tcm_obs.exe inspector, and the
-# allocation/read-cost gates must still pass with tcm.obs disabled.
+# allocation/read-cost gates must still pass with tcm.metrics (and so
+# tcm.obs) disabled.
 obs-smoke:
 	dune build @obs-smoke
 
 # Consult-path allocation/latency gate: every registered manager's
 # resolve must allocate zero minor words and stay within the latency
-# band, on both backends and in the simulator (bench/consult_cost.ml).
+# band, on both backends (bench/consult_cost.ml).
 cm-smoke:
 	dune build @cm-smoke
 

@@ -467,10 +467,8 @@ let obs_figures : (Tcm_obs.Ledger.row * Tcm_obs.Sketch.entry list) list ref =
   ref []
 
 (* Conflict attribution for the sweep that just ran: the priced
-   wasted-work ranking of the manager zoo, the hot-key tables, and the
-   ledger-vs-metrics reconciliation (both layers were enabled over
-   exactly the sweep, so counts and wait costs must agree). *)
-let report_obs snap =
+   wasted-work ranking of the manager zoo and the hot-key tables. *)
+let report_obs () =
   let rows =
     List.sort
       (fun a b -> compare (Tcm_obs.Ledger.price b) (Tcm_obs.Ledger.price a))
@@ -493,13 +491,7 @@ let report_obs snap =
     "conflict attribution (rows ranked by price = wasted opens + wait ticks)@.";
   Tcm_obs.Ledger.pp fmt rows;
   Tcm_obs.Hot.pp fmt (Tcm_obs.Hot.top ());
-  let ok, msgs = Tcm_obs.Ledger.reconcile snap in
-  if ok then Format.fprintf fmt "ledger/metrics reconcile: OK@.@."
-  else begin
-    Format.fprintf fmt "ledger/metrics reconcile: MISMATCH@.";
-    List.iter (fun m -> Format.fprintf fmt "  %s@." m) msgs;
-    Format.fprintf fmt "@."
-  end;
+  Format.fprintf fmt "@.";
   obs_figures := List.map (fun r -> (r, hot_for r)) rows
 
 let run_service_sweep () =
@@ -510,13 +502,10 @@ let run_service_sweep () =
        Tcm_service.Service.default.Tcm_service.Service.theta
        (String.concat "+" (List.map Tcm_stm.Stm.backend_name backends)));
   (* Metrics on for the whole sweep so the per-class SLO table below
-     covers every (backend, manager, class) triple from one snapshot. *)
-  Tcm_metrics.reset ();
+     covers every (backend, manager, class) triple from one snapshot;
+     the switch arms the ledger and hot keys too. *)
+  Tcm_obs.reset ();
   Tcm_metrics.enable ();
-  if with_obs then begin
-    Tcm_obs.reset ();
-    Tcm_obs.enable ()
-  end;
   let summaries =
     List.concat_map
       (fun backend ->
@@ -532,10 +521,10 @@ let run_service_sweep () =
   in
   (* The open-loop sweep above only contends when worker domains truly
      overlap; on a single-core host it prices clean runs.  The
-     deterministic simulator contends by construction, so with tcm.obs
-     on we also sweep the whole manager zoo over the fig1 list model —
+     deterministic simulator contends by construction, so with --obs
+     we also sweep the whole manager zoo over the fig1 list model —
      the priced ranking in EXPERIMENTS.md reads from the resulting
-     runtime=sim ledger rows (same tick currency, same reconcile). *)
+     runtime=sim ledger rows (same tick currency). *)
   if with_obs then begin
     Format.fprintf fmt
       "(tcm.obs: pricing the manager zoo on the sim list model, %d threads, \
@@ -552,10 +541,7 @@ let run_service_sweep () =
   let snap = Tcm_metrics.snapshot () in
   Tcm_metrics.Health.pp_slo fmt (Tcm_metrics.Health.slo_rows snap);
   Format.fprintf fmt "@.";
-  if with_obs then begin
-    report_obs snap;
-    Tcm_obs.disable ()
-  end;
+  if with_obs then report_obs ();
   service_summaries := summaries
 
 (* ------------------------------------------------------------------ *)

@@ -4,23 +4,25 @@
     The A/B instrument for the allocation-free write path: each row
     times transactions that write [w] distinct tvars (plus a read-only
     row exercising the read-only commit fast path), and reports the
-    per-commit minor- and major-heap allocation measured from
-    [Gc.quick_stat] deltas around the timed loop.  All loops run on
-    one domain, so the single-domain GC counters are exact.
+    per-commit minor- and major-heap allocation measured from GC
+    counter deltas around the timed loop.  All loops run on one
+    domain, and minor words come from [Gc.minor_words], which counts
+    up to the allocation pointer, so the minor figures are exact.
 
     On the locator backend the rows cover both read modes; on TL2
     (always invisible, clock-validated) there is a single mode.
 
     Usage: write_cost.exe [iters] [--backend locator|tl2] [--check]
 
-    [--check] is the @write-smoke / @tl2-smoke sanity bound.  On the
-    locator backend it enforces the absolute minor-words budget for
-    the steady-state 4-write transaction (catching an accidental
-    reintroduction of per-open allocation).  On TL2 it additionally
-    runs the same workload on the locator backend and fails if the
-    TL2 uncontended commit allocates more minor words per commit than
-    the locator's — the PR-4 allocation discipline must carry over to
-    the second backend, not just to the first. *)
+    [--check] is the @write-smoke / @tl2-smoke sanity bound.  It
+    enforces the absolute minor-words budget for the steady-state
+    4-write transaction (catching an accidental reintroduction of
+    per-open allocation), and fails if that transaction allocates more
+    with [tcm.metrics] on (the "+metrics" row).  On TL2 it
+    additionally runs the same workload on the locator backend and
+    fails if the TL2 uncontended commit allocates more minor words per
+    commit than the locator's — the PR-4 allocation discipline must
+    carry over to the second backend, not just to the first. *)
 
 open Tcm_stm
 
@@ -58,23 +60,30 @@ type row = {
   ns_per_txn : float;
   minor_per_commit : float;
   major_per_commit : float;
+  minor_words : float;  (** The whole timed loop's, exact. *)
 }
 
 (* Warm up (fills locator pools / scratch logs to steady state), then
-   measure one timed pass bracketed by [Gc.quick_stat]. *)
+   measure one timed pass bracketed by the GC counters.  Minor words
+   come from [Gc.minor_words]: [Gc.quick_stat]'s count only moves at
+   minor collections, which smears it by up to a couple of words per
+   transaction. *)
 let measure label f =
   f (max 1 (iters / 10));
   let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   f iters;
   let t1 = Unix.gettimeofday () in
+  let m1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   let per v0 v1 = (v1 -. v0) /. float_of_int iters in
   {
     label;
     ns_per_txn = (t1 -. t0) /. float_of_int iters *. 1e9;
-    minor_per_commit = per g0.Gc.minor_words g1.Gc.minor_words;
+    minor_per_commit = per m0 m1;
     major_per_commit = per g0.Gc.major_words g1.Gc.major_words;
+    minor_words = m1 -. m0;
   }
 
 let sink = ref 0
@@ -90,7 +99,7 @@ let mode_label ~backend read_mode =
       match read_mode with `Visible -> "visible" | `Invisible -> "invisible")
 
 (* [w] writes to [w] distinct tvars per transaction. *)
-let bench_writes ~backend read_mode w =
+let bench_writes ?(suffix = "") ~backend read_mode w =
   let rt = rt_of ~backend read_mode in
   let vars = Array.init w (fun i -> Tvar.make i) in
   let body tx =
@@ -99,11 +108,18 @@ let bench_writes ~backend read_mode w =
     done
   in
   measure
-    (Printf.sprintf "%-9s w=%-3d write txn" (mode_label ~backend read_mode) w)
+    (Printf.sprintf "%-9s w=%-3d write txn%s" (mode_label ~backend read_mode) w suffix)
     (fun n ->
       for _ = 1 to n do
         Stm.atomically rt body
       done)
+
+(* The 4-write row with tcm.metrics — and so the ledger and hot keys —
+   on. *)
+let bench_instrumented ~backend =
+  Tcm_metrics.enable ();
+  Fun.protect ~finally:Tcm_metrics.disable (fun () ->
+      bench_writes ~suffix:" +metrics" ~backend `Visible 4)
 
 (* Read-modify-write of [w] tvars (the counter pattern). *)
 let bench_rmw ~backend read_mode w =
@@ -145,6 +161,7 @@ let rows_for backend =
       [
         bench_writes ~backend `Visible 1;
         bench_writes ~backend `Visible 4;
+        bench_instrumented ~backend;
         bench_writes ~backend `Visible 16;
         bench_rmw ~backend `Visible 4;
         bench_read_only ~backend `Visible 8;
@@ -158,23 +175,24 @@ let rows_for backend =
       [
         bench_writes ~backend `Visible 1;
         bench_writes ~backend `Visible 4;
+        bench_instrumented ~backend;
         bench_writes ~backend `Visible 16;
         bench_rmw ~backend `Visible 4;
         bench_read_only ~backend `Visible 8;
       ]
 
 (* Index of the steady-state 4-write row in [rows_for] — the gated
-   workload for both backends. *)
+   workload for both backends — followed by its "+metrics" twin. *)
 let w4_index = 1
 
 let () =
   Printf.printf "write-cost probe: backend=%s iters=%d (per-txn figures; single domain)\n%!"
     (Stm.backend_name backend) iters;
   let rows = rows_for backend in
-  Printf.printf "  %-30s %12s %14s %14s\n" "workload" "ns/txn" "minor-w/txn" "major-w/txn";
+  Printf.printf "  %-34s %12s %14s %14s\n" "workload" "ns/txn" "minor-w/txn" "major-w/txn";
   List.iter
     (fun r ->
-      Printf.printf "  %-30s %12.1f %14.2f %14.2f\n" r.label r.ns_per_txn
+      Printf.printf "  %-34s %12.1f %14.2f %14.2f\n" r.label r.ns_per_txn
         r.minor_per_commit r.major_per_commit)
     rows;
   if checking then begin
@@ -194,19 +212,30 @@ let () =
     end;
     Printf.printf "write-smoke OK: %.2f minor words per commit (budget %.1f)\n"
       w4.minor_per_commit budget;
+    (* The enabled record path — clock reads, counter and histogram
+       stores, ledger lines — must add no allocation: the two loops
+       run the same number of commits, so their exact word counts
+       must match, and one extra word anywhere in the loop fails. *)
+    let metered = List.nth rows (w4_index + 1) in
+    if metered.minor_words > w4.minor_words then begin
+      Printf.eprintf
+        "write-smoke FAIL: %s allocates %.0f minor words over %d commits, plain %.0f\n"
+        metered.label metered.minor_words iters w4.minor_words;
+      exit 1
+    end;
+    Printf.printf "write-smoke OK: %.0f minor words over %d commits with tcm.metrics on (plain %.0f)\n"
+      metered.minor_words iters w4.minor_words;
     match backend with
     | Stm.Locator -> ()
     | Stm.Tl2_backend ->
         (* Relative gate: TL2's uncontended commit must not allocate
            more than the locator's on the identical workload.  Both
-           backends allocate exactly 20 words per 4-write commit
-           (verified with an exact single-txn [Gc.minor_words] probe:
-           the per-attempt descriptor plus the facade dispatch, shared
-           by both paths); the amortized figure this bench reports
-           drifts under that by up to ~1 word run to run, so the
-           comparison allows sub-box slack — any genuine extra
-           allocation site (a boxed log entry, a closure) costs at
-           least one 2-word box and still trips it. *)
+           backends allocate 21 words per 4-write commit (the
+           per-attempt descriptor plus the facade dispatch, shared by
+           both paths); the comparison allows sub-box slack — any
+           genuine extra allocation site (a boxed log entry, a
+           closure) costs at least one 2-word box and still trips
+           it. *)
         let slack = 1.5 in
         let loc_w4 = List.nth (rows_for Stm.Locator) w4_index in
         if w4.minor_per_commit > loc_w4.minor_per_commit +. slack then begin

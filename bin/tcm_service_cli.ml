@@ -72,11 +72,10 @@ let run backend manager duration rate burst_rate burst_period burst_frac
       flight;
     }
   in
-  Tcm_metrics.reset ();
+  (* Metrics on for the run; that also arms the ledger and hot keys the
+     flight recorder's bundles carry. *)
+  Tcm_obs.reset ();
   Tcm_metrics.enable ();
-  if flight <> None then (
-    Tcm_obs.reset ();
-    Tcm_obs.enable ());
   let s = Tcm_service.Service.run cfg in
   Format.printf "%a@." Tcm_service.Service.pp_summary s;
   Tcm_metrics.Health.pp_slo Format.std_formatter
@@ -90,8 +89,7 @@ let run backend manager duration rate burst_rate burst_period burst_frac
       Format.printf "%a" Tcm_obs.Ledger.pp (Tcm_obs.Ledger.rows ());
       Format.printf "%a" (Tcm_obs.Hot.pp ?n:None) (Tcm_obs.Hot.top ());
       Printf.printf "flight: %d bundle(s) in %s\n" (Tcm_obs.Flight.count f)
-        (Tcm_obs.Flight.dir f);
-      Tcm_obs.disable ());
+        (Tcm_obs.Flight.dir f));
   Tcm_metrics.disable ()
 
 let backend_arg =

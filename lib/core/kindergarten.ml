@@ -18,11 +18,11 @@ type t = {
   prng : Cm_util.Prng.t;
 }
 
-(* Table and prng packed into one slab slot: the grudge set first,
+(* Table and prng packed into one plane slot: the grudge set first,
    then the two prng cells. *)
 let create () =
   let words = Cm_util.Table.words ~cap:deferred_cap + Cm_util.Prng.state_words in
-  let slot = Cm_util.Cm_state.acquire ~words in
+  let slot = Tcm_metrics.Plane.acquire words in
   {
     deferred_to = Cm_util.Table.in_slot slot ~ix:0 ~cap:deferred_cap;
     prng = Cm_util.Prng.in_slot slot (Cm_util.Table.words ~cap:deferred_cap);

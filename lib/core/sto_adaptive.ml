@@ -21,7 +21,7 @@
     priced trade-off the EXPERIMENTS ranking probes.
 
     All state is slab-resident plain ints (two counters plus the
-    PRNG's two cells in one {!Cm_util.Cm_state} slot); [resolve] and
+    PRNG's two cells in one {!Tcm_metrics.Plane} slot); [resolve] and
     the lifecycle hooks allocate nothing. *)
 
 open Tcm_stm
@@ -57,32 +57,32 @@ let ix_opens = 0 (* opens in the current attempt *)
 let ix_succ_aborts = 1 (* successive aborts of the logical txn *)
 let ix_prng = 2
 
-type t = { slot : Cm_util.Cm_state.slot; prng : Cm_util.Prng.t }
+type t = { slot : Tcm_metrics.Plane.slot; prng : Cm_util.Prng.t }
 
 let create () =
-  let slot = Cm_util.Cm_state.acquire ~words:(ix_prng + Cm_util.Prng.state_words) in
+  let slot = Tcm_metrics.Plane.acquire (ix_prng + Cm_util.Prng.state_words) in
   { slot; prng = Cm_util.Prng.in_slot slot ix_prng }
 
-let succ_aborts t = Cm_util.Cm_state.get t.slot ix_succ_aborts
+let succ_aborts t = Tcm_metrics.Plane.get t.slot ix_succ_aborts
 (** Exposed for the phase-transition and wait-cap tests. *)
 
 (* STO's start(): every attempt begins timid.  The successive-abort
    counter is deliberately NOT touched — it tracks the logical
    transaction across attempts. *)
 let begin_attempt t me =
-  Cm_util.Cm_state.set t.slot ix_opens 0;
+  Tcm_metrics.Plane.set t.slot ix_opens 0;
   Txn.set_cm_stamp me Txn.no_cm_stamp
 
 let opened t me =
-  let opens = Cm_util.Cm_state.get t.slot ix_opens + 1 in
-  Cm_util.Cm_state.set t.slot ix_opens opens;
+  let opens = Tcm_metrics.Plane.get t.slot ix_opens + 1 in
+  Tcm_metrics.Plane.set t.slot ix_opens opens;
   if opens = ts_threshold && Txn.cm_stamp me = Txn.no_cm_stamp then
     Txn.set_cm_stamp me (Atomic.fetch_and_add next_stamp 1)
 
-let committed t _ = Cm_util.Cm_state.set t.slot ix_succ_aborts 0
+let committed t _ = Tcm_metrics.Plane.set t.slot ix_succ_aborts 0
 
 let aborted t _ =
-  Cm_util.Cm_state.set t.slot ix_succ_aborts
+  Tcm_metrics.Plane.set t.slot ix_succ_aborts
     (min (succ_aborts t + 1) succ_aborts_max)
 
 let resolve t ~me ~other ~attempts =

@@ -77,6 +77,8 @@ let for_manager ?(backend = "locator") ~runtime manager =
         ~help:"Objects opened by the committed attempt.";
   }
 
+let commits h = h.commits
+let aborts h = h.aborts
 let[@inline] attempt_begin h = Core.Counter.incr h.attempts
 
 let[@inline] attempt_commit h ~duration ~read_set =

@@ -38,6 +38,12 @@ val for_manager : ?backend:string -> runtime:string -> string -> t
     simulator pins ["locator"] explicitly (it models the eager locator
     protocol). *)
 
+val commits : t -> Core.Counter.t
+val aborts : t -> Core.Counter.t
+(** The family's [tcm_commits_total] / [tcm_aborts_total] lines, whose
+    per-class words the [tcm.obs] ledger reads as its commit and abort
+    counts. *)
+
 val attempt_begin : t -> unit
 val attempt_commit : t -> duration:int -> read_set:int -> unit
 val attempt_abort : t -> duration:int -> unit

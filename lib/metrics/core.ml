@@ -1,16 +1,17 @@
-(** The metric registry and its per-domain sharded storage.
+(** The metric registry and its per-domain storage.
 
-    Every registered metric owns a fixed, cache-line-aligned slice of
-    one flat [int array] per domain — the same strided layout as the
-    STM runtime's stats shards: counters sit a cache line apart and a
-    line of slack at each array end keeps them from sharing a line
-    with a neighbouring heap block.  A domain increments only its own
-    shard, so the record path is a plain int store: no CAS, no
-    allocation, no cache-line ping-pong.  {!snapshot} reads the shards
-    from the calling domain, which is a benign race on monotone int
-    cells (plain-int reads cannot tear): a concurrent snapshot may lag
-    a few events, and one ordered after the counting domains' work —
-    joined domains, as in the harness — is exact.
+    Every registered metric owns a fixed, line-aligned run of words in
+    one {!Plane} slot per domain.  A counter owns a full line: one word
+    per transaction class (see {!set_class}), summed when read, so the
+    wasted-work ledger can read a family's commits and aborts per class
+    from the very words [tcm_*_total] reports.  A histogram owns its
+    buckets plus a sum word.  A domain writes only its own slot, so the
+    record path is a plain int store: no CAS, no allocation, no
+    cache-line ping-pong.  Slots are acquired on a domain's first
+    record and released (folded into the registry's retired total) when
+    it exits.  {!snapshot} merges under the plane's mutex, which makes
+    successive snapshots monotone; one ordered after the counting
+    domains' work — joined domains, as in the harness — is exact.
 
     Disabled (the default) costs one [Atomic.get] and a branch per
     record call, exactly like [Tcm_trace.Sink]'s emitters; call
@@ -19,30 +20,30 @@
     deduplicates on (name, label set), so instrumented components may
     re-create their handles freely. *)
 
-let line_words = 8 (* ints per 64-byte cache line *)
-
 let enabled_flag = Atomic.make false
 let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 let[@inline] enabled () = Atomic.get enabled_flag
 
-type kind = K_counter | K_histogram of int  (** payload: bucket count *)
+(* [K_cells] is a counter line that stays out of snapshots: storage for
+   a read-side view (the ledger) rather than an exported series. *)
+type kind = K_counter | K_cells | K_histogram of int  (** payload: bucket count *)
 
 type def = {
   name : string;
   help : string;
   labels : (string * string) list;  (** Canonical (sorted). *)
   kind : kind;
-  offset : int;  (** Word offset into each shard; line-aligned. *)
-  words : int;  (** Payload words (counter: 1; histogram: buckets + 1). *)
+  offset : int;  (** Word offset into each domain's slot; line-aligned. *)
+  words : int;  (** Payload words (counter: a line; histogram: buckets + 1). *)
 }
 
-(* Registration state.  [defs] is newest-first; [total_words] includes
-   the leading slack line.  Mutated only under [mu]. *)
+(* Registration state.  [defs] is newest-first.  Mutated only under
+   [mu]. *)
 let mu = Mutex.create ()
 let defs : def list ref = ref []
 let by_key : (string, def) Hashtbl.t = Hashtbl.create 64
-let total_words = ref line_words
+let total_words = ref 0
 
 let key_of name labels =
   String.concat "\x00" (name :: List.concat_map (fun (k, v) -> [ k; v ]) labels)
@@ -62,8 +63,8 @@ let register ~name ~help ~labels kind payload_words =
         d
     | None ->
         let offset = !total_words in
-        let lines = (payload_words + line_words - 1) / line_words in
-        total_words := !total_words + (lines * line_words);
+        let lines = (payload_words + Plane.line_words - 1) / Plane.line_words in
+        total_words := !total_words + (lines * Plane.line_words);
         let d = { name; help; labels; kind; offset; words = payload_words } in
         Hashtbl.add by_key k d;
         defs := d :: !defs;
@@ -73,42 +74,37 @@ let register ~name ~help ~labels kind payload_words =
   d
 
 (* ------------------------------------------------------------------ *)
-(* Shards                                                              *)
+(* Per-domain storage                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type shard = { mutable arr : int array }
+let group = Plane.group ()
 
-let shards : shard list Atomic.t = Atomic.make []
+(* A domain's slot and its current transaction class. *)
+type local = { mutable slot : Plane.slot; mutable cls : int }
 
-let shard_size () = !total_words + line_words (* trailing slack line *)
+(* Slots come in powers of two, so a domain's slot grows a logarithmic
+   number of times as metrics register, and the slots it outgrows (the
+   plane keeps them for reuse) sum to less than its current one. *)
+let slot_words n =
+  let rec up w = if w >= n then w else up (2 * w) in
+  up Plane.line_words
 
 let dls =
   Domain.DLS.new_key (fun () ->
-      let s = { arr = Array.make (shard_size ()) 0 } in
-      let rec reg () =
-        let l = Atomic.get shards in
-        if not (Atomic.compare_and_set shards l (s :: l)) then reg ()
-      in
-      reg ();
-      s)
+      { slot = Plane.acquire ~group (slot_words !total_words); cls = 0 })
 
-(* The domain's shard array, grown if a metric was registered after
-   the shard was created (rare: instruments register at component
-   creation).  Only the owning domain replaces [arr]; a concurrent
-   snapshot that still reads the old array merely lags. *)
-let[@inline never] grow (d : def) (s : shard) =
-  let n = Array.make (max (shard_size ()) (d.offset + d.words + line_words)) 0 in
-  Array.blit s.arr 0 n 0 (Array.length s.arr);
-  s.arr <- n;
-  n
+(* The domain's slot, grown if a metric was registered after it was
+   acquired (rare: instruments register at component creation). *)
+let[@inline never] grow (l : local) (d : def) =
+  l.slot <- Plane.grow l.slot (slot_words (max !total_words (d.offset + d.words)));
+  l.slot
 
-let[@inline] slots (d : def) =
-  let s = Domain.DLS.get dls in
-  let a = s.arr in
-  if d.offset + d.words <= Array.length a then a else grow d s
+let[@inline] slot_for (l : local) (d : def) =
+  let s = l.slot in
+  if d.offset + d.words <= s.Plane.words then s else grow l d
 
-let reset () =
-  List.iter (fun s -> Array.fill s.arr 0 (Array.length s.arr) 0) (Atomic.get shards)
+let set_class c = (Domain.DLS.get dls).cls <- (if c < 0 || c >= Plane.line_words then 0 else c)
+let reset () = Plane.clear group
 
 (* ------------------------------------------------------------------ *)
 (* Metric handles                                                      *)
@@ -117,12 +113,17 @@ let reset () =
 module Counter = struct
   type t = def
 
-  let create ?(help = "") ?(labels = []) name = register ~name ~help ~labels K_counter 1
+  let create ?(help = "") ?(labels = []) name =
+    register ~name ~help ~labels K_counter Plane.line_words
+
+  let cells ?(labels = []) name = register ~name ~help:"" ~labels K_cells Plane.line_words
 
   let[@inline] add c n =
     if Atomic.get enabled_flag then begin
-      let a = slots c in
-      a.(c.offset) <- a.(c.offset) + n
+      let l = Domain.DLS.get dls in
+      let s = slot_for l c in
+      let i = s.Plane.base + c.offset + l.cls in
+      s.Plane.arr.(i) <- s.Plane.arr.(i) + n
     end
 
   let[@inline] incr c = add c 1
@@ -142,48 +143,49 @@ module Histogram = struct
 
   let[@inline] observe h v =
     if Atomic.get enabled_flag then begin
-      let a = slots h in
+      let s = slot_for (Domain.DLS.get dls) h in
+      let a = s.Plane.arr and o = s.Plane.base + h.offset in
       let b = h.words - 1 in
       let i = Buckets.index ~buckets:b v in
-      a.(h.offset + i) <- a.(h.offset + i) + 1;
-      a.(h.offset + b) <- a.(h.offset + b) + if v > 0 then v else 0
+      a.(o + i) <- a.(o + i) + 1;
+      a.(o + b) <- a.(o + b) + if v > 0 then v else 0
     end
 end
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot: merge the shards                                          *)
+(* Read side                                                           *)
 (* ------------------------------------------------------------------ *)
+
+type totals = int array
+
+let totals () = Plane.totals group
+let word (t : totals) i = if i < Array.length t then t.(i) else 0
+let class_value t (c : Counter.t) cls = word t (c.offset + cls)
 
 let snapshot () : Snapshot.t =
   Mutex.lock mu;
   let ds = List.rev !defs in
   Mutex.unlock mu;
-  let shard_arrays = List.map (fun s -> s.arr) (Atomic.get shards) in
+  let t = totals () in
   let entries =
-    List.map
+    List.filter_map
       (fun d ->
         let value =
           match d.kind with
+          | K_cells -> None
           | K_counter ->
-              Snapshot.Counter
-                (List.fold_left
-                   (fun acc a -> if d.offset < Array.length a then acc + a.(d.offset) else acc)
-                   0 shard_arrays)
+              let n = ref 0 in
+              for i = 0 to Plane.line_words - 1 do
+                n := !n + word t (d.offset + i)
+              done;
+              Some (Snapshot.Counter !n)
           | K_histogram b ->
-              let counts = Array.make b 0 in
-              let sum = ref 0 in
-              List.iter
-                (fun a ->
-                  if d.offset + b < Array.length a then begin
-                    for i = 0 to b - 1 do
-                      counts.(i) <- counts.(i) + a.(d.offset + i)
-                    done;
-                    sum := !sum + a.(d.offset + b)
-                  end)
-                shard_arrays;
-              Snapshot.Histogram { Snapshot.counts; sum = !sum }
+              let counts = Array.init b (fun i -> word t (d.offset + i)) in
+              Some (Snapshot.Histogram { Snapshot.counts; sum = word t (d.offset + b) })
         in
-        { Snapshot.name = d.name; labels = d.labels; help = d.help; value })
+        Option.map
+          (fun value -> { Snapshot.name = d.name; labels = d.labels; help = d.help; value })
+          value)
       ds
   in
   { Snapshot.time = Unix.gettimeofday (); entries }

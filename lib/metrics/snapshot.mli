@@ -32,7 +32,7 @@ val hist_value : t -> name:string -> labels:(string * string) list -> hist optio
 val hist_count : hist -> int
 
 val hist_sum : hist -> int
-(** Exact total of the raw samples (what [tcm.obs] reconciles wait cost against). *)
+(** Exact total of the raw samples (for [tcm_wait_duration], the [tcm.obs] ledger's wait cost). *)
 
 val hist_percentile : hist -> float -> float
 (** See {!Buckets.percentile}; [nan] when empty. *)

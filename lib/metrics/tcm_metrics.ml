@@ -1,6 +1,7 @@
 (** [tcm.metrics]: always-on low-overhead metrics.
 
-    A global registry of named series — per-domain sharded counters
+    {!Plane} is the repo's one cache-line-strided per-domain store;
+    on it sits a global registry of named series — per-class counters
     and log2-bucketed histograms — with an O(1), allocation-free
     record path and a one-branch disabled fast path (the default).
     {!Conventions} defines the instrument set shared by the live STM
@@ -11,6 +12,7 @@
 
 module Buckets = Buckets
 module Snapshot = Snapshot
+module Plane = Plane
 module Core = Core
 module Counter = Core.Counter
 module Histogram = Core.Histogram

@@ -1,31 +1,47 @@
-type t = { sk : Sketch.t }
 type family = { backend : string; manager : string; runtime : string }
 
+(* [sk] is [unset] until the handle's first enabled record, which
+   attaches the recording domain's sketch for the family. *)
+type t = { fam : family; k : int; mutable sk : Sketch.t }
+
+let unset = Sketch.create 1
 let mu = Mutex.create ()
 
-(* All sketches ever created, tagged by family; one per (family,
-   domain).  The per-domain table makes creation idempotent on a
+(* All sketches ever attached, tagged by family; one per (family,
+   domain).  The per-domain table makes attachment idempotent on a
    domain, so the sim can re-create handles per run without leaking
    sketches. *)
 let all : (family * Sketch.t) list ref = ref []
 
-let dls : (string * string * string, Sketch.t) Hashtbl.t Domain.DLS.key =
+let dls : (family, Sketch.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let for_manager ?(k = 32) ?(backend = "locator") ~runtime manager =
-  let tbl = Domain.DLS.get dls in
-  let key = (backend, manager, runtime) in
-  match Hashtbl.find_opt tbl key with
-  | Some sk -> { sk }
-  | None ->
-      let sk = Sketch.create k in
-      Hashtbl.replace tbl key sk;
-      Mutex.lock mu;
-      all := ({ backend; manager; runtime }, sk) :: !all;
-      Mutex.unlock mu;
-      { sk }
+  { fam = { backend; manager; runtime }; k; sk = unset }
 
-let record t key = if Ledger.enabled () then Sketch.record t.sk key
+let[@inline never] attach t =
+  let tbl = Domain.DLS.get dls in
+  match Hashtbl.find_opt tbl t.fam with
+  | Some sk -> t.sk <- sk
+  | None ->
+      let sk = Sketch.create t.k in
+      Hashtbl.replace tbl t.fam sk;
+      Mutex.lock mu;
+      all := (t.fam, sk) :: !all;
+      Mutex.unlock mu;
+      t.sk <- sk
+
+let record t key =
+  if Tcm_metrics.enabled () then begin
+    if t.sk == unset then attach t;
+    Sketch.record t.sk key
+  end
+
+let sketches () =
+  Mutex.lock mu;
+  let n = List.length !all in
+  Mutex.unlock mu;
+  n
 
 let snapshot () =
   Mutex.lock mu;
@@ -66,17 +82,6 @@ let pp ?(n = 10) fmt snap =
       Format.fprintf fmt "%-14s %-8s %-5s %10d  %s@." f.manager f.backend
         f.runtime total keys)
     snap
-
-let prom_lines ?(n = 10) () =
-  List.concat_map
-    (fun (f, es) ->
-      List.map
-        (fun (e : Sketch.entry) ->
-          Printf.sprintf
-            "tcm_hot_key_conflicts_total{backend=%S,manager=%S,runtime=%S,key=\"%d\"} %d"
-            f.backend f.manager f.runtime e.key e.count)
-        (truncate n es))
-    (snapshot ())
 
 let reset () =
   Mutex.lock mu;

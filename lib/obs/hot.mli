@@ -1,21 +1,27 @@
 (** Hot-key tracking: one {!Sketch} per (family, domain), fed from the
-    conflict-resolution sites of both runtime backends (tvar ids on
-    the locator runtime, orec stripe indices on TL2) and the
-    simulator's access-conflict check (object ids).  Only the owning
-    domain records into a sketch — the record path is the shared
-    one-branch enabled gate plus one O(k) scan — and {!snapshot}
-    merges across domains with {!Sketch.merged}. *)
+    conflict verdicts of both runtime backends (tvar ids on the
+    locator runtime, orec stripe indices on TL2) and the simulator's
+    access-conflict check (object ids).  Only the owning domain
+    records into a sketch — the record path is the [tcm.metrics]
+    enabled gate plus one O(k) scan — and {!snapshot} merges across
+    domains with {!Sketch.merged}. *)
 
 type t
-(** Per-domain handle; create alongside the per-domain metric handle. *)
+(** A family handle for one domain; creating it allocates no sketch. *)
 
 val for_manager : ?k:int -> ?backend:string -> runtime:string -> string -> t
-(** Deduplicated per (family, calling domain), so repeated runs on the
-    same domain keep accumulating into one sketch.  [k] (default 32)
-    applies on first creation. *)
+(** [k] (default 32) is the capacity of a sketch this handle creates. *)
 
 val record : t -> int -> unit
-(** Count one conflict on a key.  Gated on [Ledger.enabled]. *)
+(** Count one conflict on a key.  Gated on [Tcm_metrics.enabled]; the
+    handle's first enabled record attaches the recording domain's
+    sketch for the family (created on first use, then shared by every
+    handle of the family on that domain, so repeated runs keep
+    accumulating into one sketch).  A handle then stays with that
+    domain. *)
+
+val sketches : unit -> int
+(** Sketches attached so far, over all families and domains. *)
 
 type family = { backend : string; manager : string; runtime : string }
 
@@ -32,10 +38,5 @@ val top : ?n:int -> unit -> (family * Sketch.entry list) list
 val pp : ?n:int -> Format.formatter -> (family * Sketch.entry list) list -> unit
 (** The "hot keys" table (Health-report style): one line per family,
     keys as [key:count(±err)]. *)
-
-val prom_lines : ?n:int -> unit -> string list
-(** Prometheus text series
-    [tcm_hot_key_conflicts_total{backend,manager,runtime,key}] for the
-    top [n] (default 10) keys per family. *)
 
 val reset : unit -> unit

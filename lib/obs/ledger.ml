@@ -1,35 +1,30 @@
-let line_words = 8
-let class_slots = 8
-
-(* Field offsets within a (family, class) cache line. *)
-let ix_aborts = 0
-let ix_wasted = 1
-let ix_waits = 2
-let ix_wait_cost = 3
-let ix_commits = 4
-let ix_useful = 5
-let ix_wait_ticks = 6
-
-let flag = Atomic.make false
-let enable () = Atomic.set flag true
-let disable () = Atomic.set flag false
-let enabled () = Atomic.get flag
+let class_slots = Tcm_metrics.Plane.line_words
 
 (* ------------------------------------------------------------------ *)
 (* Registry: families and class slots                                  *)
 (* ------------------------------------------------------------------ *)
 
-type family = {
-  f_backend : string;
-  f_manager : string;
-  f_runtime : string;
-  f_index : int;
+module Counter = Tcm_metrics.Core.Counter
+
+(* A family's lines.  [commits] and [aborts] are the family's
+   [tcm_commits_total] / [tcm_aborts_total] series themselves; the rest
+   are ledger-only lines of the metric store. *)
+type t = {
+  backend : string;
+  manager : string;
+  runtime : string;
+  commits : Counter.t;
+  aborts : Counter.t;
+  wasted : Counter.t;
+  useful : Counter.t;
+  waits : Counter.t;
+  wait_cost : Counter.t;
+  wait_ticks : Counter.t;
 }
 
 let mu = Mutex.create ()
-let families : (string * string * string, family) Hashtbl.t = Hashtbl.create 16
-let family_order : family list ref = ref []
-let n_families = ref 0
+let families : (string * string * string, t) Hashtbl.t = Hashtbl.create 16
+let family_order : t list ref = ref []
 let classes : (string, int) Hashtbl.t = Hashtbl.create 8
 let class_names = Array.make class_slots "-"
 let n_classes = ref 1
@@ -53,107 +48,53 @@ let class_slot name =
   Mutex.unlock mu;
   s
 
-let class_name slot =
-  if slot < 0 || slot >= class_slots then "-" else class_names.(slot)
-
-type t = { base : int }
+let set_class = Tcm_metrics.Core.set_class
 
 let for_manager ?(backend = "locator") ~runtime manager =
   Mutex.lock mu;
-  let fam =
+  let t =
     match Hashtbl.find_opt families (backend, manager, runtime) with
-    | Some f -> f
+    | Some t -> t
     | None ->
-        let f =
+        let mx = Tcm_metrics.Conventions.for_manager ~backend ~runtime manager in
+        let labels = [ ("backend", backend); ("manager", manager); ("runtime", runtime) ] in
+        let line name = Counter.cells ~labels ("tcm_ledger_" ^ name) in
+        let t =
           {
-            f_backend = backend;
-            f_manager = manager;
-            f_runtime = runtime;
-            f_index = !n_families;
+            backend;
+            manager;
+            runtime;
+            commits = Tcm_metrics.Conventions.commits mx;
+            aborts = Tcm_metrics.Conventions.aborts mx;
+            wasted = line "wasted_work";
+            useful = line "useful_work";
+            waits = line "waits";
+            wait_cost = line "wait_cost";
+            wait_ticks = line "wait_ticks";
           }
         in
-        incr n_families;
-        Hashtbl.replace families (backend, manager, runtime) f;
-        family_order := f :: !family_order;
-        f
+        Hashtbl.replace families (backend, manager, runtime) t;
+        family_order := t :: !family_order;
+        t
   in
   Mutex.unlock mu;
-  { base = fam.f_index * class_slots * line_words }
+  t
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain storage                                                  *)
+(* Charges: the ledger-only lines                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One store per domain: a flat array indexed
-   [family * class_slots * line_words + class * line_words + field],
-   grown (rarely) when a new family first records on this domain, plus
-   the domain's current class slot.  Only the owning domain writes;
-   snapshot reads by other domains are benignly racy, same as metric
-   shards. *)
-type store = { mutable arr : int array; mutable cls : int }
+let[@inline] charge_abort t ~work = Counter.add t.wasted work
 
-let stores_mu = Mutex.create ()
-let stores : store list ref = ref []
+let[@inline] charge_wait t ~cost ~ticks =
+  Counter.incr t.waits;
+  Counter.add t.wait_cost cost;
+  Counter.add t.wait_ticks ticks
 
-let dls : store Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = { arr = Array.make (line_words * class_slots * 4) 0; cls = 0 } in
-      Mutex.lock stores_mu;
-      stores := s :: !stores;
-      Mutex.unlock stores_mu;
-      s)
-
-let ensure (s : store) need =
-  if Array.length s.arr < need then begin
-    let bigger = Array.make (max need (2 * Array.length s.arr)) 0 in
-    Array.blit s.arr 0 bigger 0 (Array.length s.arr);
-    s.arr <- bigger
-  end
-
-let cell (t : t) : store * int =
-  let s = Domain.DLS.get dls in
-  ensure s (t.base + (class_slots * line_words));
-  (s, t.base + (s.cls * line_words))
-
-let set_class slot =
-  let s = Domain.DLS.get dls in
-  s.cls <- (if slot < 0 || slot >= class_slots then 0 else slot)
-
-let current_class () = (Domain.DLS.get dls).cls
-
-let charge_abort t ~work =
-  if Atomic.get flag then begin
-    let s, b = cell t in
-    let a = s.arr in
-    a.(b + ix_aborts) <- a.(b + ix_aborts) + 1;
-    a.(b + ix_wasted) <- a.(b + ix_wasted) + work
-  end
-
-let charge_wait t ~cost ~ticks =
-  if Atomic.get flag then begin
-    let s, b = cell t in
-    let a = s.arr in
-    a.(b + ix_waits) <- a.(b + ix_waits) + 1;
-    a.(b + ix_wait_cost) <- a.(b + ix_wait_cost) + cost;
-    a.(b + ix_wait_ticks) <- a.(b + ix_wait_ticks) + ticks
-  end
-
-let note_commit t ~work =
-  if Atomic.get flag then begin
-    let s, b = cell t in
-    let a = s.arr in
-    a.(b + ix_commits) <- a.(b + ix_commits) + 1;
-    a.(b + ix_useful) <- a.(b + ix_useful) + work
-  end
-
-let reset () =
-  Mutex.lock stores_mu;
-  let ss = !stores in
-  Mutex.unlock stores_mu;
-  List.iter (fun s -> Array.fill s.arr 0 (Array.length s.arr) 0) ss
+let[@inline] note_commit t ~work = Counter.add t.useful work
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot                                                            *)
+(* Rows                                                                *)
 (* ------------------------------------------------------------------ *)
 
 type row = {
@@ -177,35 +118,25 @@ let rows () =
   let fams = List.rev !family_order in
   let ncls = !n_classes in
   Mutex.unlock mu;
-  Mutex.lock stores_mu;
-  let ss = !stores in
-  Mutex.unlock stores_mu;
+  let tot = Tcm_metrics.Core.totals () in
   List.concat_map
-    (fun f ->
+    (fun (f : t) ->
       List.filter_map
         (fun c ->
-          let base = ((f.f_index * class_slots) + c) * line_words in
-          let sum field =
-            List.fold_left
-              (fun acc (s : store) ->
-                if Array.length s.arr >= base + line_words then
-                  acc + s.arr.(base + field)
-                else acc)
-              0 ss
-          in
+          let v line = Tcm_metrics.Core.class_value tot line c in
           let r =
             {
-              backend = f.f_backend;
-              manager = f.f_manager;
-              runtime = f.f_runtime;
-              cls = class_name c;
-              aborts = sum ix_aborts;
-              wasted_work = sum ix_wasted;
-              waits = sum ix_waits;
-              wait_cost = sum ix_wait_cost;
-              wait_ticks = sum ix_wait_ticks;
-              commits = sum ix_commits;
-              useful_work = sum ix_useful;
+              backend = f.backend;
+              manager = f.manager;
+              runtime = f.runtime;
+              cls = class_names.(c);
+              aborts = v f.aborts;
+              wasted_work = v f.wasted;
+              waits = v f.waits;
+              wait_cost = v f.wait_cost;
+              wait_ticks = v f.wait_ticks;
+              commits = v f.commits;
+              useful_work = v f.useful;
             }
           in
           if
@@ -227,68 +158,3 @@ let pp fmt (rs : row list) =
         r.manager r.backend r.runtime r.cls r.commits r.aborts r.wasted_work
         r.waits r.wait_cost r.wait_ticks (price r))
     rs
-
-(* ------------------------------------------------------------------ *)
-(* Reconciliation against tcm.metrics                                  *)
-(* ------------------------------------------------------------------ *)
-
-let reconcile ?(wait_cost_tol = 0.) (s : Tcm_metrics.Snapshot.t) =
-  let open Tcm_metrics in
-  Mutex.lock mu;
-  let fams = List.rev !family_order in
-  Mutex.unlock mu;
-  let rs = rows () in
-  let msgs = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> msgs := m :: !msgs) fmt in
-  List.iter
-    (fun f ->
-      let mine =
-        List.filter
-          (fun r ->
-            r.backend = f.f_backend && r.manager = f.f_manager
-            && r.runtime = f.f_runtime)
-          rs
-      in
-      let tot field = List.fold_left (fun a r -> a + field r) 0 mine in
-      let l_aborts = tot (fun r -> r.aborts)
-      and l_commits = tot (fun r -> r.commits)
-      and l_waits = tot (fun r -> r.waits)
-      and l_wait_cost = tot (fun r -> r.wait_cost) in
-      let labels =
-        [
-          ("backend", f.f_backend);
-          ("manager", f.f_manager);
-          ("runtime", f.f_runtime);
-        ]
-      in
-      let m_aborts =
-        Snapshot.counter_value s ~name:Conventions.n_aborts ~labels
-      in
-      let m_commits =
-        Snapshot.counter_value s ~name:Conventions.n_commits ~labels
-      in
-      let wait_h = Snapshot.hist_value s ~name:Conventions.n_wait ~labels in
-      let m_waits = match wait_h with None -> 0 | Some h -> Snapshot.hist_count h in
-      let m_wait_cost =
-        match wait_h with None -> 0 | Some h -> Snapshot.hist_sum h
-      in
-      let active =
-        l_aborts + l_commits + l_waits + m_aborts + m_commits + m_waits > 0
-      in
-      if active then begin
-        let who = f.f_manager ^ "/" ^ f.f_backend ^ "/" ^ f.f_runtime in
-        if l_aborts <> m_aborts then
-          fail "%s: ledger aborts %d <> metrics %d" who l_aborts m_aborts;
-        if l_commits <> m_commits then
-          fail "%s: ledger commits %d <> metrics %d" who l_commits m_commits;
-        if l_waits <> m_waits then
-          fail "%s: ledger waits %d <> metrics %d" who l_waits m_waits;
-        let slack =
-          wait_cost_tol *. float_of_int (max 1 (max l_wait_cost m_wait_cost))
-        in
-        if float_of_int (abs (l_wait_cost - m_wait_cost)) > slack then
-          fail "%s: ledger wait cost %d <> metrics %d (tol %.2f)" who
-            l_wait_cost m_wait_cost wait_cost_tol
-      end)
-    fams;
-  (!msgs = [], List.rev !msgs)

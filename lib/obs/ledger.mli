@@ -3,11 +3,13 @@
     Conflict Problem" and charged to a [{backend; manager; runtime}]
     family crossed with the service transaction class.
 
-    Storage follows the PR-3/PR-4 shard discipline: one flat int array
-    per domain, each (family, class) cell owning a full cache line of
-    {!line_words} words, so the record path is a handful of plain int
-    stores by the owning domain — no allocation, no atomics — behind
-    the one-branch {!enabled} gate shared with {!Hot}.
+    The ledger is a read-side view of the metric store: a metric
+    counter keeps one word per class, so a row's commits and aborts
+    are the class's words of the family's [tcm_commits_total] /
+    [tcm_aborts_total] lines, and its other figures live in
+    ledger-only lines of the same store.  Recording therefore follows
+    the [tcm.metrics] switch and costs plain int stores by the owning
+    domain; {!Probe} is the one writer.
 
     Cost model:
     - an abort wastes the dead attempt's work, measured in opens
@@ -15,47 +17,34 @@
       {!Tcm_trace.Analysis.wasted_work} and [Analysis.price] use, so
       ledger totals and trace pricing agree);
     - a CM-induced wait costs its duration in the runtime's native
-      unit (microseconds live, ticks in the simulator — the exact
-      value also observed into [tcm_wait_duration], which is what
-      makes {!reconcile} exact), plus the spin/yield ladder rounds
-      spent, recorded separately as [wait_ticks]. *)
+      unit (microseconds live, ticks in the simulator — the same
+      integer observed into [tcm_wait_duration]), plus the spin/yield
+      ladder rounds spent, recorded separately as [wait_ticks]. *)
 
-val enable : unit -> unit
-(** Arm the ledger and the {!Hot} sketches (shared flag). *)
-
-val disable : unit -> unit
-val enabled : unit -> bool
-
-val reset : unit -> unit
-(** Zero every domain's accumulators.  Families and class slots
-    survive, as in [Tcm_metrics.reset]. *)
-
-val line_words : int
 val class_slots : int
-(** Fixed class capacity per family (8).  Slot 0 is the unclassified
-    ["-"] bucket; classes past the capacity fold into it. *)
+(** Fixed class capacity per family (8, a counter line's words).  Slot
+    0 is the unclassified ["-"] bucket; classes past the capacity fold
+    into it. *)
 
 val class_slot : string -> int
 (** Register (idempotently) a transaction class, returning its slot. *)
 
-val class_name : int -> string
-
 val set_class : int -> unit
-(** Set the calling domain's current class slot; subsequent charges on
+(** Set the calling domain's current class slot; subsequent records on
     this domain land there.  The service sets this around [execute];
     everything else runs in slot 0. *)
 
-val current_class : unit -> int
-
 type t
-(** A family handle — cheap to create, deduplicated per
-    (backend, manager, runtime) under a mutex like metric series. *)
+(** A family handle, deduplicated per (backend, manager, runtime)
+    under a mutex like metric series. *)
 
 val for_manager : ?backend:string -> runtime:string -> string -> t
-(** Mirrors [Tcm_metrics.Conventions.for_manager]. *)
+(** Mirrors [Tcm_metrics.Conventions.for_manager], whose commit and
+    abort lines the family shares. *)
 
 val charge_abort : t -> work:int -> unit
-(** One dead attempt: [work] = opens it had performed. *)
+(** Add a dead attempt's opens to the wasted work (the abort itself is
+    counted by [Conventions.attempt_abort]). *)
 
 val charge_wait : t -> cost:int -> ticks:int -> unit
 (** One CM-induced wait: [cost] in the runtime's duration unit (the
@@ -63,8 +52,8 @@ val charge_wait : t -> cost:int -> ticks:int -> unit
     ladder rounds spent. *)
 
 val note_commit : t -> work:int -> unit
-(** One committed attempt and its useful work, so wasted work can be
-    reported as a fraction. *)
+(** Add a committed attempt's opens to the useful work (the commit
+    itself is counted by [Conventions.attempt_commit]). *)
 
 type row = {
   backend : string;
@@ -86,22 +75,9 @@ val price : row -> int
     units. *)
 
 val rows : unit -> row list
-(** Merge every domain's accumulators; all-zero (family, class) cells
-    are dropped.  Like metric snapshots, a read concurrent with
-    recording domains may lag a few events; one ordered after the
-    recording domains joined is exact. *)
+(** Every family's rows, one per class, in family registration order;
+    all-zero rows are dropped.  Like metric snapshots, a read
+    concurrent with recording domains may lag a few events; one
+    ordered after the recording domains joined is exact. *)
 
 val pp : Format.formatter -> row list -> unit
-
-val reconcile :
-  ?wait_cost_tol:float -> Tcm_metrics.Snapshot.t -> bool * string list
-(** Check that per-family ledger totals match the [tcm.metrics]
-    counters: aborts and commits against [tcm_aborts_total] /
-    [tcm_commits_total], wait count against the [tcm_wait_duration]
-    sample count, and wait cost against that histogram's sample sum.
-    Counts must match exactly; the cost comparison tolerates a
-    relative error of [wait_cost_tol] (default 0 — both paths observe
-    the same integer, so equality is exact when metrics and obs were
-    enabled over the same span; pass a tolerance when they were not).
-    Families with no activity on either side are skipped.  Returns
-    [(ok, mismatches)]. *)

@@ -352,9 +352,9 @@ let run (cfg : config) : summary =
       if i >= 0 then begin
         let ci = sched.cls.(i) in
         let cls = Sclass.all.(ci) in
-        if Tcm_obs.enabled () then Tcm_obs.Ledger.set_class obs_cls.(ci);
+        if Tcm_metrics.enabled () then Tcm_obs.Ledger.set_class obs_cls.(ci);
         execute rt store ~scan_len:cfg.scan_len sched i;
-        if Tcm_obs.enabled () then Tcm_obs.Ledger.set_class 0;
+        if Tcm_metrics.enabled () then Tcm_obs.Ledger.set_class 0;
         let now_s = Unix.gettimeofday () -. t0 in
         let lat = request_latency_us ~arrival_s:sched.times.(i) ~now_s in
         Agg.complete agg cls ~latency_us:lat;

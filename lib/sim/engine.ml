@@ -40,7 +40,6 @@ type thread_status =
       obj : int;
       enemy : int * int;
       deadline : int option;
-      since : int;  (** Tick the wait started — the wait-duration sample. *)
     }
   | Backing_off_s of { until : int }
   | Finished_s
@@ -49,6 +48,7 @@ type tstate = {
   tid : int;
   stream : int -> Spec.txn option;
   cm : Cm_intf.packed;  (** This thread's manager instance. *)
+  probe : Tcm_obs.Probe.t;  (** This thread's lane of the run's probe. *)
   mutable txn_index : int;
   mutable spec : Spec.txn option;
   mutable txn : Txn.t;
@@ -56,7 +56,6 @@ type tstate = {
           this thread, exactly as in the live runtimes. *)
   mutable attempt : int;  (** Global per-thread attempt counter. *)
   mutable status : thread_status;
-  mutable attempt_start : int;  (** Tick the current attempt began (metrics). *)
   mutable opens : int;  (** Opens in the current attempt (its read-set size). *)
   mutable progress : int;
   mutable pending : Spec.access list;
@@ -112,21 +111,17 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
   (* Rounded up, so any nonzero duration costs at least a tick. *)
   let ticks_of_usec us = (us + usec_per_tick - 1) / usec_per_tick in
   (* Managers built in the scope draw their jitter from [seed] and hand
-     their slab slots back when the run ends. *)
-  Tcm_core.Cm_util.Cm_state.scoped ~seed @@ fun () ->
+     their plane slots back when the run ends. *)
+  Tcm_core.Cm_util.scoped ~seed @@ fun () ->
   let n = Array.length streams in
   let manager_name = Cm_intf.name manager in
-  (* Same instrument names as the live runtime; runtime="sim" keeps the
-     units (ticks vs us) apart in the registry.  The simulator models
-     the eager locator protocol, so its series carry backend="locator"
-     explicitly. *)
-  let mx =
-    Tcm_metrics.Conventions.for_manager ~runtime:"sim" ~backend:"locator" manager_name
-  in
-  (* Matching obs handles: aborts/waits priced in ticks, conflict keys
-     are the scenario's object ids. *)
-  let obs = Tcm_obs.Ledger.for_manager ~runtime:"sim" ~backend:"locator" manager_name in
-  let hot = Tcm_obs.Hot.for_manager ~runtime:"sim" ~backend:"locator" manager_name in
+  (* Same instruments as the live runtime; runtime="sim" keeps the
+     units (ticks vs us) apart in the registry.  Without a statistics
+     group the probe is tick-clocked: durations and wait prices are in
+     ticks.  The simulator models the eager locator
+     protocol, so its series carry backend="locator" explicitly;
+     conflict keys are the scenario's object ids. *)
+  let probe = Tcm_obs.Probe.create ~runtime:"sim" ~backend:"locator" manager_name in
   let ts_counter =
     (* Later transactions must be younger than any explicit rank. *)
     ref (match ranks with None -> 0 | Some r -> Array.fold_left max 0 r)
@@ -146,12 +141,12 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
           tid;
           stream = streams.(tid);
           cm = Cm_intf.instantiate manager;
+          probe = Tcm_obs.Probe.lane probe;
           txn_index = 0;
           spec = None;
           txn = Txn.committed_sentinel;
           attempt = 0;
           status = Idle_s;
-          attempt_start = 0;
           opens = 0;
           progress = 0;
           pending = [];
@@ -196,23 +191,19 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
   let begin_attempt (t : tstate) shared ~start =
     t.txn <- Txn.new_attempt shared;
     t.attempt <- t.attempt + 1;
-    t.attempt_start <- start;
     t.opens <- 0;
     t.progress <- 0;
     t.stuck <- 0;
     t.pending <- (match t.spec with Some s -> s.Spec.accesses | None -> []);
     cm_begin t.cm t.txn;
-    Tcm_metrics.Conventions.attempt_begin mx;
-    Tcm_trace.Sink.attempt_begin ~txid:(Txn.timestamp t.txn)
+    Tcm_obs.Probe.attempt_begin t.probe ~txid:(Txn.timestamp t.txn)
       ~attempt:t.txn.Txn.attempt_id ~tick:start
   in
 
   let abort (victim : tstate) ~now =
     let halted = is_halted victim in
-    Tcm_trace.Sink.attempt_abort ~txid:(Txn.timestamp victim.txn)
-      ~attempt:victim.txn.Txn.attempt_id ~tick:now;
-    Tcm_metrics.Conventions.attempt_abort mx ~duration:(now - victim.attempt_start);
-    Tcm_obs.Ledger.charge_abort obs ~work:victim.opens;
+    Tcm_obs.Probe.abort victim.probe ~txid:(Txn.timestamp victim.txn)
+      ~attempt:victim.txn.Txn.attempt_id ~tick:now ~opens:victim.opens;
     release victim;
     ignore (Txn.try_abort victim.txn);
     cm_aborted victim.cm victim.txn;
@@ -303,13 +294,9 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
                  models the eager locator protocol, so its verdicts
                  come from the code path the live runtime takes. *)
               let d = Runtime.consult t.cm ~me:t.txn ~other:enemy.txn ~attempts:t.stuck in
-              (* Trace decision codes double as metrics verdict codes. *)
-              let dcode = Runtime_intf.decision_trace_code d in
-              if Tcm_trace.Sink.enabled () then
-                Tcm_trace.Sink.conflict ~me:(Txn.timestamp t.txn)
-                  ~other:(Txn.timestamp enemy.txn) ~decision:dcode ~tick:now;
-              Tcm_metrics.Conventions.resolve mx dcode;
-              Tcm_obs.Hot.record hot a.Spec.obj;
+              Tcm_obs.Probe.verdict t.probe ~me:(Txn.timestamp t.txn)
+                ~other:(Txn.timestamp enemy.txn) ~code:(Runtime_intf.decision_trace_code d)
+                ~key:a.Spec.obj ~tick:now;
               t.stuck <- t.stuck + 1;
               match d with
               | Decision.Abort_other ->
@@ -318,7 +305,7 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
               | Decision.Abort_self -> abort t ~now
               | Decision.Block { timeout_usec } ->
                   Atomic.set t.txn.Txn.waiting true;
-                  Tcm_trace.Sink.wait_begin ~me:(Txn.timestamp t.txn)
+                  Tcm_obs.Probe.wait_begin t.probe ~me:(Txn.timestamp t.txn)
                     ~enemy:(Txn.timestamp enemy.txn) ~tick:now;
                   t.status <-
                     Waiting_s
@@ -326,7 +313,6 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
                         obj = a.Spec.obj;
                         enemy = (enemy.tid, enemy.attempt);
                         deadline = Option.map (fun d -> now + ticks_of_usec d) timeout_usec;
-                        since = now;
                       }
               | Decision.Backoff { usec } ->
                   t.status <- Backing_off_s { until = now + max 1 (ticks_of_usec usec) }))
@@ -358,7 +344,7 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
               t.status <- Running_s;
               process_accesses t ~now
             end
-        | Waiting_s { obj; enemy = enemy_tid, enemy_attempt; deadline; since } ->
+        | Waiting_s { obj; enemy = enemy_tid, enemy_attempt; deadline } ->
             let resume =
               (match objs.(obj).owner with
               | None -> true
@@ -370,14 +356,10 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
             in
             if resume then begin
               Atomic.set t.txn.Txn.waiting false;
-              Tcm_metrics.Conventions.wait mx ~duration:(now - since);
-              (* Ticks are the sim's native duration, so cost and the
-                 ladder-tick pricing coincide (and the metrics
-                 histogram sum reconciles exactly). *)
-              Tcm_obs.Ledger.charge_wait obs ~cost:(now - since)
-                ~ticks:(now - since);
-              Tcm_trace.Sink.wait_end ~me:(Txn.timestamp t.txn)
-                ~enemy:(Txn.timestamp threads.(enemy_tid).txn) ~tick:now;
+              (* Ticks are the sim's native duration: the probe prices
+                 the wait by it, with no spin/yield ladder. *)
+              Tcm_obs.Probe.wait_end t.probe ~me:(Txn.timestamp t.txn)
+                ~enemy:(Txn.timestamp threads.(enemy_tid).txn) ~tick:now ~rounds:0;
               t.status <- Running_s;
               process_accesses t ~now
             end)
@@ -396,11 +378,8 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
                 if t.progress >= spec.Spec.dur then begin
                   release t;
                   ignore (Txn.try_commit t.txn);
-                  Tcm_trace.Sink.attempt_commit ~txid:(Txn.timestamp t.txn)
-                    ~attempt:t.txn.Txn.attempt_id ~tick:(now + 1);
-                  Tcm_metrics.Conventions.attempt_commit mx
-                    ~duration:(now + 1 - t.attempt_start) ~read_set:t.opens;
-                  Tcm_obs.Ledger.note_commit obs ~work:t.opens;
+                  Tcm_obs.Probe.commit t.probe ~txid:(Txn.timestamp t.txn)
+                    ~attempt:t.txn.Txn.attempt_id ~tick:(now + 1) ~opens:t.opens;
                   cm_committed t.cm t.txn;
                   t.commits <- t.commits + 1;
                   incr total_commits;

@@ -64,7 +64,7 @@
 
 let backend_name = "locator"
 
-(* The control-flow exceptions, configuration and statistics layout
+(* The control-flow exceptions, configuration and statistics type
    are shared with the TL2 backend through [Runtime_intf]; the
    re-export equations below keep existing [Runtime.]-qualified
    callers compiling unchanged. *)
@@ -83,21 +83,6 @@ type config = Runtime_intf.config = {
 }
 
 let default_config = Runtime_intf.default_config
-
-(* ------------------------------------------------------------------ *)
-(* Statistics: per-domain shards (layout shared via [Runtime_intf])    *)
-(* ------------------------------------------------------------------ *)
-
-type shard = Runtime_intf.Shard.t
-
-let make_shard = Runtime_intf.Shard.make
-let ix_commits = Runtime_intf.Shard.ix_commits
-let ix_aborts = Runtime_intf.Shard.ix_aborts
-let ix_conflicts = Runtime_intf.Shard.ix_conflicts
-let ix_enemy_aborts = Runtime_intf.Shard.ix_enemy_aborts
-let ix_self_aborts = Runtime_intf.Shard.ix_self_aborts
-let ix_backoffs = Runtime_intf.Shard.ix_backoffs
-let tick = Runtime_intf.Shard.tick
 
 type stats_snapshot = Runtime_intf.stats_snapshot = {
   n_commits : int;
@@ -139,20 +124,15 @@ type read_entry = { stamp : int Atomic.t; mutable seen : int; check : unit -> va
 type t = {
   config : config;
   cm : Cm_intf.factory;
-  shards : shard list Atomic.t;  (** One per domain that used this runtime. *)
+  stats : Tcm_metrics.Plane.group;  (** One slot per domain that used this runtime. *)
   dls : per_domain Domain.DLS.key;
 }
 
 and per_domain = {
   cm_state : Cm_intf.packed;
-  shard : shard;
-  mx : Tcm_metrics.Conventions.t;
-      (** Metric handles for this runtime's manager; every emit is a
-          single enabled-check branch while metrics are off. *)
-  obs : Tcm_obs.Ledger.t;
-      (** Wasted-work ledger handle, same family labels as [mx]. *)
-  hot : Tcm_obs.Hot.t;
-      (** This domain's hot-key sketch; fed tvar ids at conflicts. *)
+  probe : Tcm_obs.Probe.t;
+      (** This domain's lifecycle handle: statistics, trace, metrics,
+          ledger and hot keys, one call per lifecycle point. *)
   pool : Tvar.pool;  (** This domain's locator freelist + hazard slot. *)
   scratch : tx;
       (** The domain's reusable transaction context; reset (by lengths
@@ -194,27 +174,14 @@ let empty_log : read_entry array = [||]
 let empty_wstamps : int Atomic.t array = [||]
 
 let create ?(config = default_config) cm =
-  let shards = Atomic.make [] in
+  let stats = Tcm_metrics.Plane.group () in
   let dls =
     Domain.DLS.new_key (fun () ->
-        let shard = make_shard () in
-        let rec register () =
-          let l = Atomic.get shards in
-          if not (Atomic.compare_and_set shards l (shard :: l)) then register ()
-        in
-        register ();
         let rec dom =
           {
             cm_state = Cm_intf.instantiate cm;
-            shard;
-            mx =
-              Tcm_metrics.Conventions.for_manager ~runtime:"live" ~backend:backend_name
-                (Cm_intf.name cm);
-            obs =
-              Tcm_obs.Ledger.for_manager ~runtime:"live" ~backend:backend_name
-                (Cm_intf.name cm);
-            hot =
-              Tcm_obs.Hot.for_manager ~runtime:"live" ~backend:backend_name
+            probe =
+              Tcm_obs.Probe.create ~stats ~runtime:"live" ~backend:backend_name
                 (Cm_intf.name cm);
             pool = Tvar.domain_pool ();
             scratch;
@@ -237,60 +204,24 @@ let create ?(config = default_config) cm =
         in
         dom)
   in
-  { config; cm; shards; dls }
+  { config; cm; stats; dls }
 
 let manager_name t = Cm_intf.name t.cm
-let stats t = Runtime_intf.stats_of_shards (Atomic.get t.shards)
+let stats t = Tcm_obs.Probe.stats t.stats
 let pp_stats = Runtime_intf.pp_stats
 
 (* ------------------------------------------------------------------ *)
 (* Attempt-local helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_self tx = if not (Txn.is_active tx.txn) then raise Abort_attempt
+let check_self tx = Runtime_intf.check_active tx.txn
+let consult = Runtime_intf.consult
 
-let sleep_usec = Runtime_intf.sleep_usec
-
-(* Block until [other] is no longer active, or starts waiting itself,
-   or the timeout expires (the shared adaptive-wait ladder).  Sets our
-   public waiting flag for the duration, so that greedy enemies may
-   abort us (Rule 1). *)
-let block_on tx (other : Txn.t) timeout_usec =
-  Runtime_intf.block_on ~me:tx.txn ~other ~shard:tx.dom.shard ~mx:tx.dom.mx
-    ~obs:tx.dom.obs ~cap_usec:tx.cfg.block_poll_usec ~timeout_usec
-
-let decision_trace_code = Runtime_intf.decision_trace_code
-
-(* The conflict adapter: ask the manager for a verdict.  Kept as a
-   named function (and exported) so the registry duel test can drive
-   the same scripted conflict through both backends' adapters. *)
-let consult (Cm_intf.Packed ((module M), st)) ~me ~other ~attempts =
-  M.resolve st ~me ~other ~attempts
-
-(* Execute one contention-manager verdict for a conflict with [other].
-   Returns when the caller should re-examine the object. *)
-let resolve_conflict tx ~(other : Txn.t) ~attempts =
-  check_self tx;
-  tick tx.dom.shard ix_conflicts;
-  let verdict = consult tx.dom.cm_state ~me:tx.txn ~other ~attempts in
-  (* The trace decision codes double as the metrics verdict codes. *)
-  if Tcm_trace.Sink.enabled () then
-    Tcm_trace.Sink.conflict ~me:(Txn.timestamp tx.txn)
-      ~other:(Txn.timestamp other)
-      ~decision:(decision_trace_code verdict) ~tick:0;
-  Tcm_metrics.Conventions.resolve tx.dom.mx (decision_trace_code verdict);
-  match verdict with
-  | Decision.Abort_other ->
-      if Txn.try_abort other then tick tx.dom.shard ix_enemy_aborts
-  | Decision.Abort_self ->
-      tick tx.dom.shard ix_self_aborts;
-      ignore (Txn.try_abort tx.txn);
-      raise Abort_attempt
-  | Decision.Block { timeout_usec } -> block_on tx other timeout_usec
-  | Decision.Backoff { usec } ->
-      tick tx.dom.shard ix_backoffs;
-      sleep_usec (min usec tx.cfg.backoff_cap_usec);
-      check_self tx
+(* The shared verdict execution, for a conflict over the variable
+   whose id is [key]. *)
+let resolve_conflict tx ~other ~attempts ~key =
+  Runtime_intf.resolve_conflict ~cm:tx.dom.cm_state ~probe:tx.dom.probe ~config:tx.cfg
+    ~me:tx.txn ~other ~attempts ~key
 
 let cm_opened tx =
   tx.n_opens <- tx.n_opens + 1;
@@ -424,8 +355,7 @@ let rec drain_readers tx tvar attempts =
   match Tvar.find_active_reader tvar tx.txn with
   | None -> Tvar.purge_readers tvar
   | Some r ->
-      Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
-      resolve_conflict tx ~other:r ~attempts;
+      resolve_conflict tx ~other:r ~attempts ~key:(Tvar.id tvar);
       drain_readers tx tvar (attempts + 1)
 
 (* Open [tvar] for writing and return the transaction's tentative
@@ -499,8 +429,7 @@ let rec open_write : 'a. tx -> 'a Tvar.t -> put:bool -> 'a -> int -> 'a =
      let st = Txn.status owner in
      match st with
      | Status.Active ->
-         Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
-         resolve_conflict tx ~other:owner ~attempts;
+         resolve_conflict tx ~other:owner ~attempts ~key:(Tvar.id tvar);
          open_write tx tvar ~put v (attempts + 1)
      | Status.Committed | Status.Aborted ->
          let cur =
@@ -508,13 +437,12 @@ let rec open_write : 'a. tx -> 'a Tvar.t -> put:bool -> 'a -> int -> 'a =
          in
          let value = if put then v else cur in
          let nloc = Tvar.take_locator pool ~owner:tx.txn ~old_v:cur ~new_v:value in
-         Tcm_metrics.Conventions.pool_event tx.dom.mx
+         Tcm_obs.Probe.pool tx.dom.probe
            (if Tvar.last_take_hit pool then Tcm_metrics.Conventions.p_hit
             else Tcm_metrics.Conventions.p_miss);
          if Atomic.compare_and_set tvar.Tvar.loc loc nloc then begin
            if Tvar.recycle_locator pool loc then
-             Tcm_metrics.Conventions.pool_event tx.dom.mx
-               Tcm_metrics.Conventions.p_recycled;
+             Tcm_obs.Probe.pool tx.dom.probe Tcm_metrics.Conventions.p_recycled;
            (match tx.cfg.read_mode with
             | `Visible -> drain_readers tx tvar 0
             | `Invisible ->
@@ -617,8 +545,7 @@ let rec read_visible : 'a. tx -> 'a Tvar.t -> int -> 'a =
          else
            match st with
            | Status.Active ->
-               Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
-               resolve_conflict tx ~other:owner ~attempts;
+               resolve_conflict tx ~other:owner ~attempts ~key:(Tvar.id tvar);
                read_visible tx tvar (attempts + 1)
            | Status.Committed | Status.Aborted ->
                cm_opened tx;
@@ -755,22 +682,17 @@ let commit tx =
    [atomically]) so the per-transaction path allocates nothing beyond
    the attempt descriptor itself. *)
 
-let m_us m_t0 = int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6)
-
-let finish_abort dom tx m_t0 =
+let finish_abort dom tx =
   ignore (Txn.try_abort tx.txn);
   Atomic.set tx.txn.Txn.waiting false;
   (* An abort can be raised while the hazard slot covers a locator
      (validation inside [acquire], conflict resolution mid-drain). *)
   Tvar.unprotect dom.pool;
   clear_logs tx;
-  Tcm_trace.Sink.attempt_abort ~txid:(Txn.timestamp tx.txn)
-    ~attempt:tx.txn.Txn.attempt_id ~tick:0;
-  if m_t0 > 0. then Tcm_metrics.Conventions.attempt_abort dom.mx ~duration:(m_us m_t0);
   (* The dead attempt's work — everything it opened — is what the
      abort wastes, in the cost model's unit. *)
-  Tcm_obs.Ledger.charge_abort dom.obs ~work:tx.n_opens;
-  tick dom.shard ix_aborts;
+  Tcm_obs.Probe.abort dom.probe ~txid:(Txn.timestamp tx.txn) ~attempt:tx.txn.Txn.attempt_id
+    ~tick:0 ~opens:tx.n_opens;
   let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
   M.aborted cm_st tx.txn;
   dom.running <- false
@@ -791,12 +713,8 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
    dom.running <- true;
    let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
    M.begin_attempt cm_st txn;
-   Tcm_trace.Sink.attempt_begin ~txid:(Txn.timestamp txn)
+   Tcm_obs.Probe.attempt_begin dom.probe ~txid:(Txn.timestamp txn)
      ~attempt:txn.Txn.attempt_id ~tick:0;
-   (* Attempt latency: the clock is read only while metrics are
-      enabled; [0.] doubles as the "disabled" sentinel. *)
-   let m_t0 = if Tcm_metrics.enabled () then Unix.gettimeofday () else 0. in
-   Tcm_metrics.Conventions.attempt_begin dom.mx;
    match f tx with
    | v ->
        if commit tx then begin
@@ -807,38 +725,28 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
             over) do not stay pinned by the scratch descriptor. *)
          Tvar.unprotect dom.pool;
          clear_logs tx;
-         tick dom.shard ix_commits;
-         Tcm_trace.Sink.attempt_commit ~txid:(Txn.timestamp txn)
-           ~attempt:txn.Txn.attempt_id ~tick:0;
-         if m_t0 > 0. then
-           Tcm_metrics.Conventions.attempt_commit dom.mx ~duration:(m_us m_t0)
-             ~read_set:tx.n_opens;
-         Tcm_obs.Ledger.note_commit dom.obs ~work:tx.n_opens;
+         Tcm_obs.Probe.commit dom.probe ~txid:(Txn.timestamp txn)
+           ~attempt:txn.Txn.attempt_id ~tick:0 ~opens:tx.n_opens;
          M.committed cm_st txn;
          dom.running <- false;
          v
        end
        else begin
-         finish_abort dom tx m_t0;
+         finish_abort dom tx;
          attempt_loop rt dom tx f shared 0 (n + 1)
        end
    | exception Abort_attempt ->
-       finish_abort dom tx m_t0;
+       finish_abort dom tx;
        attempt_loop rt dom tx f shared 0 (n + 1)
    | exception Retry_wait ->
-       finish_abort dom tx m_t0;
+       finish_abort dom tx;
        (* The caller is waiting for another transaction to change the
-          state it checked: yield first (the writer is often already
-          runnable), then pause geometrically. *)
-       if wait_round = 0 then Unix.sleepf 0.
-       else
-         sleep_usec
-           (min rt.config.backoff_cap_usec
-              (rt.config.block_poll_usec * (1 lsl min (wait_round - 1) 12)));
+          state it checked. *)
+       Runtime_intf.retry_pause rt.config wait_round;
        attempt_loop rt dom tx f shared (wait_round + 1) (n + 1)
    | exception e ->
        (* User exception: abort the transaction, propagate. *)
-       finish_abort dom tx m_t0;
+       finish_abort dom tx;
        raise e
 
 let atomically rt f =

@@ -7,8 +7,7 @@
     backend-agnostic.  Everything both engines share lives here:
 
     - the configuration record and its default;
-    - the statistics snapshot and the per-domain shard layout it is
-      folded from;
+    - the statistics snapshot;
     - the control-flow exceptions (shared so the facade in {!Stm} can
       re-raise and catch uniformly, and so tests written against one
       backend's exceptions hold for the other);
@@ -47,41 +46,15 @@ let default_config =
   { read_mode = `Visible; max_attempts = None; block_poll_usec = 50; backoff_cap_usec = 100_000 }
 
 (* ------------------------------------------------------------------ *)
-(* Statistics: per-domain shards                                       *)
+(* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each domain increments only its own shard, so the per-commit /
-   per-conflict counters never ping-pong cache lines between cores.  A
-   shard is one flat (unboxed) [int array]: counters sit a cache line
-   (8 words) apart, with a line of slack at each end so no counter
-   shares a line with a neighbouring heap block — a layout the GC
-   cannot break, unlike a record of boxed [Atomic.t] cells, where each
-   counter is its own heap block and record padding pads nothing.
-   Only the owning domain ever writes a counter; [stats] reads them
-   from other domains, which is a benign race on monotone int cells
-   (OCaml plain-int reads cannot tear): a concurrent snapshot may lag
-   a few events, and a snapshot ordered after the counting domain's
-   work — joined domains, as in the harness and every test — is
-   exact. *)
-module Shard = struct
-  type t = int array
-
-  let line_words = 8 (* ints per 64-byte cache line *)
-  let n_counters = 7
-  let counter_ix i = (i + 1) * line_words
-  let make () : t = Array.make ((n_counters + 2) * line_words) 0
-
-  let ix_commits = counter_ix 0
-  let ix_aborts = counter_ix 1
-  let ix_conflicts = counter_ix 2
-  let ix_enemy_aborts = counter_ix 3 (* times we aborted an enemy *)
-  let ix_self_aborts = counter_ix 4
-  let ix_blocks = counter_ix 5
-  let ix_backoffs = counter_ix 6
-  let tick (s : t) ix = s.(ix) <- s.(ix) + 1
-end
-
-type stats_snapshot = {
+(* Counted by each domain's [Tcm_obs.Probe] into its own plane slot of
+   the instance's statistics group, and folded into the group's
+   retired total when the domain exits.  A snapshot ordered after the
+   counting domains' work — joined domains, as in the harness and
+   every test — is exact. *)
+type stats_snapshot = Tcm_obs.Probe.stats = {
   n_commits : int;
   n_aborts : int;
   n_conflicts : int;
@@ -91,34 +64,7 @@ type stats_snapshot = {
   n_backoffs : int;
 }
 
-let empty_stats =
-  {
-    n_commits = 0;
-    n_aborts = 0;
-    n_conflicts = 0;
-    n_enemy_aborts = 0;
-    n_self_aborts = 0;
-    n_blocks = 0;
-    n_backoffs = 0;
-  }
-
-let stats_of_shards (shards : Shard.t list) =
-  List.fold_left
-    (fun acc (s : Shard.t) ->
-      {
-        n_commits = acc.n_commits + s.(Shard.ix_commits);
-        n_aborts = acc.n_aborts + s.(Shard.ix_aborts);
-        n_conflicts = acc.n_conflicts + s.(Shard.ix_conflicts);
-        n_enemy_aborts = acc.n_enemy_aborts + s.(Shard.ix_enemy_aborts);
-        n_self_aborts = acc.n_self_aborts + s.(Shard.ix_self_aborts);
-        n_blocks = acc.n_blocks + s.(Shard.ix_blocks);
-        n_backoffs = acc.n_backoffs + s.(Shard.ix_backoffs);
-      })
-    empty_stats shards
-
-let pp_stats fmt s =
-  Format.fprintf fmt "commits=%d aborts=%d conflicts=%d enemy-aborts=%d blocks=%d backoffs=%d"
-    s.n_commits s.n_aborts s.n_conflicts s.n_enemy_aborts s.n_blocks s.n_backoffs
+let pp_stats = Tcm_obs.Probe.pp_stats
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive waiting                                                    *)
@@ -150,32 +96,16 @@ let wait_step ~round ~cap_usec =
    cycle-breaking dynamics (a wait ends when the enemy starts waiting,
    and the manager is then re-consulted with the enemy's waiting flag
    visible) are identical on both. *)
-let block_on ~(me : Txn.t) ~(other : Txn.t) ~(shard : Shard.t)
-    ~(mx : Tcm_metrics.Conventions.t) ~(obs : Tcm_obs.Ledger.t) ~cap_usec
+let block_on ~(me : Txn.t) ~(other : Txn.t) ~(probe : Tcm_obs.Probe.t) ~cap_usec
     ~timeout_usec =
-  Shard.tick shard Shard.ix_blocks;
   Atomic.set me.Txn.waiting true;
-  Tcm_trace.Sink.wait_begin ~me:(Txn.timestamp me) ~enemy:(Txn.timestamp other) ~tick:0;
-  (* Wall clock only when metrics or the obs ledger are on; the spin
-     loop itself never consults it. *)
-  let m_t0 =
-    if Tcm_metrics.enabled () || Tcm_obs.Ledger.enabled () then
-      Unix.gettimeofday ()
-    else 0.
-  in
-  (* [rounds] is how far the spin/yield ladder got — the wait's cost
-     in ladder ticks.  The duration is computed once and fed to both
-     the metrics histogram and the obs ledger (each self-gates), which
-     is what makes [Ledger.reconcile]'s wait-cost check exact when
-     both layers are enabled over the same span. *)
+  let me_ts = Txn.timestamp me and enemy = Txn.timestamp other in
+  Tcm_obs.Probe.wait_begin probe ~me:me_ts ~enemy ~tick:0;
+  (* [rounds] is how far the spin/yield ladder got — the wait's price
+     in ladder ticks. *)
   let finish rounds =
     Atomic.set me.Txn.waiting false;
-    Tcm_trace.Sink.wait_end ~me:(Txn.timestamp me) ~enemy:(Txn.timestamp other) ~tick:0;
-    if m_t0 > 0. then begin
-      let duration = int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6) in
-      Tcm_metrics.Conventions.wait mx ~duration;
-      Tcm_obs.Ledger.charge_wait obs ~cost:duration ~ticks:rounds
-    end
+    Tcm_obs.Probe.wait_end probe ~me:me_ts ~enemy ~tick:0 ~rounds
   in
   let deadline =
     match timeout_usec with
@@ -204,6 +134,44 @@ let decision_trace_code = function
   | Decision.Abort_self -> Tcm_trace.Event.d_abort_self
   | Decision.Block _ -> Tcm_trace.Event.d_block
   | Decision.Backoff _ -> Tcm_trace.Event.d_backoff
+
+(* The conflict adapter: ask the manager for a verdict.  Both backends
+   export it (see [S.consult]). *)
+let consult (Cm_intf.Packed ((module M), st)) ~me ~other ~attempts =
+  M.resolve st ~me ~other ~attempts
+
+let check_active me = if not (Txn.is_active me) then raise Abort_attempt
+
+(* Consult the manager on [me]'s conflict with [other] over [key] (a
+   tvar id or an orec stripe) and execute the verdict: abort the enemy,
+   abort [me], block behind the enemy, or back off.  Returns when the
+   caller should re-examine the object — on TL2 the lock steal happens
+   there, when it re-reads the owner and finds it aborted. *)
+let resolve_conflict ~cm ~probe ~(config : config) ~(me : Txn.t) ~(other : Txn.t) ~attempts
+    ~key =
+  check_active me;
+  let verdict = consult cm ~me ~other ~attempts in
+  Tcm_obs.Probe.verdict probe ~me:(Txn.timestamp me) ~other:(Txn.timestamp other)
+    ~code:(decision_trace_code verdict) ~key ~tick:0;
+  match verdict with
+  | Decision.Abort_other -> if Txn.try_abort other then Tcm_obs.Probe.enemy_abort probe
+  | Decision.Abort_self ->
+      ignore (Txn.try_abort me);
+      raise Abort_attempt
+  | Decision.Block { timeout_usec } ->
+      block_on ~me ~other ~probe ~cap_usec:config.block_poll_usec ~timeout_usec
+  | Decision.Backoff { usec } ->
+      sleep_usec (min usec config.backoff_cap_usec);
+      check_active me
+
+(* The pause before re-running a transaction that called [retry_wait]:
+   yield first (the writer is often already runnable), then sleep
+   geometrically. *)
+let retry_pause (config : config) wait_round =
+  if wait_round = 0 then Unix.sleepf 0.
+  else
+    sleep_usec
+      (min config.backoff_cap_usec (config.block_poll_usec * (1 lsl min (wait_round - 1) 12)))
 
 (* ------------------------------------------------------------------ *)
 (* The backend signature                                               *)

@@ -87,8 +87,6 @@ type stats_snapshot = Runtime_intf.stats_snapshot
 
 let backend_name = "tl2"
 
-module Shard = Runtime_intf.Shard
-
 (* ------------------------------------------------------------------ *)
 (* The ownership-record table                                          *)
 (* ------------------------------------------------------------------ *)
@@ -118,7 +116,7 @@ let orec_mask = n_orecs - 1
 let orecs : orec array =
   Array.init n_orecs (fun _ ->
       let o = { o_version = Atomic.make 0; o_owner = Atomic.make no_owner } in
-      ignore (Sys.opaque_identity (Array.make Shard.line_words 0));
+      ignore (Sys.opaque_identity (Array.make Tcm_metrics.Plane.line_words 0));
       o)
 
 (* Stripe hash: ids are sequential, so multiply by an odd constant
@@ -137,18 +135,15 @@ let dummy_orec = { o_version = Atomic.make 0; o_owner = Atomic.make no_owner }
 type t = {
   config : config;
   cm : Cm_intf.factory;
-  shards : Shard.t list Atomic.t;  (** One per domain that used this runtime. *)
+  stats : Tcm_metrics.Plane.group;  (** One slot per domain that used this runtime. *)
   dls : per_domain Domain.DLS.key;
 }
 
 and per_domain = {
   cm_state : Cm_intf.packed;
-  shard : Shard.t;
-  mx : Tcm_metrics.Conventions.t;
-  obs : Tcm_obs.Ledger.t;
-      (** Wasted-work ledger handle, same family labels as [mx]. *)
-  hot : Tcm_obs.Hot.t;
-      (** This domain's hot-key sketch; fed orec stripe indices. *)
+  probe : Tcm_obs.Probe.t;
+      (** This domain's lifecycle handle; conflict keys are orec
+          stripe indices. *)
   scratch : tx;
       (** The domain's reusable transaction context; reset (by lengths
           and field stores, never reallocation) at each attempt start. *)
@@ -176,27 +171,14 @@ let empty_orecs : orec array = [||]
 let empty_objs : Obj.t array = [||]
 
 let create ?(config = default_config) cm =
-  let shards = Atomic.make [] in
+  let stats = Tcm_metrics.Plane.group () in
   let dls =
     Domain.DLS.new_key (fun () ->
-        let shard = Shard.make () in
-        let rec register () =
-          let l = Atomic.get shards in
-          if not (Atomic.compare_and_set shards l (shard :: l)) then register ()
-        in
-        register ();
         let rec dom =
           {
             cm_state = Cm_intf.instantiate cm;
-            shard;
-            mx =
-              Tcm_metrics.Conventions.for_manager ~runtime:"live" ~backend:backend_name
-                (Cm_intf.name cm);
-            obs =
-              Tcm_obs.Ledger.for_manager ~runtime:"live" ~backend:backend_name
-                (Cm_intf.name cm);
-            hot =
-              Tcm_obs.Hot.for_manager ~runtime:"live" ~backend:backend_name
+            probe =
+              Tcm_obs.Probe.create ~stats ~runtime:"live" ~backend:backend_name
                 (Cm_intf.name cm);
             scratch;
             running = false;
@@ -219,20 +201,17 @@ let create ?(config = default_config) cm =
         in
         dom)
   in
-  { config; cm; shards; dls }
+  { config; cm; stats; dls }
 
 let manager_name t = Cm_intf.name t.cm
-let stats t = Runtime_intf.stats_of_shards (Atomic.get t.shards)
+let stats t = Tcm_obs.Probe.stats t.stats
 
 (* ------------------------------------------------------------------ *)
 (* Attempt-local helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_self tx = if not (Txn.is_active tx.txn) then raise Abort_attempt
-
-(* The conflict adapter (see {!Runtime_intf.S.consult}). *)
-let consult (Cm_intf.Packed ((module M), st)) ~me ~other ~attempts =
-  M.resolve st ~me ~other ~attempts
+let check_self tx = Runtime_intf.check_active tx.txn
+let consult = Runtime_intf.consult
 
 (* How this backend executes each verdict; the registry duel test
    asserts the mapping stays total and the verdicts themselves agree
@@ -245,33 +224,11 @@ let action_of_decision = function
   | Decision.Block _ -> Spin_then_retry
   | Decision.Backoff _ -> Backoff_then_retry
 
-(* Execute one contention-manager verdict for a conflict with [other].
-   Returns when the caller should re-examine the stripe; the lock
-   steal itself happens at the caller, which re-reads the owner and
-   finds it aborted. *)
-let resolve_conflict tx ~(other : Txn.t) ~attempts =
-  check_self tx;
-  Shard.tick tx.dom.shard Shard.ix_conflicts;
-  let verdict = consult tx.dom.cm_state ~me:tx.txn ~other ~attempts in
-  if Tcm_trace.Sink.enabled () then
-    Tcm_trace.Sink.conflict ~me:(Txn.timestamp tx.txn) ~other:(Txn.timestamp other)
-      ~decision:(Runtime_intf.decision_trace_code verdict)
-      ~tick:0;
-  Tcm_metrics.Conventions.resolve tx.dom.mx (Runtime_intf.decision_trace_code verdict);
-  match verdict with
-  | Decision.Abort_other ->
-      if Txn.try_abort other then Shard.tick tx.dom.shard Shard.ix_enemy_aborts
-  | Decision.Abort_self ->
-      Shard.tick tx.dom.shard Shard.ix_self_aborts;
-      ignore (Txn.try_abort tx.txn);
-      raise Abort_attempt
-  | Decision.Block { timeout_usec } ->
-      Runtime_intf.block_on ~me:tx.txn ~other ~shard:tx.dom.shard ~mx:tx.dom.mx
-        ~obs:tx.dom.obs ~cap_usec:tx.cfg.block_poll_usec ~timeout_usec
-  | Decision.Backoff { usec } ->
-      Shard.tick tx.dom.shard Shard.ix_backoffs;
-      Runtime_intf.sleep_usec (min usec tx.cfg.backoff_cap_usec);
-      check_self tx
+(* The shared verdict execution, for a conflict over orec stripe
+   [key]; the lock steal happens at the caller. *)
+let resolve_conflict tx ~other ~attempts ~key =
+  Runtime_intf.resolve_conflict ~cm:tx.dom.cm_state ~probe:tx.dom.probe ~config:tx.cfg
+    ~me:tx.txn ~other ~attempts ~key
 
 let cm_opened tx =
   tx.n_opens <- tx.n_opens + 1;
@@ -398,8 +355,7 @@ let rec read_fresh : 'a. tx -> 'a Tvar.t -> orec -> int -> 'a =
      if Txn.is_active owner then begin
        (* Locked by a live writer: a read-write conflict, resolved
           through the manager exactly like a write-write one. *)
-       Tcm_obs.Hot.record tx.dom.hot (stripe_of_id tvar.Tvar.id);
-       resolve_conflict tx ~other:owner ~attempts;
+       resolve_conflict tx ~other:owner ~attempts ~key:(stripe_of_id tvar.Tvar.id);
        read_fresh tx tvar o (attempts + 1)
      end
      else begin
@@ -512,8 +468,7 @@ let rec acquire tx o ~stripe ~attempts ~round =
         Runtime_intf.wait_step ~round ~cap_usec:tx.cfg.block_poll_usec;
         acquire tx o ~stripe ~attempts ~round:(round + 1)
     | Status.Active ->
-        Tcm_obs.Hot.record tx.dom.hot stripe;
-        resolve_conflict tx ~other:owner ~attempts;
+        resolve_conflict tx ~other:owner ~attempts ~key:stripe;
         acquire tx o ~stripe ~attempts:(attempts + 1) ~round
 
 (* Commit-time read validation: every sampled stripe unlocked (or
@@ -586,22 +541,17 @@ let commit tx =
 (* The atomic block                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let m_us m_t0 = int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6)
-
-let finish_abort dom tx m_t0 =
+let finish_abort dom tx =
   ignore (Txn.try_abort tx.txn);
   Atomic.set tx.txn.Txn.waiting false;
   (* Defensive: locks are normally released inside [commit]; an abort
      raised while any are held must not leave stripes locked forever. *)
   if tx.locked_len > 0 then release_locked tx;
   clear_logs tx;
-  Tcm_trace.Sink.attempt_abort ~txid:(Txn.timestamp tx.txn) ~attempt:tx.txn.Txn.attempt_id
-    ~tick:0;
-  if m_t0 > 0. then Tcm_metrics.Conventions.attempt_abort dom.mx ~duration:(m_us m_t0);
   (* The dead attempt's work — everything it opened — is what the
      abort wastes, in the cost model's unit. *)
-  Tcm_obs.Ledger.charge_abort dom.obs ~work:tx.n_opens;
-  Shard.tick dom.shard Shard.ix_aborts;
+  Tcm_obs.Probe.abort dom.probe ~txid:(Txn.timestamp tx.txn) ~attempt:tx.txn.Txn.attempt_id
+    ~tick:0 ~opens:tx.n_opens;
   let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
   M.aborted cm_st tx.txn;
   dom.running <- false
@@ -622,42 +572,31 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
    dom.running <- true;
    let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
    M.begin_attempt cm_st txn;
-   Tcm_trace.Sink.attempt_begin ~txid:(Txn.timestamp txn) ~attempt:txn.Txn.attempt_id
+   Tcm_obs.Probe.attempt_begin dom.probe ~txid:(Txn.timestamp txn) ~attempt:txn.Txn.attempt_id
      ~tick:0;
-   let m_t0 = if Tcm_metrics.enabled () then Unix.gettimeofday () else 0. in
-   Tcm_metrics.Conventions.attempt_begin dom.mx;
    match f tx with
    | v ->
        if commit tx then begin
          clear_logs tx;
-         Shard.tick dom.shard Shard.ix_commits;
-         Tcm_trace.Sink.attempt_commit ~txid:(Txn.timestamp txn)
-           ~attempt:txn.Txn.attempt_id ~tick:0;
-         if m_t0 > 0. then
-           Tcm_metrics.Conventions.attempt_commit dom.mx ~duration:(m_us m_t0)
-             ~read_set:tx.n_opens;
-         Tcm_obs.Ledger.note_commit dom.obs ~work:tx.n_opens;
+         Tcm_obs.Probe.commit dom.probe ~txid:(Txn.timestamp txn)
+           ~attempt:txn.Txn.attempt_id ~tick:0 ~opens:tx.n_opens;
          M.committed cm_st txn;
          dom.running <- false;
          v
        end
        else begin
-         finish_abort dom tx m_t0;
+         finish_abort dom tx;
          attempt_loop rt dom tx f shared 0 (n + 1)
        end
    | exception Abort_attempt ->
-       finish_abort dom tx m_t0;
+       finish_abort dom tx;
        attempt_loop rt dom tx f shared 0 (n + 1)
    | exception Retry_wait ->
-       finish_abort dom tx m_t0;
-       if wait_round = 0 then Unix.sleepf 0.
-       else
-         Runtime_intf.sleep_usec
-           (min rt.config.backoff_cap_usec
-              (rt.config.block_poll_usec * (1 lsl min (wait_round - 1) 12)));
+       finish_abort dom tx;
+       Runtime_intf.retry_pause rt.config wait_round;
        attempt_loop rt dom tx f shared (wait_round + 1) (n + 1)
    | exception e ->
-       finish_abort dom tx m_t0;
+       finish_abort dom tx;
        raise e
 
 let atomically rt f =

@@ -578,62 +578,62 @@ let t_tl2_action_mapping () =
     (action_of_decision (Decision.Backoff { usec = 50 }) = Backoff_then_retry)
 
 (* ------------------------------------------------------------------ *)
-(* Cm_state slab lifecycle                                             *)
+(* Manager state on the plane: slot lifecycle                          *)
 (* ------------------------------------------------------------------ *)
 
 let t_slab_slots_scrubbed () =
   let words = 6 in
-  let s = Cm_util.Cm_state.acquire ~words in
+  let s = Tcm_metrics.Plane.acquire words in
   for i = 0 to words - 1 do
-    Alcotest.(check int) "fresh slot is zero" 0 (Cm_util.Cm_state.get s i);
-    Cm_util.Cm_state.set s i (1000 + i)
+    Alcotest.(check int) "fresh slot is zero" 0 (Tcm_metrics.Plane.get s i);
+    Tcm_metrics.Plane.set s i (1000 + i)
   done;
-  Cm_util.Cm_state.release s;
+  Tcm_metrics.Plane.release s;
   (* Same stride: the freelist hands the storage back — it must carry
      nothing of the previous tenant. *)
-  let s2 = Cm_util.Cm_state.acquire ~words in
+  let s2 = Tcm_metrics.Plane.acquire words in
   for i = 0 to words - 1 do
-    Alcotest.(check int) "recycled slot is scrubbed" 0 (Cm_util.Cm_state.get s2 i)
+    Alcotest.(check int) "recycled slot is scrubbed" 0 (Tcm_metrics.Plane.get s2 i)
   done;
-  Cm_util.Cm_state.release s2
+  Tcm_metrics.Plane.release s2
 
 let t_slab_release_idempotent () =
-  let s = Cm_util.Cm_state.acquire ~words:4 in
-  Cm_util.Cm_state.release s;
-  let after_first = Cm_util.Cm_state.live_slots () in
+  let s = Tcm_metrics.Plane.acquire 4 in
+  Tcm_metrics.Plane.release s;
+  let after_first = Tcm_metrics.Plane.live_slots () in
   (* A second release (the domain-exit hook firing after an explicit
      release) must not double-free the slot into the freelist. *)
-  Cm_util.Cm_state.release s;
+  Tcm_metrics.Plane.release s;
   Alcotest.(check int) "double release is a no-op" after_first
-    (Cm_util.Cm_state.live_slots ())
+    (Tcm_metrics.Plane.live_slots ())
 
 let t_slab_domain_exit_releases () =
-  let baseline = Cm_util.Cm_state.live_slots () in
+  let baseline = Tcm_metrics.Plane.live_slots () in
   let d =
     Domain.spawn (fun () ->
         (* A manager instance's worth of state, tied to this domain the
            way the runtime's DLS initializer ties it. *)
-        let s = Cm_util.Cm_state.acquire ~words:8 in
-        Cm_util.Cm_state.set s 0 42;
-        Cm_util.Cm_state.live_slots ())
+        let s = Tcm_metrics.Plane.acquire 8 in
+        Tcm_metrics.Plane.set s 0 42;
+        Tcm_metrics.Plane.live_slots ())
   in
   let inside = Domain.join d in
   Alcotest.(check int) "slot live while the domain runs" (baseline + 1) inside;
   Alcotest.(check int) "domain exit released the slot" baseline
-    (Cm_util.Cm_state.live_slots ())
+    (Tcm_metrics.Plane.live_slots ())
 
 let t_slab_no_cross_domain_bleed () =
   let words = 6 and rounds = 2_000 in
   let worker tag () =
-    let s = Cm_util.Cm_state.acquire ~words in
+    let s = Tcm_metrics.Plane.acquire words in
     let ok = ref true in
     for _ = 1 to rounds do
       for i = 0 to words - 1 do
-        Cm_util.Cm_state.set s i tag
+        Tcm_metrics.Plane.set s i tag
       done;
       Domain.cpu_relax ();
       for i = 0 to words - 1 do
-        if Cm_util.Cm_state.get s i <> tag then ok := false
+        if Tcm_metrics.Plane.get s i <> tag then ok := false
       done
     done;
     !ok
@@ -650,19 +650,19 @@ let t_slab_no_cross_domain_bleed () =
    for the same seed, and their slots are back on the freelist when it
    closes. *)
 let t_slab_scoped () =
-  let baseline = Cm_util.Cm_state.live_slots () in
+  let baseline = Tcm_metrics.Plane.live_slots () in
   let draws seed =
-    Cm_util.Cm_state.scoped ~seed (fun () ->
+    Cm_util.scoped ~seed (fun () ->
         let p = Cm_util.Prng.create () in
         let _table = Cm_util.Table.create ~cap:16 in
         Alcotest.(check int) "slots live in the scope" (baseline + 2)
-          (Cm_util.Cm_state.live_slots ());
+          (Tcm_metrics.Plane.live_slots ());
         List.init 8 (fun _ -> Cm_util.Prng.int p 1_000_000))
   in
   Alcotest.(check (list int)) "same seed, same stream" (draws 7) (draws 7);
   Alcotest.(check bool) "different seed, different stream" true (draws 7 <> draws 8);
   Alcotest.(check int) "scope exit released the slots" baseline
-    (Cm_util.Cm_state.live_slots ())
+    (Tcm_metrics.Plane.live_slots ())
 
 let t_table_ops () =
   let t = Cm_util.Table.create ~cap:16 in

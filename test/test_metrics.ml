@@ -148,6 +148,77 @@ let t_kind_clash_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* One domain snapshots in a loop while others spawn, register new
+   series (so their slots grow mid-life), count and exit: every event
+   is in a live slot or in the retired total, never both, so no
+   snapshot may report a total below an earlier one — and the final
+   one is exact, with every slot handed back. *)
+let t_snapshot_monotone () =
+  fresh ();
+  M.enable ();
+  let name = "test_plane_monotone_total" in
+  let c = M.Counter.create name in
+  let slots0 = M.Plane.live_slots () in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let last = ref 0 and backwards = ref 0 in
+        while not (Atomic.get stop) do
+          let v = M.Snapshot.counter_value (M.snapshot ()) ~name ~labels:[] in
+          if v < !last then incr backwards;
+          last := v
+        done;
+        !backwards)
+  in
+  let rounds = 25 and per_round = 3 in
+  for round = 1 to rounds do
+    List.iter Domain.join
+      (List.init per_round (fun d ->
+           Domain.spawn (fun () ->
+               for _ = 1 to 100 do
+                 M.Counter.incr c
+               done;
+               let g =
+                 M.Counter.create "test_plane_grow_total"
+                   ~labels:[ ("round", string_of_int round); ("d", string_of_int d) ]
+               in
+               M.Counter.incr g;
+               for _ = 1 to 100 do
+                 M.Counter.incr c
+               done)))
+  done;
+  Atomic.set stop true;
+  check_int "no snapshot went backwards" 0 (Domain.join reader);
+  M.disable ();
+  check_int "retired counts are exact" (rounds * per_round * 200)
+    (M.Snapshot.counter_value (M.snapshot ()) ~name ~labels:[]);
+  check_int "every slot handed back" slots0 (M.Plane.live_slots ())
+
+(* A domain's slot grows geometrically as series register after it:
+   256 counters registered one at a time, each recorded at once, grow
+   the slot (parking the outgrown one for reuse) at most 9 times —
+   once per power of two the registry's size crosses — not 256. *)
+let t_slot_growth_geometric () =
+  fresh ();
+  M.enable ();
+  let grows =
+    Domain.join
+      (Domain.spawn (fun () ->
+           M.Counter.incr (M.Counter.create "test_plane_geometric_base");
+           let grows = ref 0 and parked = ref (M.Plane.free_words ()) in
+           for i = 1 to 256 do
+             M.Counter.incr
+               (M.Counter.create "test_plane_geometric"
+                  ~labels:[ ("i", string_of_int i) ]);
+             let p = M.Plane.free_words () in
+             if p <> !parked then incr grows;
+             parked := p
+           done;
+           !grows))
+  in
+  M.disable ();
+  check_bool (Printf.sprintf "grew %d times" grows) true (grows >= 1 && grows <= 9)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot algebra                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -378,6 +449,9 @@ let () =
           Alcotest.test_case "histogram across domains" `Quick t_histogram_across_domains;
           Alcotest.test_case "disabled records nothing" `Quick t_disabled_records_nothing;
           Alcotest.test_case "kind clash rejected" `Quick t_kind_clash_rejected;
+          Alcotest.test_case "snapshots monotone across domain exits" `Quick
+            t_snapshot_monotone;
+          Alcotest.test_case "slot growth is geometric" `Quick t_slot_growth_geometric;
         ] );
       ( "snapshot",
         [

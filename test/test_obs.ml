@@ -1,7 +1,9 @@
-(* tcm.obs: the space-saving sketch's guarantees, the wasted-work
-   ledger and its reconciliation against tcm.metrics on forced-conflict
-   runs (both live backends and the simulator), the flight recorder's
-   triggers and bundle round-trip, and the priced conflict scorer. *)
+(* tcm.obs: the space-saving sketch's guarantees, the probe-fed
+   wasted-work ledger and its agreement with tcm.metrics and Stm.stats
+   on forced-conflict runs (both live backends and the simulator), the
+   plane's domain lifecycle, lazy hot-key sketches, the flight
+   recorder's triggers and bundle round-trip, and the priced conflict
+   scorer. *)
 
 open Tcm_stm
 module Sketch = Tcm_obs.Sketch
@@ -106,6 +108,8 @@ let t_sketch_merge_order_independent () =
 (* Ledger basics                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module Probe = Tcm_obs.Probe
+
 let find_row ~backend ~manager ~runtime ~cls rows =
   List.find_opt
     (fun (r : Ledger.row) ->
@@ -113,16 +117,24 @@ let find_row ~backend ~manager ~runtime ~cls rows =
       && r.cls = cls)
     rows
 
+(* A tick-clocked probe: two aborted attempts (3 and 4 opens), a wait
+   from tick 2 to tick 9, and a commit of 5 opens. *)
+let drive_probe p =
+  Probe.attempt_begin p ~txid:1 ~attempt:1 ~tick:0;
+  Probe.abort p ~txid:1 ~attempt:1 ~tick:1 ~opens:3;
+  Probe.attempt_begin p ~txid:1 ~attempt:2 ~tick:1;
+  Probe.abort p ~txid:1 ~attempt:2 ~tick:2 ~opens:4;
+  Probe.attempt_begin p ~txid:1 ~attempt:3 ~tick:2;
+  Probe.wait_begin p ~me:1 ~enemy:2 ~tick:2;
+  Probe.wait_end p ~me:1 ~enemy:2 ~tick:9 ~rounds:0;
+  Probe.commit p ~txid:1 ~attempt:3 ~tick:10 ~opens:5
+
 let t_ledger_charges () =
   Tcm_obs.reset ();
-  Tcm_obs.enable ();
-  let l = Ledger.for_manager ~backend:"testb" ~runtime:"test" "m1" in
-  Ledger.charge_abort l ~work:3;
-  Ledger.charge_abort l ~work:4;
-  Ledger.charge_wait l ~cost:7 ~ticks:2;
-  Ledger.note_commit l ~work:5;
-  Tcm_obs.disable ();
-  match find_row ~backend:"testb" ~manager:"m1" ~runtime:"test" ~cls:"-"
+  Tcm_metrics.enable ();
+  drive_probe (Probe.create ~backend:"testb" ~runtime:"sim" "m1");
+  Tcm_metrics.disable ();
+  match find_row ~backend:"testb" ~manager:"m1" ~runtime:"sim" ~cls:"-"
           (Ledger.rows ())
   with
   | None -> Alcotest.fail "charged row missing"
@@ -131,54 +143,153 @@ let t_ledger_charges () =
       check_int "wasted work" 7 r.wasted_work;
       check_int "waits" 1 r.waits;
       check_int "wait cost" 7 r.wait_cost;
-      check_int "wait ticks" 2 r.wait_ticks;
+      check_int "a sim wait is priced by its ticks" 7 r.wait_ticks;
       check_int "commits" 1 r.commits;
       check_int "useful work" 5 r.useful_work;
-      check_int "price = wasted + wait ticks" 9 (Ledger.price r)
+      check_int "price = wasted + wait ticks" 14 (Ledger.price r)
+
+(* The ledger keeps a wait's cost (its duration) apart from its ticks
+   (the ladder rounds), and prices the ticks. *)
+let t_ledger_wait_cost_vs_ticks () =
+  Tcm_obs.reset ();
+  Tcm_metrics.enable ();
+  let l = Ledger.for_manager ~backend:"testb" ~runtime:"test" "m1d" in
+  Ledger.charge_abort l ~work:3;
+  Ledger.charge_wait l ~cost:7 ~ticks:2;
+  Ledger.note_commit l ~work:5;
+  Tcm_metrics.disable ();
+  match find_row ~backend:"testb" ~manager:"m1d" ~runtime:"test" ~cls:"-"
+          (Ledger.rows ())
+  with
+  | None -> Alcotest.fail "charged row missing"
+  | Some r ->
+      check_int "wasted work" 3 r.wasted_work;
+      check_int "waits" 1 r.waits;
+      check_int "wait cost" 7 r.wait_cost;
+      check_int "wait ticks" 2 r.wait_ticks;
+      check_int "useful work" 5 r.useful_work;
+      check_int "the commit and abort counts are the metric series'" 0
+        (r.commits + r.aborts);
+      check_int "price = wasted + wait ticks" 5 (Ledger.price r)
+
+(* A live probe prices a wait by the ladder rounds [block_on] reached,
+   not by its duration: a 2 ms timed-out wait behind an enemy that
+   stays active costs at least 2000 us but only tens of rounds (32
+   spins, 16 yields, then sleeps that double up to the 100 us cap). *)
+let t_ledger_live_wait_rounds () =
+  Tcm_obs.reset ();
+  Tcm_metrics.enable ();
+  let probe =
+    Probe.create ~stats:(Tcm_metrics.Plane.group ()) ~backend:"testb" ~runtime:"live" "m1w"
+  in
+  let me = Txn.new_attempt (Txn.new_shared ())
+  and other = Txn.new_attempt (Txn.new_shared ()) in
+  Runtime_intf.block_on ~me ~other ~probe ~cap_usec:100 ~timeout_usec:(Some 2_000);
+  Tcm_metrics.disable ();
+  match find_row ~backend:"testb" ~manager:"m1w" ~runtime:"live" ~cls:"-" (Ledger.rows ()) with
+  | None -> Alcotest.fail "wait row missing"
+  | Some r ->
+      check_int "one wait" 1 r.waits;
+      check_bool "the cost is the wall duration" true (r.wait_cost >= 2_000);
+      check_bool
+        (Printf.sprintf "the ticks are the ladder rounds (%d)" r.wait_ticks)
+        true
+        (r.wait_ticks >= Runtime_intf.spin_rounds && r.wait_ticks < 200);
+      check_int "the duration histogram saw the same cost" r.wait_cost
+        (match
+           Tcm_metrics.Snapshot.hist_value (Tcm_metrics.snapshot ())
+             ~name:Tcm_metrics.Conventions.n_wait
+             ~labels:[ ("backend", "testb"); ("manager", "m1w"); ("runtime", "live") ]
+         with
+        | Some h -> Tcm_metrics.Snapshot.hist_sum h
+        | None -> -1)
 
 let t_ledger_disabled_is_off () =
   Tcm_obs.reset ();
-  (* Disabled: charges must vanish. *)
-  let l = Ledger.for_manager ~backend:"testb" ~runtime:"test" "m2" in
-  Ledger.charge_abort l ~work:3;
-  Ledger.note_commit l ~work:5;
+  (* Metrics off: the ledger records nothing. *)
+  drive_probe (Probe.create ~backend:"testb" ~runtime:"sim" "m2");
   check_bool "no row materializes when disabled" true
-    (find_row ~backend:"testb" ~manager:"m2" ~runtime:"test" ~cls:"-"
+    (find_row ~backend:"testb" ~manager:"m2" ~runtime:"sim" ~cls:"-"
        (Ledger.rows ())
     = None)
 
 let t_ledger_classes () =
   Tcm_obs.reset ();
-  Tcm_obs.enable ();
+  Tcm_metrics.enable ();
   let slot = Ledger.class_slot "scan" in
   check_bool "registered class gets a non-zero slot" true (slot > 0);
-  let l = Ledger.for_manager ~backend:"testb" ~runtime:"test" "m3" in
+  let p = Probe.create ~backend:"testb" ~runtime:"sim" "m3" in
   Ledger.set_class slot;
-  Ledger.charge_abort l ~work:2;
+  Probe.attempt_begin p ~txid:1 ~attempt:1 ~tick:0;
+  Probe.abort p ~txid:1 ~attempt:1 ~tick:1 ~opens:2;
   Ledger.set_class 0;
-  Ledger.charge_abort l ~work:1;
-  Tcm_obs.disable ();
+  Probe.attempt_begin p ~txid:1 ~attempt:2 ~tick:1;
+  Probe.abort p ~txid:1 ~attempt:2 ~tick:2 ~opens:1;
+  Tcm_metrics.disable ();
   let rows = Ledger.rows () in
-  (match find_row ~backend:"testb" ~manager:"m3" ~runtime:"test" ~cls:"scan" rows with
+  (match find_row ~backend:"testb" ~manager:"m3" ~runtime:"sim" ~cls:"scan" rows with
   | None -> Alcotest.fail "class row missing"
-  | Some r -> check_int "charge landed in the set class" 2 r.wasted_work);
-  match find_row ~backend:"testb" ~manager:"m3" ~runtime:"test" ~cls:"-" rows with
+  | Some r ->
+      check_int "charge landed in the set class" 2 r.wasted_work;
+      check_int "so did the abort" 1 r.aborts);
+  (match find_row ~backend:"testb" ~manager:"m3" ~runtime:"sim" ~cls:"-" rows with
   | None -> Alcotest.fail "unclassified row missing"
-  | Some r -> check_int "reset class lands in slot 0" 1 r.wasted_work
+  | Some r -> check_int "reset class lands in slot 0" 1 r.wasted_work);
+  (* The class words add up to the family's one series. *)
+  check_int "tcm_aborts_total sums the classes" 2
+    (Tcm_metrics.Snapshot.counter_value (Tcm_metrics.snapshot ())
+       ~name:Tcm_metrics.Conventions.n_aborts
+       ~labels:[ ("backend", "testb"); ("manager", "m3"); ("runtime", "sim") ])
 
 (* ------------------------------------------------------------------ *)
-(* Ledger vs metrics reconciliation (the tentpole invariant)           *)
+(* One store, three views                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* The ledger's commit and abort counts are the family's
+   [tcm_*_total] words, and its waits are written by the same call,
+   from the same integer, as [tcm_wait_duration]: summed over classes,
+   the views must agree exactly — and on live runs match the
+   instance's [Stm.stats]. *)
+let check_views ?stats ~backend ~runtime manager =
+  let open Tcm_metrics in
+  let snap = snapshot () in
+  let mine =
+    List.filter
+      (fun (r : Ledger.row) ->
+        r.backend = backend && r.manager = manager && r.runtime = runtime)
+      (Ledger.rows ())
+  in
+  let tot field = List.fold_left (fun a r -> a + field r) 0 mine in
+  let labels = [ ("backend", backend); ("manager", manager); ("runtime", runtime) ] in
+  let who = Printf.sprintf "%s/%s/%s" manager backend runtime in
+  let commits = tot (fun r -> r.Ledger.commits)
+  and aborts = tot (fun r -> r.Ledger.aborts) in
+  check_bool (who ^ ": the run committed") true (commits > 0);
+  check_int (who ^ ": ledger commits = tcm_commits_total")
+    (Snapshot.counter_value snap ~name:Conventions.n_commits ~labels)
+    commits;
+  check_int (who ^ ": ledger aborts = tcm_aborts_total")
+    (Snapshot.counter_value snap ~name:Conventions.n_aborts ~labels)
+    aborts;
+  let wait_h = Snapshot.hist_value snap ~name:Conventions.n_wait ~labels in
+  check_int (who ^ ": ledger waits = tcm_wait_duration count")
+    (match wait_h with None -> 0 | Some h -> Snapshot.hist_count h)
+    (tot (fun r -> r.Ledger.waits));
+  check_int (who ^ ": ledger wait cost = tcm_wait_duration sum")
+    (match wait_h with None -> 0 | Some h -> Snapshot.hist_sum h)
+    (tot (fun r -> r.Ledger.wait_cost));
+  Option.iter
+    (fun (s : Runtime.stats_snapshot) ->
+      check_int (who ^ ": ledger commits = Stm.stats") s.n_commits commits;
+      check_int (who ^ ": ledger aborts = Stm.stats") s.n_aborts aborts)
+    stats;
+  mine
 
 (* Forced conflicts: every domain hammers the same two tvars, so
-   aborts and CM waits are guaranteed; with metrics and obs enabled
-   over exactly the same span, [Ledger.reconcile] must hold with zero
-   tolerance — both layers observe the same integers. *)
-let reconcile_live backend backend_name =
-  Tcm_metrics.reset ();
+   aborts and CM waits are guaranteed. *)
+let views_live backend backend_name =
   Tcm_obs.reset ();
   Tcm_metrics.enable ();
-  Tcm_obs.enable ();
   let rt = Stm.create ~backend (Tcm_core.Registry.find_exn "greedy") in
   let a = Tvar.make 0 and b = Tvar.make 0 in
   let doms =
@@ -195,36 +306,19 @@ let reconcile_live backend backend_name =
   in
   List.iter Domain.join doms;
   Tcm_metrics.disable ();
-  Tcm_obs.disable ();
-  let ok, msgs = Ledger.reconcile (Tcm_metrics.snapshot ()) in
-  check_bool
-    (Printf.sprintf "ledger reconciles with metrics (%s): %s" backend_name
-       (String.concat "; " msgs))
-    true ok;
   check_int "all increments committed" 1200 (Tvar.peek a);
-  (* The ledger saw the same 1200 commits the runtime reports. *)
-  let commits =
-    List.fold_left
-      (fun acc (r : Ledger.row) ->
-        if r.backend = backend_name && r.manager = "greedy" then
-          acc + r.commits
-        else acc)
-      0 (Ledger.rows ())
-  in
-  check_int "ledger commits = runtime commits" (Stm.stats rt).Runtime.n_commits
-    commits
+  ignore
+    (check_views ~stats:(Stm.stats rt) ~backend:backend_name ~runtime:"live"
+       "greedy")
 
-let t_reconcile_locator () = reconcile_live Stm.Locator "locator"
-let t_reconcile_tl2 () = reconcile_live Stm.Tl2_backend "tl2"
+let t_views_locator () = views_live Stm.Locator "locator"
+let t_views_tl2 () = views_live Stm.Tl2_backend "tl2"
 
 (* Simulator: deterministic forced conflicts (every stream writes
-   object 0), wait costs in ticks — reconciliation is exact including
-   the wait-cost sum. *)
-let t_reconcile_sim () =
-  Tcm_metrics.reset ();
+   object 0), wait costs in ticks. *)
+let t_views_sim () =
   Tcm_obs.reset ();
   Tcm_metrics.enable ();
-  Tcm_obs.enable ();
   let streams =
     Array.init 4 (fun _ ->
         fun idx ->
@@ -235,20 +329,32 @@ let t_reconcile_sim () =
     (Tcm_sim.Engine.run ~horizon:4_000 ~manager:(module Tcm_core.Greedy)
        ~n_objects:1 streams);
   Tcm_metrics.disable ();
-  Tcm_obs.disable ();
-  let ok, msgs = Ledger.reconcile (Tcm_metrics.snapshot ()) in
-  check_bool
-    (Printf.sprintf "sim ledger reconciles: %s" (String.concat "; " msgs))
-    true ok;
-  (* The duel actually produced conflict activity to attribute. *)
-  match
-    find_row ~backend:"locator" ~manager:"greedy" ~runtime:"sim" ~cls:"-"
-      (Ledger.rows ())
-  with
-  | None -> Alcotest.fail "sim family missing from ledger"
-  | Some r ->
-      check_bool "sim run committed" true (r.commits > 0);
+  match check_views ~backend:"locator" ~runtime:"sim" "greedy" with
+  | [ r ] ->
+      check_int "every transaction committed" 48 r.commits;
       check_bool "forced conflicts priced something" true (Ledger.price r > 0)
+  | rows -> Alcotest.failf "expected one sim row, got %d" (List.length rows)
+
+(* Domains that come and go leave the plane as they found it: 200
+   spawned-and-joined instrumented domains, each committing once, give
+   back every slot they took, and their counts survive them in all
+   three views. *)
+let t_plane_domains_leave_nothing () =
+  Tcm_obs.reset ();
+  Tcm_metrics.enable ();
+  let rt = Stm.create (Tcm_core.Registry.find_exn "karma") in
+  let v = Tvar.make 0 in
+  let baseline = Tcm_metrics.Plane.live_slots () in
+  for _ = 1 to 200 do
+    Domain.join
+      (Domain.spawn (fun () -> Stm.atomically rt (fun tx -> Stm.write tx v (Stm.read tx v + 1))))
+  done;
+  Tcm_metrics.disable ();
+  check_int "live plane slots back at baseline" baseline (Tcm_metrics.Plane.live_slots ());
+  check_int "every domain committed" 200 (Tvar.peek v);
+  let rows = check_views ~stats:(Stm.stats rt) ~backend:"locator" ~runtime:"live" "karma" in
+  check_int "ledger commits" 200
+    (List.fold_left (fun a (r : Ledger.row) -> a + r.commits) 0 rows)
 
 (* ------------------------------------------------------------------ *)
 (* Hot-key tracking                                                    *)
@@ -256,13 +362,13 @@ let t_reconcile_sim () =
 
 let t_hot_snapshot () =
   Tcm_obs.reset ();
-  Tcm_obs.enable ();
+  Tcm_metrics.enable ();
   let h = Hot.for_manager ~backend:"testb" ~runtime:"test" "m4" in
   for _ = 1 to 10 do
     Hot.record h 77
   done;
   Hot.record h 5;
-  Tcm_obs.disable ();
+  Tcm_metrics.disable ();
   let fams = Hot.snapshot () in
   match
     List.find_opt
@@ -276,6 +382,25 @@ let t_hot_snapshot () =
           check_int "hottest key" 77 e.key;
           check_int "hottest count" 10 e.count
       | [] -> Alcotest.fail "no hot entries")
+
+(* Uninstrumented domains never create a sketch, even when they
+   conflict. *)
+let t_hot_no_sketch_when_off () =
+  let rt = Stm.create (Tcm_core.Registry.find_exn "greedy") in
+  let v = Tvar.make 0 in
+  let before = Hot.sketches () in
+  for _ = 1 to 50 do
+    let ds =
+      List.init 2 (fun _ ->
+          Domain.spawn (fun () ->
+              for _ = 1 to 5 do
+                Stm.atomically rt (fun tx -> Stm.modify tx v succ)
+              done))
+    in
+    List.iter Domain.join ds
+  done;
+  check_int "all increments committed" 500 (Tvar.peek v);
+  check_int "no sketch attached" before (Hot.sketches ())
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
@@ -293,13 +418,16 @@ let temp_dir name =
 
 let t_flight_trigger_and_roundtrip () =
   Tcm_obs.reset ();
-  Tcm_obs.enable ();
-  let l = Ledger.for_manager ~backend:"testb" ~runtime:"test" "m5" in
-  Ledger.charge_abort l ~work:6;
-  Ledger.note_commit l ~work:2;
+  Tcm_metrics.enable ();
+  let p = Probe.create ~backend:"testb" ~runtime:"test" "m5" in
+  Probe.attempt_begin p ~txid:1 ~attempt:1 ~tick:0;
+  Probe.abort p ~txid:1 ~attempt:1 ~tick:0 ~opens:6;
+  Probe.attempt_begin p ~txid:1 ~attempt:2 ~tick:0;
+  Probe.commit p ~txid:1 ~attempt:2 ~tick:0 ~opens:2;
   let h = Hot.for_manager ~backend:"testb" ~runtime:"test" "m5" in
   Hot.record h 42;
   Hot.record h 42;
+  Tcm_metrics.disable ();
   Tcm_trace.Sink.start ();
   Tcm_trace.Sink.attempt_begin ~txid:1 ~attempt:101 ~tick:0;
   Tcm_trace.Sink.acquired ~txid:1 ~obj:42 ~write:true ~tick:0;
@@ -319,7 +447,6 @@ let t_flight_trigger_and_roundtrip () =
   Flight.force f ~trigger:"manual";
   check_int "force always dumps" 2 (Flight.count f);
   Tcm_trace.Sink.stop ();
-  Tcm_obs.disable ();
   let paths = Flight.bundles dir in
   check_int "two bundles on disk" 2 (List.length paths);
   let b = Flight.read_bundle (List.hd paths) in
@@ -418,7 +545,7 @@ let t_price_wait_closed_by_abort () =
    waste is a per-attempt subset of ledger-side waste. *)
 let t_price_live_vs_ledger () =
   Tcm_obs.reset ();
-  Tcm_obs.enable ();
+  Tcm_metrics.enable ();
   Tcm_trace.Sink.start ();
   let rt = Stm.create (Tcm_core.Registry.find_exn "greedy") in
   let a = Tvar.make 0 in
@@ -431,7 +558,7 @@ let t_price_live_vs_ledger () =
   in
   List.iter Domain.join doms;
   Tcm_trace.Sink.stop ();
-  Tcm_obs.disable ();
+  Tcm_metrics.disable ();
   let trace = Tcm_trace.Sink.collect () in
   let p = Tcm_trace.Analysis.price trace in
   let wasted_ledger =
@@ -463,18 +590,24 @@ let () =
       ( "ledger",
         [
           Alcotest.test_case "charges accumulate" `Quick t_ledger_charges;
+          Alcotest.test_case "wait cost vs ticks" `Quick t_ledger_wait_cost_vs_ticks;
+          Alcotest.test_case "live wait priced by rounds" `Quick t_ledger_live_wait_rounds;
           Alcotest.test_case "disabled is off" `Quick t_ledger_disabled_is_off;
           Alcotest.test_case "class slots" `Quick t_ledger_classes;
         ] );
-      ( "reconcile",
+      ( "views",
         [
-          Alcotest.test_case "locator forced conflicts" `Quick
-            t_reconcile_locator;
-          Alcotest.test_case "tl2 forced conflicts" `Quick t_reconcile_tl2;
-          Alcotest.test_case "simulator duel" `Quick t_reconcile_sim;
+          Alcotest.test_case "locator forced conflicts" `Quick t_views_locator;
+          Alcotest.test_case "tl2 forced conflicts" `Quick t_views_tl2;
+          Alcotest.test_case "simulator duel" `Quick t_views_sim;
+          Alcotest.test_case "domains leave the plane as found" `Quick
+            t_plane_domains_leave_nothing;
         ] );
       ( "hot",
-        [ Alcotest.test_case "snapshot merges domains" `Quick t_hot_snapshot ] );
+        [
+          Alcotest.test_case "snapshot merges domains" `Quick t_hot_snapshot;
+          Alcotest.test_case "no sketch while off" `Quick t_hot_no_sketch_when_off;
+        ] );
       ( "flight",
         [
           Alcotest.test_case "breach trigger + round-trip" `Quick

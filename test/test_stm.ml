@@ -822,11 +822,12 @@ let t_tl2_max_attempts () =
 
 (* The tcm.obs ledger rides both backends: the commits and aborts it
    attributes to the (backend, manager) family under forced conflicts
-   must equal the runtime's own stats — the runtime is the single
-   charge site for both. *)
+   must equal the runtime's own stats and the family's metric series,
+   and its waits the [tcm_wait_duration] histogram — one probe call per
+   lifecycle point feeds them all. *)
 let obs_ledger_run backend backend_name =
   Tcm_obs.reset ();
-  Tcm_obs.enable ();
+  Tcm_metrics.enable ();
   let rt = Stm.create ~backend (Tcm_core.Registry.find_exn "karma") in
   let c = Tvar.make 0 in
   let doms =
@@ -837,29 +838,55 @@ let obs_ledger_run backend backend_name =
             done))
   in
   List.iter Domain.join doms;
-  Tcm_obs.disable ();
+  Tcm_metrics.disable ();
   let stats = Stm.stats rt in
-  let commits, aborts =
-    List.fold_left
-      (fun (cs, ab) (r : Tcm_obs.Ledger.row) ->
-        if
-          r.Tcm_obs.Ledger.backend = backend_name
-          && r.Tcm_obs.Ledger.manager = "karma"
-          && r.Tcm_obs.Ledger.runtime = "live"
-        then (cs + r.Tcm_obs.Ledger.commits, ab + r.Tcm_obs.Ledger.aborts)
-        else (cs, ab))
-      (0, 0)
+  let mine =
+    List.filter
+      (fun (r : Tcm_obs.Ledger.row) ->
+        r.backend = backend_name && r.manager = "karma" && r.runtime = "live")
       (Tcm_obs.Ledger.rows ())
   in
-  check_int
-    (Printf.sprintf "ledger commits = runtime commits (%s)" backend_name)
-    stats.Runtime.n_commits commits;
-  check_int
-    (Printf.sprintf "ledger aborts = runtime aborts (%s)" backend_name)
-    stats.Runtime.n_aborts aborts;
+  let sum f = List.fold_left (fun a r -> a + f r) 0 mine in
+  let open Tcm_metrics in
+  let snap = snapshot () in
+  let labels = [ ("backend", backend_name); ("manager", "karma"); ("runtime", "live") ] in
+  let series name = Snapshot.counter_value snap ~name ~labels in
+  let waits = Snapshot.hist_value snap ~name:Conventions.n_wait ~labels in
+  let who what = Printf.sprintf "ledger %s (%s)" what backend_name in
+  check_int (who "commits = runtime commits") stats.Runtime.n_commits
+    (sum (fun r -> r.commits));
+  check_int (who "aborts = runtime aborts") stats.Runtime.n_aborts (sum (fun r -> r.aborts));
+  check_int (who "commits = tcm_commits_total") (series Conventions.n_commits)
+    (sum (fun r -> r.commits));
+  check_int (who "aborts = tcm_aborts_total") (series Conventions.n_aborts)
+    (sum (fun r -> r.aborts));
+  check_int (who "waits = tcm_wait_duration count")
+    (Option.fold ~none:0 ~some:Snapshot.hist_count waits)
+    (sum (fun r -> r.waits));
+  check_int (who "wait cost = tcm_wait_duration sum")
+    (Option.fold ~none:0 ~some:Snapshot.hist_sum waits)
+    (sum (fun r -> r.wait_cost));
   check_int "counter exact" 800 (Tvar.peek c)
 
 let t_obs_ledger_locator () = obs_ledger_run Stm.Locator "locator"
+
+(* [pp_stats] prints every counter of the snapshot, in field order. *)
+let t_pp_stats_format () =
+  let s =
+    {
+      Runtime.n_commits = 1;
+      n_aborts = 2;
+      n_conflicts = 3;
+      n_enemy_aborts = 4;
+      n_self_aborts = 5;
+      n_blocks = 6;
+      n_backoffs = 7;
+    }
+  in
+  Alcotest.(check string)
+    "pp_stats"
+    "commits=1 aborts=2 conflicts=3 enemy-aborts=4 self-aborts=5 blocks=6 backoffs=7"
+    (Format.asprintf "%a" Runtime.pp_stats s)
 let t_obs_ledger_tl2 () = obs_ledger_run Stm.Tl2_backend "tl2"
 
 (* qcheck: arbitrary interleavings of single-threaded transactions on a
@@ -909,6 +936,7 @@ let () =
           Alcotest.test_case "max_attempts enforced" `Quick t_max_attempts;
           Alcotest.test_case "nested atomically flattens" `Quick t_nested_flattens;
           Alcotest.test_case "stats accumulate" `Quick t_stats_accumulate;
+          Alcotest.test_case "pp_stats prints every counter" `Quick t_pp_stats_format;
           Alcotest.test_case "manager name" `Quick t_manager_name;
           Alcotest.test_case "invisible-read semantics" `Quick t_invisible_mode_semantics;
           Alcotest.test_case "return value" `Quick t_atomic_return_value;
