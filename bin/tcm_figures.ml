@@ -52,12 +52,13 @@ let backend_arg =
 
 let summary_arg =
   let doc =
-    "Summarize a bench JSON dump (bench/main.exe --json) instead of running figures: \
-     per-figure throughput, GC words per committed transaction (schema tcm-bench/2+), \
-     the runtime backend per sweep (tcm-bench/3+), open-loop service summaries \
-     (tcm-bench/4+), and the rate-ladder attainment / latency-degradation curves \
-     with the saturation knee marked (tcm-bench/7).  Accepts every shipped schema; \
-     refuses dumps with a missing or unknown schema header."
+    "Summarize a bench JSON dump (bench/main.exe --json, schema tcm-bench/7) instead \
+     of running figures: per-figure throughput and GC words per committed transaction \
+     on each runtime backend, open-loop service summaries, conflict-attribution and \
+     consult-cost entries, and the rate-ladder attainment / latency-degradation \
+     curves with the saturation knee marked.  Fields an older run did not record \
+     are null and print as - or nan.  Refuses dumps with a missing or other schema \
+     header."
   in
   Arg.(value & opt (some file) None & info [ "summary" ] ~docv:"FILE" ~doc)
 
@@ -65,7 +66,7 @@ let parse_threads s =
   String.split_on_char ',' s |> List.filter (fun x -> x <> "") |> List.map int_of_string
 
 (* ------------------------------------------------------------------ *)
-(* --summary: re-read a bench dump (tcm-bench/1, /2 or /3)             *)
+(* --summary: re-read a bench dump                                     *)
 (* ------------------------------------------------------------------ *)
 
 let num = function
@@ -117,7 +118,7 @@ let summarize path =
         List.iter
           (fun m ->
             let commits = num (member "commits" m) in
-            (* tcm-bench/1 rows have no words fields; render "-". *)
+            (* Runs that predate the GC columns carry null: "-". *)
             Printf.printf "%8.0f %-14s %12.1f %10.0f %12s %12s\n" threads
               (jstr (member "name" m))
               (num (member "throughput" m))
@@ -127,7 +128,7 @@ let summarize path =
           (jarr (member "managers" row)))
       (jarr (member "rows" fig))
   in
-  (* tcm-bench/4+: one line per open-loop service run. *)
+  (* One line per open-loop service run. *)
   let render_service fig backend =
     Printf.printf
       "\n== service [%s/%s]: %s — %.0f submitted, %.0f completed, %.0f \
@@ -150,7 +151,7 @@ let summarize path =
           (num (member "latency_p99_us" c)))
       (jarr (member "classes" fig))
   in
-  (* tcm-bench/7: the saturation sweep — attainment-vs-load and
+  (* The saturation sweep — attainment-vs-load and
      latency-degradation curves, knee marked on its rung. *)
   let render_ladder fig backend =
     let knee = num (member "knee_rps" fig) in
@@ -199,20 +200,15 @@ let summarize path =
   in
   List.iter
     (fun fig ->
-      (* Pre-/3 dumps have no backend field; those sweeps ran on the
-         (then only) locator runtime.  Pre-/4 dumps have no kind field;
-         every figure was a closed-loop sweep. *)
-      let backend =
-        match member "backend" fig with Some (Str b) -> b | _ -> "locator"
-      in
+      let backend = jstr (member "backend" fig) in
       match member "kind" fig with
-      | None | Some (Str "sweep") -> render_sweep fig backend
+      | Some (Str "sweep") -> render_sweep fig backend
       | Some (Str "service") -> render_service fig backend
       | Some (Str "ladder") -> render_ladder fig backend
       | Some (Str "obs") -> render_obs fig backend
       | Some (Str "consult") -> render_consult fig backend
       | Some (Str k) -> Printf.printf "\n== (unrendered figure kind %S) ==\n" k
-      | Some _ -> Printf.printf "\n== (malformed figure kind) ==\n")
+      | Some _ | None -> Printf.printf "\n== (malformed figure kind) ==\n")
     (jarr (member "figures" j))
 
 let run_figures figure mode threads duration horizon usec_per_tick seed backend =

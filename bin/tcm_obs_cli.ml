@@ -31,9 +31,7 @@ let bundle_paths path =
   else [ path ]
 
 let load_bundle path =
-  try Flight.read_bundle path with
-  | Sys_error msg -> fail "%s" msg
-  | Failure msg -> fail "%s: %s" path msg
+  try Flight.read_bundle path with Sys_error msg | Failure msg -> fail "%s" msg
 
 let pp_bundle ppf (path, (b : Flight.bundle)) =
   Format.fprintf ppf "@[<v>bundle   %s@," path;
@@ -61,13 +59,13 @@ let path_arg =
 (* price: accept either a plain trace dump or a flight bundle — the
    latter is detected by its schema header. *)
 let is_flight path =
-  let ic = open_in path in
-  let line = try input_line ic with End_of_file -> "" in
-  close_in ic;
-  let needle = Printf.sprintf "%S" Flight.schema in
-  let n = String.length needle and l = String.length line in
-  let rec scan i = i + n <= l && (String.sub line i n = needle || scan (i + 1)) in
-  scan 0
+  let line =
+    try In_channel.with_open_text path In_channel.input_line
+    with Sys_error msg -> fail "%s" msg
+  in
+  match Option.map Tcm_json.of_string line with
+  | Some j -> Tcm_json.member "schema" j = Some (Tcm_json.Str Flight.schema)
+  | None | (exception Tcm_json.Parse_error _) -> false
 
 let price path =
   let score name events =
@@ -81,9 +79,8 @@ let price path =
   else if is_flight path then score path (load_bundle path).b_events
   else
     let events =
-      try fst (Tcm_trace.Export.read_jsonl path) with
-      | Sys_error msg -> fail "%s" msg
-      | Failure msg -> fail "%s: %s" path msg
+      try fst (Tcm_trace.Export.read_jsonl path)
+      with Sys_error msg | Failure msg -> fail "%s" msg
     in
     score path events
 

@@ -5,7 +5,7 @@
     process) and prints the per-class SLO summary; with [--flight-dir]
     it also arms the tcm.obs flight recorder and dumps breach bundles.
     [validate] checks a [bench/main.exe --json] dump: schema
-    tcm-bench/4 .. /7 with at least one [kind = "service"] figure
+    tcm-bench/7 with at least one [kind = "service"] figure
     whose per-class entries carry the SLO and latency fields; with
     [--store N] it additionally builds an N-key store via the direct
     preload path, spot-checks it transactionally on both backends, and
@@ -187,7 +187,7 @@ let read_file path =
 
 let fail fmt = Printf.ksprintf (fun msg -> Printf.eprintf "error: %s\n" msg; exit 1) fmt
 
-(* The per-class fields a tcm-bench/4 service figure must carry. *)
+(* The per-class fields a service figure must carry. *)
 let class_fields =
   [
     "class"; "submitted"; "completed"; "dropped"; "slo_us"; "slo_ok";
@@ -218,17 +218,11 @@ let validate_dump path =
     try Json.of_string (String.trim (read_file path))
     with Json.Parse_error msg -> fail "%s: %s" path msg
   in
-  (* Service figures exist from tcm-bench/4 on; later versions only
-     add fields and figure kinds. *)
-  let service_schemas =
-    [ "tcm-bench/4"; "tcm-bench/5"; "tcm-bench/6"; "tcm-bench/7" ]
+  let schema =
+    match Tcm_workload.Report.bench_schema_of j with
+    | Ok s -> s
+    | Error msg -> fail "%s: %s" path msg
   in
-  (match Tcm_workload.Report.bench_schema_of j with
-  | Error msg -> fail "%s: %s" path msg
-  | Ok s when not (List.mem s service_schemas) ->
-      fail "%s: schema %s carries no service figures (need one of %s)" path s
-        (String.concat ", " service_schemas)
-  | Ok _ -> ());
   let figures =
     match Json.member "figures" j with
     | Some (Json.Arr fs) -> fs
@@ -241,9 +235,6 @@ let validate_dump path =
   if services = [] then fail "%s: no kind=\"service\" figure entries" path;
   let pairs = List.map check_service_figure services in
   let uniq l = List.sort_uniq compare l in
-  let schema =
-    match Tcm_workload.Report.bench_schema_of j with Ok s -> s | Error _ -> "?"
-  in
   Printf.printf
     "%s: OK (%s; %d figure entries, %d service: %d backend(s) x %d manager(s))\n"
     path schema (List.length figures)
@@ -541,9 +532,8 @@ let cmds =
     Cmd.v
       (Cmd.info "validate"
          ~doc:
-           "Check a bench JSON dump (schema tcm-bench/4 .. /7 with \
-            well-formed service figures) and/or an N-key store end-to-end \
-            (--store).")
+           "Check a bench JSON dump (schema tcm-bench/7 with well-formed \
+            service figures) and/or an N-key store end-to-end (--store).")
       Term.(const validate $ file_arg $ store_arg);
     Cmd.v
       (Cmd.info "ladder"

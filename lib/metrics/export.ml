@@ -4,133 +4,7 @@
 
 let schema = "tcm-metrics/1"
 
-(* ------------------------------------------------------------------ *)
-(* Shared string helpers                                               *)
-(* ------------------------------------------------------------------ *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then -1 else if String.sub line i m = pat then i else go (i + 1)
-  in
-  go 0
-
-(* Scan a double-quoted string starting at [line.[j] = '"']; returns
-   the unescaped contents and the index past the closing quote. *)
-let scan_string line j =
-  let n = String.length line in
-  if j >= n || line.[j] <> '"' then failwith ("expected string at: " ^ line);
-  let buf = Buffer.create 16 in
-  let rec go j =
-    if j >= n then failwith ("unterminated string: " ^ line)
-    else
-      match line.[j] with
-      | '"' -> (Buffer.contents buf, j + 1)
-      | '\\' when j + 1 < n ->
-          Buffer.add_char buf
-            (match line.[j + 1] with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c);
-          go (j + 2)
-      | c ->
-          Buffer.add_char buf c;
-          go (j + 1)
-  in
-  go (j + 1)
-
-let num_end line start =
-  let n = String.length line in
-  let j = ref start in
-  while
-    !j < n
-    &&
-    match line.[!j] with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  do
-    incr j
-  done;
-  !j
-
-let int_field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "metrics line missing %S: %s" key line)
-  else
-    let start = i + String.length pat in
-    let stop = num_end line start in
-    if stop = start then failwith ("metrics line bad int for " ^ key ^ ": " ^ line)
-    else int_of_string (String.sub line start (stop - start))
-
-let float_field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "metrics line missing %S: %s" key line)
-  else
-    let start = i + String.length pat in
-    let stop = num_end line start in
-    if stop = start then failwith ("metrics line bad number for " ^ key ^ ": " ^ line)
-    else float_of_string (String.sub line start (stop - start))
-
-let str_field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "metrics line missing %S: %s" key line)
-  else fst (scan_string line (i + String.length pat))
-
-(* The {"k":"v",...} object after "labels": *)
-let labels_field line =
-  let pat = "\"labels\":{" in
-  let i = find_sub line pat in
-  if i < 0 then failwith ("metrics line missing labels: " ^ line)
-  else begin
-    let n = String.length line in
-    let rec pairs acc j =
-      if j >= n then failwith ("unterminated labels: " ^ line)
-      else
-        match line.[j] with
-        | '}' -> List.rev acc
-        | ',' -> pairs acc (j + 1)
-        | '"' ->
-            let k, j = scan_string line j in
-            if j >= n || line.[j] <> ':' then failwith ("bad label pair: " ^ line);
-            let v, j = scan_string line (j + 1) in
-            pairs ((k, v) :: acc) j
-        | _ -> failwith ("bad labels object: " ^ line)
-    in
-    pairs [] (i + String.length pat)
-  end
-
-(* The [a,b,...] int array after "counts": *)
-let counts_field line =
-  let pat = "\"counts\":[" in
-  let i = find_sub line pat in
-  if i < 0 then failwith ("metrics line missing counts: " ^ line)
-  else begin
-    let n = String.length line in
-    let rec ints acc j =
-      if j >= n then failwith ("unterminated counts: " ^ line)
-      else
-        match line.[j] with
-        | ']' -> List.rev acc
-        | ',' -> ints acc (j + 1)
-        | _ ->
-            let stop = num_end line j in
-            if stop = j then failwith ("bad counts array: " ^ line)
-            else ints (int_of_string (String.sub line j (stop - j)) :: acc) stop
-    in
-    Array.of_list (ints [] (i + String.length pat))
-  end
+module Json = Tcm_json
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                               *)
@@ -139,7 +13,7 @@ let counts_field line =
 let labels_json labels =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) labels)
+      (List.map (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v) labels)
   ^ "}"
 
 let output_jsonl ?(windows = []) oc (s : Snapshot.t) =
@@ -151,19 +25,19 @@ let output_jsonl ?(windows = []) oc (s : Snapshot.t) =
     (fun (e : Snapshot.entry) ->
       match e.value with
       | Snapshot.Counter v ->
-          Printf.fprintf oc "{\"type\":\"counter\",\"name\":\"%s\",\"labels\":%s,\"value\":%d}\n"
-            (escape e.name) (labels_json e.labels) v
+          Printf.fprintf oc "{\"type\":\"counter\",\"name\":%s,\"labels\":%s,\"value\":%d}\n"
+            (Json.quote e.name) (labels_json e.labels) v
       | Snapshot.Histogram h ->
           Printf.fprintf oc
-            "{\"type\":\"histogram\",\"name\":\"%s\",\"labels\":%s,\"sum\":%d,\"counts\":[%s]}\n"
-            (escape e.name) (labels_json e.labels) h.Snapshot.sum
+            "{\"type\":\"histogram\",\"name\":%s,\"labels\":%s,\"sum\":%d,\"counts\":[%s]}\n"
+            (Json.quote e.name) (labels_json e.labels) h.Snapshot.sum
             (String.concat "," (Array.to_list (Array.map string_of_int h.Snapshot.counts))))
     s.Snapshot.entries;
   List.iter
     (fun (w : Sampler.window) ->
       Printf.fprintf oc
-        "{\"type\":\"window\",\"name\":\"%s\",\"labels\":%s,\"t0\":%.6f,\"t1\":%.6f,\"delta\":%d}\n"
-        (escape w.Sampler.w_name)
+        "{\"type\":\"window\",\"name\":%s,\"labels\":%s,\"t0\":%.6f,\"t1\":%.6f,\"delta\":%d}\n"
+        (Json.quote w.Sampler.w_name)
         (labels_json w.Sampler.w_labels)
         w.Sampler.w_t0 w.Sampler.w_t1 w.Sampler.w_delta)
     windows
@@ -172,71 +46,92 @@ let write_jsonl ?windows path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_jsonl ?windows oc s)
 
+let labels_of j =
+  Snapshot.canon_labels (List.map (fun (k, v) -> (k, Json.to_str v)) (Json.get_assoc "labels" j))
+
 let read_jsonl path : Snapshot.t * Sampler.window list =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let time = ref 0. in
-      let entries = ref [] in
-      let windows = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           if line = "" then ()
-           else if find_sub line "\"schema\"" >= 0 then begin
-             let s = str_field line "schema" in
-             if s <> schema then failwith ("unknown metrics schema: " ^ s);
-             time := float_field line "time"
-           end
-           else
-             match str_field line "type" with
-             | "counter" ->
-                 entries :=
+  let time = ref 0. in
+  let entries = ref [] in
+  let windows = ref [] in
+  let series j value =
+    entries :=
+      { Snapshot.name = Json.get_str "name" j; labels = labels_of j; help = ""; value }
+      :: !entries
+  in
+  Json.iter_jsonl path (fun j ->
+      match Json.member "schema" j with
+      | Some _ ->
+          let s = Json.get_str "schema" j in
+          if s <> schema then failwith ("unknown metrics schema: " ^ s);
+          time := Json.get_float "time" j
+      | None -> (
+          match Json.get_str "type" j with
+          | "counter" -> series j (Snapshot.Counter (Json.get_int "value" j))
+          | "histogram" ->
+              series j
+                (Snapshot.Histogram
                    {
-                     Snapshot.name = str_field line "name";
-                     labels = Snapshot.canon_labels (labels_field line);
-                     help = "";
-                     value = Snapshot.Counter (int_field line "value");
-                   }
-                   :: !entries
-             | "histogram" ->
-                 entries :=
-                   {
-                     Snapshot.name = str_field line "name";
-                     labels = Snapshot.canon_labels (labels_field line);
-                     help = "";
-                     value =
-                       Snapshot.Histogram
-                         { Snapshot.counts = counts_field line; sum = int_field line "sum" };
-                   }
-                   :: !entries
-             | "window" ->
-                 windows :=
-                   {
-                     Sampler.w_name = str_field line "name";
-                     w_labels = Snapshot.canon_labels (labels_field line);
-                     w_t0 = float_field line "t0";
-                     w_t1 = float_field line "t1";
-                     w_delta = int_field line "delta";
-                   }
-                   :: !windows
-             | t -> failwith ("unknown metrics line type: " ^ t)
-         done
-       with End_of_file -> ());
-      ( { Snapshot.time = !time; entries = List.rev !entries },
-        List.rev !windows ))
+                     Snapshot.counts =
+                       Array.of_list (List.map Json.to_int (Json.get_list "counts" j));
+                     sum = Json.get_int "sum" j;
+                   })
+          | "window" ->
+              windows :=
+                {
+                  Sampler.w_name = Json.get_str "name" j;
+                  w_labels = labels_of j;
+                  w_t0 = Json.get_float "t0" j;
+                  w_t1 = Json.get_float "t1" j;
+                  w_delta = Json.get_int "delta" j;
+                }
+                :: !windows
+          | t -> failwith ("unknown metrics line type: " ^ t)));
+  ({ Snapshot.time = !time; entries = List.rev !entries }, List.rev !windows)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition format                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* The exposition format escapes only backslash, double quote and
+   newline in a label value; every other byte is copied. *)
+let prom_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Scan the double-quoted label value starting at [line.[j] = '"'];
+   returns it unescaped and the index past the closing quote. *)
+let scan_label_value line j =
+  let n = String.length line in
+  if j >= n || line.[j] <> '"' then failwith ("expected string at: " ^ line);
+  let buf = Buffer.create 16 in
+  let rec go j =
+    if j >= n then failwith ("unterminated string: " ^ line)
+    else
+      match line.[j] with
+      | '"' -> (Buffer.contents buf, j + 1)
+      | '\\' when j + 1 < n ->
+          Buffer.add_char buf (match line.[j + 1] with 'n' -> '\n' | c -> c);
+          go (j + 2)
+      | c ->
+          Buffer.add_char buf c;
+          go (j + 1)
+  in
+  go (j + 1)
 
 let prom_labels = function
   | [] -> ""
   | labels ->
       "{"
       ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape v)) labels)
+          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape v)) labels)
       ^ "}"
 
 (* Group families: the exposition format wants every sample of one
@@ -333,7 +228,7 @@ let parse_prometheus text : prom_sample list =
                 | _ ->
                     let stop = String.index_from line j '=' in
                     let k = String.sub line j (stop - j) in
-                    let v, j = scan_string line (stop + 1) in
+                    let v, j = scan_label_value line (stop + 1) in
                     pairs ((k, v) :: acc) j
             in
             pairs [] (!name_end + 1)

@@ -15,8 +15,9 @@ val output_jsonl : ?windows:Sampler.window list -> out_channel -> Snapshot.t -> 
 val write_jsonl : ?windows:Sampler.window list -> string -> Snapshot.t -> unit
 
 val read_jsonl : string -> Snapshot.t * Sampler.window list
-(** @raise Failure on malformed input, [Sys_error] on I/O errors.
-    Help strings are not round-tripped (they are registry metadata). *)
+(** @raise Failure naming the file and line on malformed input,
+    [Sys_error] on I/O errors.  Help strings are not round-tripped
+    (they are registry metadata). *)
 
 (** {1 Prometheus} *)
 

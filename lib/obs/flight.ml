@@ -48,16 +48,19 @@ let count t = Mutex.lock t.mu; let n = t.written in Mutex.unlock t.mu; n
 (* Bundle writer                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module Json = Tcm_json
+
 let output_bundle oc t ~trigger ~unix_ms (events : Tcm_trace.Event.t array)
     ~drops =
+  let q = Json.quote in
   Printf.fprintf oc
-    "{\"schema\":\"%s\",\"tag\":%S,\"trigger\":%S,\"unix_ms\":%d,\"events\":%d,\"drops\":%d}\n"
-    schema t.tag trigger unix_ms (Array.length events) drops;
+    "{\"schema\":\"%s\",\"tag\":%s,\"trigger\":%s,\"unix_ms\":%d,\"events\":%d,\"drops\":%d}\n"
+    schema (q t.tag) (q trigger) unix_ms (Array.length events) drops;
   List.iter
     (fun (r : Ledger.row) ->
       Printf.fprintf oc
-        "{\"rec\":\"ledger\",\"backend\":%S,\"manager\":%S,\"runtime\":%S,\"class\":%S,\"aborts\":%d,\"wasted_work\":%d,\"waits\":%d,\"wait_cost\":%d,\"wait_ticks\":%d,\"commits\":%d,\"useful_work\":%d}\n"
-        r.backend r.manager r.runtime r.cls r.aborts r.wasted_work r.waits
+        "{\"rec\":\"ledger\",\"backend\":%s,\"manager\":%s,\"runtime\":%s,\"class\":%s,\"aborts\":%d,\"wasted_work\":%d,\"waits\":%d,\"wait_cost\":%d,\"wait_ticks\":%d,\"commits\":%d,\"useful_work\":%d}\n"
+        (q r.backend) (q r.manager) (q r.runtime) (q r.cls) r.aborts r.wasted_work r.waits
         r.wait_cost r.wait_ticks r.commits r.useful_work)
     (Ledger.rows ());
   List.iter
@@ -65,18 +68,11 @@ let output_bundle oc t ~trigger ~unix_ms (events : Tcm_trace.Event.t array)
       List.iter
         (fun (e : Sketch.entry) ->
           Printf.fprintf oc
-            "{\"rec\":\"hot\",\"backend\":%S,\"manager\":%S,\"runtime\":%S,\"key\":%d,\"count\":%d,\"err\":%d}\n"
-            f.backend f.manager f.runtime e.key e.count e.err)
+            "{\"rec\":\"hot\",\"backend\":%s,\"manager\":%s,\"runtime\":%s,\"key\":%d,\"count\":%d,\"err\":%d}\n"
+            (q f.backend) (q f.manager) (q f.runtime) e.key e.count e.err)
         es)
     (Hot.snapshot ());
-  Array.iter
-    (fun (e : Tcm_trace.Event.t) ->
-      Printf.fprintf oc
-        "{\"rec\":\"event\",\"seq\":%d,\"dom\":%d,\"tick\":%d,\"kind\":\"%s\",\"a\":%d,\"b\":%d,\"c\":%d}\n"
-        e.seq e.dom e.tick
-        (Tcm_trace.Event.kind_name e.kind)
-        e.a e.b e.c)
-    events
+  Array.iter (Tcm_trace.Export.output_event ~prefix:"\"rec\":\"event\"," oc) events
 
 (* Caller holds t.mu. *)
 let dump_locked t ~trigger =
@@ -143,44 +139,6 @@ let note_drop t =
 (* Bundle reader                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Same minimal scanners as Tcm_trace.Export — fixed shapes, tolerant
-   of key order. *)
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then -1
-    else if String.sub line i m = pat then i
-    else go (i + 1)
-  in
-  go 0
-
-let int_field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "flight line missing %S: %s" key line)
-  else begin
-    let j = ref (i + String.length pat) in
-    let n = String.length line in
-    let neg = !j < n && line.[!j] = '-' in
-    if neg then incr j;
-    let start = !j in
-    while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
-    if !j = start then failwith ("flight line bad int for " ^ key ^ ": " ^ line);
-    let v = int_of_string (String.sub line start (!j - start)) in
-    if neg then -v else v
-  end
-
-let str_field line key =
-  let pat = "\"" ^ key ^ "\":\"" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "flight line missing %S: %s" key line)
-  else begin
-    let start = i + String.length pat in
-    match String.index_from_opt line start '"' with
-    | None -> failwith ("flight line unterminated string for " ^ key ^ ": " ^ line)
-    | Some stop -> String.sub line start (stop - start)
-  end
-
 type bundle = {
   b_tag : string;
   b_trigger : string;
@@ -192,104 +150,73 @@ type bundle = {
 }
 
 let read_bundle path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let tag = ref "" and trigger = ref "" and unix_ms = ref 0 in
-      let drops = ref 0 in
-      let seen_header = ref false in
-      let events = ref [] in
-      let ledger = ref [] in
-      let hot : (Hot.family, Sketch.entry list ref) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           if line = "" then ()
-           else if find_sub line "\"schema\"" >= 0 then begin
-             let s = str_field line "schema" in
-             if s <> schema then failwith ("unknown flight schema: " ^ s);
-             seen_header := true;
-             tag := str_field line "tag";
-             trigger := str_field line "trigger";
-             unix_ms := int_field line "unix_ms";
-             drops := int_field line "drops"
-           end
-           else
-             match str_field line "rec" with
-             | "event" ->
-                 events :=
-                   {
-                     Tcm_trace.Event.seq = int_field line "seq";
-                     dom = int_field line "dom";
-                     tick = int_field line "tick";
-                     kind =
-                       Tcm_trace.Event.kind_of_name (str_field line "kind");
-                     a = int_field line "a";
-                     b = int_field line "b";
-                     c = int_field line "c";
-                   }
-                   :: !events
-             | "ledger" ->
-                 ledger :=
-                   {
-                     Ledger.backend = str_field line "backend";
-                     manager = str_field line "manager";
-                     runtime = str_field line "runtime";
-                     cls = str_field line "class";
-                     aborts = int_field line "aborts";
-                     wasted_work = int_field line "wasted_work";
-                     waits = int_field line "waits";
-                     wait_cost = int_field line "wait_cost";
-                     wait_ticks = int_field line "wait_ticks";
-                     commits = int_field line "commits";
-                     useful_work = int_field line "useful_work";
-                   }
-                   :: !ledger
-             | "hot" ->
-                 let f =
-                   {
-                     Hot.backend = str_field line "backend";
-                     manager = str_field line "manager";
-                     runtime = str_field line "runtime";
-                   }
-                 in
-                 let e =
-                   {
-                     Sketch.key = int_field line "key";
-                     count = int_field line "count";
-                     err = int_field line "err";
-                   }
-                 in
-                 let cell =
-                   match Hashtbl.find_opt hot f with
-                   | Some c -> c
-                   | None ->
-                       let c = ref [] in
-                       Hashtbl.replace hot f c;
-                       c
-                 in
-                 cell := e :: !cell
-             | other -> failwith ("unknown flight record kind: " ^ other)
-         done
-       with End_of_file -> ());
-      if not !seen_header then failwith ("flight bundle missing header: " ^ path);
-      let ev = Array.of_list (List.rev !events) in
-      Array.sort (fun a b -> compare a.Tcm_trace.Event.seq b.Tcm_trace.Event.seq) ev;
-      let hot_list =
-        Hashtbl.fold (fun f es acc -> (f, List.rev !es) :: acc) hot []
-      in
-      {
-        b_tag = !tag;
-        b_trigger = !trigger;
-        b_unix_ms = !unix_ms;
-        b_events = ev;
-        b_drops = !drops;
-        b_ledger = List.rev !ledger;
-        b_hot = List.sort compare hot_list;
-      })
+  let header = ref None in
+  let events = ref [] in
+  let ledger = ref [] in
+  let hot : (Hot.family, Sketch.entry list ref) Hashtbl.t = Hashtbl.create 8 in
+  Json.iter_jsonl path (fun j ->
+      match Json.member "schema" j with
+      | Some _ ->
+          let s = Json.get_str "schema" j in
+          if s <> schema then failwith ("unknown flight schema: " ^ s);
+          header :=
+            Some
+              ( Json.get_str "tag" j,
+                Json.get_str "trigger" j,
+                Json.get_int "unix_ms" j,
+                Json.get_int "drops" j )
+      | None -> (
+          let str k = Json.get_str k j and int k = Json.get_int k j in
+          match str "rec" with
+          | "event" -> events := Tcm_trace.Export.event_of_json j :: !events
+          | "ledger" ->
+              ledger :=
+                {
+                  Ledger.backend = str "backend";
+                  manager = str "manager";
+                  runtime = str "runtime";
+                  cls = str "class";
+                  aborts = int "aborts";
+                  wasted_work = int "wasted_work";
+                  waits = int "waits";
+                  wait_cost = int "wait_cost";
+                  wait_ticks = int "wait_ticks";
+                  commits = int "commits";
+                  useful_work = int "useful_work";
+                }
+                :: !ledger
+          | "hot" ->
+              let f =
+                { Hot.backend = str "backend"; manager = str "manager"; runtime = str "runtime" }
+              in
+              let e = { Sketch.key = int "key"; count = int "count"; err = int "err" } in
+              let cell =
+                match Hashtbl.find_opt hot f with
+                | Some c -> c
+                | None ->
+                    let c = ref [] in
+                    Hashtbl.replace hot f c;
+                    c
+              in
+              cell := e :: !cell
+          | other -> failwith ("unknown flight record kind: " ^ other)));
+  let tag, trigger, unix_ms, drops =
+    match !header with
+    | Some h -> h
+    | None -> failwith ("flight bundle missing header: " ^ path)
+  in
+  let ev = Array.of_list (List.rev !events) in
+  Array.sort (fun a b -> compare a.Tcm_trace.Event.seq b.Tcm_trace.Event.seq) ev;
+  let hot_list = Hashtbl.fold (fun f es acc -> (f, List.rev !es) :: acc) hot [] in
+  {
+    b_tag = tag;
+    b_trigger = trigger;
+    b_unix_ms = unix_ms;
+    b_events = ev;
+    b_drops = drops;
+    b_ledger = List.rev !ledger;
+    b_hot = List.sort compare hot_list;
+  }
 
 let bundles dirname =
   if not (Sys.file_exists dirname) then []

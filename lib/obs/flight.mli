@@ -51,8 +51,8 @@ val schema : string
 (** ["tcm-flight/1"]: line 1 a header
     [{schema; tag; trigger; unix_ms; events; drops}], then one line
     per record, discriminated by a ["rec"] field —
-    ["ledger"] rows, ["hot"] entries, ["event"]s in the
-    [tcm-trace/1] field layout. *)
+    ["ledger"] rows, ["hot"] entries, ["event"]s written and read by
+    the [tcm-trace/1] event codec ({!Tcm_trace.Export.output_event}). *)
 
 type bundle = {
   b_tag : string;
@@ -65,7 +65,8 @@ type bundle = {
 }
 
 val read_bundle : string -> bundle
-(** @raise Failure on malformed input or unknown schema. *)
+(** @raise Failure naming the file (and line) on malformed input or
+    an unknown schema. *)
 
 val bundles : string -> string list
 (** The [flight-*.jsonl] paths under a directory, sorted (i.e. in

@@ -7,17 +7,27 @@ type t = { fam : family; k : int; mutable sk : Sketch.t }
 let unset = Sketch.create 1
 let mu = Mutex.create ()
 
-(* All sketches ever attached, tagged by family; one per (family,
-   domain).  The per-domain table makes attachment idempotent on a
-   domain, so the sim can re-create handles per run without leaking
-   sketches. *)
+(* The live sketches, tagged by family; one per (family, domain).  The
+   per-domain table makes attachment idempotent on a domain, so the sim
+   can re-create handles per run without leaking sketches.  A domain's
+   sketches leave [all] at its exit, merged into their family's
+   [retired] entries. *)
 let all : (family * Sketch.t) list ref = ref []
+let retired : (family, int * Sketch.entry list) Hashtbl.t = Hashtbl.create 8 (* cap, entries *)
 
 let dls : (family, Sketch.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let for_manager ?(k = 32) ?(backend = "locator") ~runtime manager =
   { fam = { backend; manager; runtime }; k; sk = unset }
+
+let retire fam sk =
+  Mutex.lock mu;
+  all := List.filter (fun (_, s) -> s != sk) !all;
+  let cap, prev = Option.value (Hashtbl.find_opt retired fam) ~default:(0, []) in
+  let cap = max cap (Sketch.capacity sk) in
+  Hashtbl.replace retired fam (cap, Sketch.merge ~cap [ prev; Sketch.entries sk ]);
+  Mutex.unlock mu
 
 let[@inline never] attach t =
   let tbl = Domain.DLS.get dls in
@@ -29,6 +39,7 @@ let[@inline never] attach t =
       Mutex.lock mu;
       all := (t.fam, sk) :: !all;
       Mutex.unlock mu;
+      Domain.at_exit (fun () -> retire t.fam sk);
       t.sk <- sk
 
 let record t key =
@@ -45,20 +56,18 @@ let sketches () =
 
 let snapshot () =
   Mutex.lock mu;
-  let entries = !all in
+  let live = !all in
+  let old = Hashtbl.fold (fun f part acc -> (f, part) :: acc) retired [] in
   Mutex.unlock mu;
-  let fams =
-    List.sort_uniq compare (List.map (fun (f, _) -> f) entries)
+  let parts =
+    old @ List.map (fun (f, sk) -> (f, (Sketch.capacity sk, Sketch.entries sk))) live
   in
   List.filter_map
     (fun f ->
-      let sks =
-        List.filter_map
-          (fun (f', sk) -> if f' = f then Some sk else None)
-          entries
-      in
-      match Sketch.merged sks with [] -> None | es -> Some (f, es))
-    fams
+      let mine = List.filter_map (fun (f', part) -> if f' = f then Some part else None) parts in
+      let cap = List.fold_left (fun m (c, _) -> max m c) 0 mine in
+      match Sketch.merge ~cap (List.map snd mine) with [] -> None | es -> Some (f, es))
+    (List.sort_uniq compare (List.map fst parts))
 
 let truncate n es = List.filteri (fun i _ -> i < n) es
 
@@ -86,5 +95,6 @@ let pp ?(n = 10) fmt snap =
 let reset () =
   Mutex.lock mu;
   let entries = !all in
+  Hashtbl.reset retired;
   Mutex.unlock mu;
   List.iter (fun (_, sk) -> Sketch.clear sk) entries

@@ -4,7 +4,8 @@
     access-conflict check (object ids).  Only the owning domain
     records into a sketch — the record path is the [tcm.metrics]
     enabled gate plus one O(k) scan — and {!snapshot} merges across
-    domains with {!Sketch.merged}. *)
+    domains with {!Sketch.merge}.  A domain's sketches fold into
+    per-family retired entries at its exit. *)
 
 type t
 (** A family handle for one domain; creating it allocates no sketch. *)
@@ -21,12 +22,15 @@ val record : t -> int -> unit
     domain. *)
 
 val sketches : unit -> int
-(** Sketches attached so far, over all families and domains. *)
+(** Live sketches, over all families and domains.  A domain's sketches
+    are merged into their family's retired entries at its exit, so
+    joined domains leave none behind. *)
 
 type family = { backend : string; manager : string; runtime : string }
 
 val snapshot : unit -> (family * Sketch.entry list) list
-(** Per-family cross-domain merge, families sorted by
+(** Per-family merge of the live sketches and the retired entries of
+    exited domains, families sorted by
     (backend, manager, runtime); families whose merge is empty are
     dropped.  Concurrent recording makes the read benignly racy, as
     with metric snapshots. *)

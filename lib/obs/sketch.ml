@@ -79,26 +79,25 @@ let max_error t =
     if !mn = max_int then 0 else !mn
   end
 
-let merged ts =
+let merge ~cap lists =
   (* Union-with-sum is commutative and associative, and the final sort
      is total (count desc, key asc), so the result cannot depend on
-     the order sketches are presented in. *)
+     the order the lists are presented in. *)
   let acc : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun t ->
-      List.iter
-        (fun e ->
-          let c, er =
-            match Hashtbl.find_opt acc e.key with
-            | Some (c, er) -> (c, er)
-            | None -> (0, 0)
-          in
-          Hashtbl.replace acc e.key (c + e.count, er + e.err))
-        (entries t))
-    ts;
-  let cap = List.fold_left (fun m t -> max m t.cap) 0 ts in
+    (List.iter (fun e ->
+         let c, er =
+           match Hashtbl.find_opt acc e.key with
+           | Some (c, er) -> (c, er)
+           | None -> (0, 0)
+         in
+         Hashtbl.replace acc e.key (c + e.count, er + e.err)))
+    lists;
   let all =
     Hashtbl.fold (fun key (count, err) l -> { key; count; err } :: l) acc []
   in
   let sorted = List.sort compare_entries all in
   List.filteri (fun i _ -> i < cap) sorted
+
+let merged ts =
+  merge ~cap:(List.fold_left (fun m t -> max m t.cap) 0 ts) (List.map entries ts)

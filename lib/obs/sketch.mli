@@ -38,6 +38,10 @@ val max_error : t -> int
 (** The eviction floor: 0 until the sketch fills, then the smallest
     resident count — the worst-case overestimate for a new arrival. *)
 
+val merge : cap:int -> entry list list -> entry list
+(** Merge entry lists by the rule of {!merged}, truncated to [cap]
+    entries. *)
+
 val merged : t list -> entry list
 (** Merge per-domain sketches: counts and error bounds add per key
     (the standard mergeable-summary rule), the result is sorted like

@@ -1,5 +1,28 @@
 let schema = "tcm-trace/1"
 
+module Json = Tcm_json
+
+(* The event codec, shared with flight bundles. *)
+let output_event ?(prefix = "") oc (e : Event.t) =
+  Printf.fprintf oc
+    "{%s\"seq\":%d,\"dom\":%d,\"tick\":%d,\"kind\":\"%s\",\"a\":%d,\"b\":%d,\"c\":%d}\n"
+    prefix e.seq e.dom e.tick (Event.kind_name e.kind) e.a e.b e.c
+
+let event_of_json j : Event.t =
+  let kind = Json.get_str "kind" j in
+  {
+    seq = Json.get_int "seq" j;
+    dom = Json.get_int "dom" j;
+    tick = Json.get_int "tick" j;
+    kind =
+      (try Event.kind_of_name kind
+       with Invalid_argument _ ->
+         raise (Json.Parse_error (Printf.sprintf "unknown event kind %S" kind)));
+    a = Json.get_int "a" j;
+    b = Json.get_int "b" j;
+    c = Json.get_int "c" j;
+  }
+
 let output_jsonl ?(drops = 0) ?manager oc (trace : Event.t array) =
   (match manager with
   | None ->
@@ -7,14 +30,9 @@ let output_jsonl ?(drops = 0) ?manager oc (trace : Event.t array) =
       (Array.length trace) drops
   | Some m ->
     Printf.fprintf oc
-      "{\"schema\":\"%s\",\"manager\":%S,\"events\":%d,\"drops\":%d}\n" schema m
-      (Array.length trace) drops);
-  Array.iter
-    (fun (e : Event.t) ->
-      Printf.fprintf oc
-        "{\"seq\":%d,\"dom\":%d,\"tick\":%d,\"kind\":\"%s\",\"a\":%d,\"b\":%d,\"c\":%d}\n"
-        e.seq e.dom e.tick (Event.kind_name e.kind) e.a e.b e.c)
-    trace
+      "{\"schema\":\"%s\",\"manager\":%s,\"events\":%d,\"drops\":%d}\n" schema
+      (Json.quote m) (Array.length trace) drops);
+  Array.iter (output_event oc) trace
 
 let write_jsonl ?drops ?manager path trace =
   let oc = open_out path in
@@ -22,95 +40,34 @@ let write_jsonl ?drops ?manager path trace =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_jsonl ?drops ?manager oc trace)
 
-(* Minimal scanners for the fixed shapes we emit; tolerant of key order. *)
-
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then -1
-    else if String.sub line i m = pat then i
-    else go (i + 1)
-  in
-  go 0
-
-let int_field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "trace line missing %S: %s" key line)
-  else begin
-    let j = ref (i + String.length pat) in
-    let n = String.length line in
-    let neg = !j < n && line.[!j] = '-' in
-    if neg then incr j;
-    let start = !j in
-    while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
-    if !j = start then failwith ("trace line bad int for " ^ key ^ ": " ^ line);
-    let v = int_of_string (String.sub line start (!j - start)) in
-    if neg then -v else v
-  end
-
-let str_field line key =
-  let pat = "\"" ^ key ^ "\":\"" in
-  let i = find_sub line pat in
-  if i < 0 then failwith (Printf.sprintf "trace line missing %S: %s" key line)
-  else begin
-    let start = i + String.length pat in
-    match String.index_from_opt line start '"' with
-    | None -> failwith ("trace line unterminated string for " ^ key ^ ": " ^ line)
-    | Some stop -> String.sub line start (stop - start)
-  end
-
 (* A file holds one or more sections, each opened by a header line
    (optionally labelled with the manager that produced the capture)
    and followed by its events.  Headerless files read as one anonymous
    section, so pre-section traces keep parsing unchanged. *)
 let read_jsonl_sections path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let sections = ref [] in
-      let cur_mgr = ref None and cur_drops = ref 0 and cur_events = ref [] in
-      let in_section = ref false in
-      let flush () =
-        if !in_section || !cur_events <> [] then begin
-          let arr = Array.of_list !cur_events in
-          Array.sort (fun (x : Event.t) (y : Event.t) -> compare x.seq y.seq) arr;
-          sections := (!cur_mgr, arr, !cur_drops) :: !sections
-        end
-      in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           if line = "" then ()
-           else if find_sub line "\"schema\"" >= 0 then begin
-             let s = str_field line "schema" in
-             if s <> schema then failwith ("unknown trace schema: " ^ s);
-             flush ();
-             in_section := true;
-             cur_mgr :=
-               (if find_sub line "\"manager\"" >= 0 then
-                  Some (str_field line "manager")
-                else None);
-             cur_drops := int_field line "drops";
-             cur_events := []
-           end
-           else
-             cur_events :=
-               {
-                 Event.seq = int_field line "seq";
-                 dom = int_field line "dom";
-                 tick = int_field line "tick";
-                 kind = Event.kind_of_name (str_field line "kind");
-                 a = int_field line "a";
-                 b = int_field line "b";
-                 c = int_field line "c";
-               }
-               :: !cur_events
-         done
-       with End_of_file -> ());
-      flush ();
-      List.rev !sections)
+  let sections = ref [] in
+  let cur_mgr = ref None and cur_drops = ref 0 and cur_events = ref [] in
+  let in_section = ref false in
+  let flush () =
+    if !in_section || !cur_events <> [] then begin
+      let arr = Array.of_list !cur_events in
+      Array.sort (fun (x : Event.t) (y : Event.t) -> compare x.seq y.seq) arr;
+      sections := (!cur_mgr, arr, !cur_drops) :: !sections
+    end
+  in
+  Json.iter_jsonl path (fun j ->
+      match Json.member "schema" j with
+      | Some _ ->
+        let s = Json.get_str "schema" j in
+        if s <> schema then failwith ("unknown trace schema: " ^ s);
+        flush ();
+        in_section := true;
+        cur_mgr := Option.map Json.to_str (Json.member "manager" j);
+        cur_drops := Json.get_int "drops" j;
+        cur_events := []
+      | None -> cur_events := event_of_json j :: !cur_events);
+  flush ();
+  List.rev !sections
 
 let read_jsonl path =
   match read_jsonl_sections path with

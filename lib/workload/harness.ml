@@ -192,8 +192,8 @@ let run ?poll (cfg : config) : outcome =
     throughput = float_of_int commits /. elapsed;
     per_thread;
     elapsed_s = elapsed;
-    latency_p50_us = Stats.percentile 50. all_latencies;
-    latency_p99_us = Stats.percentile 99. all_latencies;
+    latency_p50_us = Tcm_dist.Stats.percentile 50. all_latencies;
+    latency_p99_us = Tcm_dist.Stats.percentile 99. all_latencies;
     minor_words = Array.fold_left ( +. ) 0. minor_w;
     major_words = Array.fold_left ( +. ) 0. major_w;
     stats = s;

@@ -52,237 +52,7 @@ let print_kv_table fmt ~title rows =
 (* JSON rendering (the bench's machine-readable trajectory dump)       *)
 (* ------------------------------------------------------------------ *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
-  let rec emit buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        (* nan/inf have no JSON representation. *)
-        if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-        else Buffer.add_string buf "null"
-    | Str s ->
-        Buffer.add_char buf '"';
-        escape buf s;
-        Buffer.add_char buf '"'
-    | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf (Str k);
-            Buffer.add_char buf ':';
-            emit buf v)
-          kvs;
-        Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 4096 in
-    emit buf t;
-    Buffer.contents buf
-
-  exception Parse_error of string
-
-  (* Recursive-descent parser for the dialect [emit] writes (strict
-     JSON; numbers with a '.', 'e' or 'E' become [Float], the rest
-     [Int]).  Enough for the analyzer CLIs to re-read bench dumps
-     without an external dependency. *)
-  let of_string str =
-    let n = String.length str in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let peek () = if !pos < n then str.[!pos] else '\255' in
-    let rec skip_ws () =
-      match peek () with
-      | ' ' | '\t' | '\n' | '\r' ->
-          incr pos;
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let keyword w v =
-      if !pos + String.length w <= n && String.sub str !pos (String.length w) = w then begin
-        pos := !pos + String.length w;
-        v
-      end
-      else fail (Printf.sprintf "expected %s" w)
-    in
-    let utf8 buf cp =
-      (* Encode one code point; surrogate pairs are not recombined
-         ([emit] never writes them — it only escapes C0 controls). *)
-      if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-      else if cp < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-      end
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match str.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= n then fail "unterminated escape");
-            (match str.[!pos] with
-            | '"' -> Buffer.add_char buf '"'; incr pos
-            | '\\' -> Buffer.add_char buf '\\'; incr pos
-            | '/' -> Buffer.add_char buf '/'; incr pos
-            | 'b' -> Buffer.add_char buf '\b'; incr pos
-            | 'f' -> Buffer.add_char buf '\012'; incr pos
-            | 'n' -> Buffer.add_char buf '\n'; incr pos
-            | 'r' -> Buffer.add_char buf '\r'; incr pos
-            | 't' -> Buffer.add_char buf '\t'; incr pos
-            | 'u' ->
-                if !pos + 4 >= n then fail "truncated \\u escape";
-                let hex = String.sub str (!pos + 1) 4 in
-                (match int_of_string_opt ("0x" ^ hex) with
-                | Some cp -> utf8 buf cp
-                | None -> fail "bad \\u escape");
-                pos := !pos + 5
-            | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char str.[!pos] do
-        incr pos
-      done;
-      let tok = String.sub str start (!pos - start) in
-      let floaty = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
-      if floaty then
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail "bad number"
-      else
-        match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> (
-            match float_of_string_opt tok with
-            | Some f -> Float f
-            | None -> fail "bad number")
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | 'n' -> keyword "null" Null
-      | 't' -> keyword "true" (Bool true)
-      | 'f' -> keyword "false" (Bool false)
-      | '"' -> Str (parse_string ())
-      | '[' ->
-          incr pos;
-          skip_ws ();
-          if peek () = ']' then begin
-            incr pos;
-            Arr []
-          end
-          else begin
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | ',' ->
-                  incr pos;
-                  elems (v :: acc)
-              | ']' ->
-                  incr pos;
-                  List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            Arr (elems [])
-          end
-      | '{' ->
-          incr pos;
-          skip_ws ();
-          if peek () = '}' then begin
-            incr pos;
-            Obj []
-          end
-          else begin
-            let member () =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              (k, v)
-            in
-            let rec members acc =
-              let kv = member () in
-              skip_ws ();
-              match peek () with
-              | ',' ->
-                  incr pos;
-                  members (kv :: acc)
-              | '}' ->
-                  incr pos;
-                  List.rev (kv :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (members [])
-          end
-      | '-' | '0' .. '9' -> parse_number ()
-      | '\255' -> fail "unexpected end of input"
-      | c -> fail (Printf.sprintf "unexpected '%c'" c)
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-end
+module Json = Tcm_json
 
 let json_of_outcome (o : Harness.outcome) : Json.t =
   let s = o.Harness.stats in
@@ -294,8 +64,8 @@ let json_of_outcome (o : Harness.outcome) : Json.t =
       ("conflicts", Json.Int o.Harness.conflicts);
       ("latency_p50_us", Json.Float o.Harness.latency_p50_us);
       ("latency_p99_us", Json.Float o.Harness.latency_p99_us);
-      (* tcm-bench/2: GC allocation during the measurement window
-         (summed per-domain quick_stat deltas). *)
+      (* GC allocation during the measurement window (summed
+         per-domain quick_stat deltas). *)
       ("minor_words", Json.Float o.Harness.minor_words);
       ("major_words", Json.Float o.Harness.major_words);
       ("enemy_aborts", Json.Int s.Tcm_stm.Runtime.n_enemy_aborts);
@@ -311,11 +81,11 @@ let json_of_detailed_figure ~backend (spec : Figures.spec)
     [
       ("id", Json.Str spec.Figures.id);
       ("title", Json.Str spec.Figures.title);
-      (* tcm-bench/4: figure entries carry a "kind" discriminator so
-         readers can tell closed-loop sweeps from open-loop service
-         figures without sniffing fields. *)
+      (* Figure entries carry a "kind" discriminator so readers can
+         tell closed-loop sweeps from the other entries without
+         sniffing fields. *)
       ("kind", Json.Str "sweep");
-      (* tcm-bench/3: the runtime backend that executed this sweep
+      (* The runtime backend that executed this sweep
          ("locator" | "tl2").  One figure entry per (figure, backend)
          pair, so a dump can carry the head-to-head comparison. *)
       ("backend", Json.Str backend);
@@ -355,7 +125,7 @@ let json_of_class_stats (c : Tcm_service.Service.class_stats) : Json.t =
       ("latency_mean_us", Json.Float c.Tcm_service.Service.mean_us);
     ]
 
-(* tcm-bench/4: open-loop service figures — one entry per (backend,
+(* Open-loop service figures — one entry per (backend,
    manager) pair, per-class latency measured arrival-to-commit with
    queue time included, and SLO attainment charged for sheds. *)
 let json_of_service_figure (s : Tcm_service.Service.summary) : Json.t =
@@ -376,14 +146,12 @@ let json_of_service_figure (s : Tcm_service.Service.summary) : Json.t =
       ("elapsed_s", Json.Float s.elapsed_s);
       ("throughput", Json.Float s.throughput);
       ("offered", Json.Float s.offered);
-      (* tcm-bench/7: pooled latency, shard-spill count and generator
-         allocation per request. *)
       ("latency_p50_us", Json.Float s.p50_us);
       ("latency_p99_us", Json.Float s.p99_us);
       ("queue_high_water", Json.Int s.queue_high_water);
       ("queue_spills", Json.Int s.queue_spills);
       ("gen_minor_words_per_req", Json.Float s.gen_minor_words_per_req);
-      (* tcm-bench/5: every service figure is self-describing about
+      (* Every service figure is self-describing about
          observability overhead — which layers were live and how many
          trace events the rings dropped. *)
       ("trace_drops", Json.Int s.trace_drops);
@@ -392,7 +160,7 @@ let json_of_service_figure (s : Tcm_service.Service.summary) : Json.t =
       ("classes", Json.Arr (List.map json_of_class_stats s.classes));
     ]
 
-(* tcm-bench/5: conflict-attribution figures from tcm.obs — one entry
+(* Conflict-attribution figures from tcm.obs — one entry
    per ledger family, wasted work priced in Alistarh et al.'s cost
    model plus the family's hottest conflict keys from the
    space-saving sketches. *)
@@ -428,7 +196,7 @@ let json_of_obs_figure ~(row : Tcm_obs.Ledger.row)
              hot) );
     ]
 
-(* tcm-bench/6: consult-path microbench figures — one entry per
+(* Consult-path microbench figures — one entry per
    (backend, manager), latency and minor-heap allocation per resolve
    from the consult-cost probe (dumps up to BENCH_10 also carry
    backend "sim" rows, from the simulator's former policy table). *)
@@ -445,7 +213,7 @@ let json_of_consult_figure (r : Consult_cost.row) : Json.t =
         Json.Float r.Consult_cost.minor_words_per_resolve );
     ]
 
-(* tcm-bench/7: overload-regime rate-ladder figures — one entry per
+(* Overload-regime rate-ladder figures — one entry per
    (backend, manager) curve, one row per rung with the rung's offered
    rate, overall attainment and pooled p50/p99, plus the detected
    knee (first rung whose attainment fell under 99%). *)
@@ -490,49 +258,17 @@ let json_of_ladder_figure (c : Tcm_service.Ladder.curve) : Json.t =
              c.Ladder.rungs) );
     ]
 
-(* Schema lineage of the bench dump:
-   - tcm-bench/1: throughput + latency + abort breakdown;
-   - tcm-bench/2: adds per-window GC words (minor/major);
-   - tcm-bench/3: adds the per-figure "backend" field (locator | tl2);
-   - tcm-bench/4: figure entries carry a "kind" discriminator
-     ("sweep" | "service") and service entries report per-class
-     arrival-to-commit latency and SLO attainment;
-   - tcm-bench/5: service entries are self-describing about
-     observability (trace_drops, metrics_enabled, trace_enabled) and
-     the dump may carry kind = "obs" conflict-attribution entries
-     (per-family priced wasted work + hot-key list from tcm.obs);
-   - tcm-bench/6: the dump may carry kind = "consult" entries — the
-     consult-cost microbench's ns + minor words per resolve, per
-     (backend | "sim") × manager;
-   - tcm-bench/7: the dump may carry kind = "ladder" entries — the
-     offered-load rate ladder per (backend, manager), one row per
-     rung (attainment, pooled p50/p99, sheds, spills) plus the
-     detected saturation knee; service entries additionally report
-     pooled p50/p99, queue spills and generator allocation per
-     request.
-   Readers accept every shipped version; the writer always emits the
-   newest. *)
+(* The one bench schema, read and written.  A change to the dump's
+   layout bumps it and converts the committed BENCH_*.json in the same
+   change, so no reader carries an older version. *)
 let bench_schema = "tcm-bench/7"
-
-let bench_schemas =
-  [
-    "tcm-bench/1";
-    "tcm-bench/2";
-    "tcm-bench/3";
-    "tcm-bench/4";
-    "tcm-bench/5";
-    "tcm-bench/6";
-    bench_schema;
-  ]
 
 let bench_schema_of (j : Json.t) : (string, string) result =
   match Json.member "schema" j with
   | None -> Error "missing \"schema\" field (not a bench dump?)"
-  | Some (Json.Str s) when List.mem s bench_schemas -> Ok s
+  | Some (Json.Str s) when s = bench_schema -> Ok s
   | Some (Json.Str s) ->
-      Error
-        (Printf.sprintf "unknown schema %S (expected %s)" s
-           (String.concat " or " bench_schemas))
+      Error (Printf.sprintf "unknown schema %S (expected %s)" s bench_schema)
   | Some _ -> Error "\"schema\" field is not a string"
 
 (** The bench's machine-readable dump: per-figure live-STM sweeps with

@@ -11,31 +11,8 @@ val winners : Figures.result -> (int * string) list
 val print_kv_table :
   Format.formatter -> title:string -> (string * string) list -> unit
 
-(** Minimal JSON document tree; [to_string] emits compact JSON with
-    non-finite floats rendered as [null] (they have no JSON form —
-    e.g. the [nan] an empty latency sample produces). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-
-  exception Parse_error of string
-
-  val of_string : string -> t
-  (** Strict-JSON parser for the dialect {!to_string} emits, so the
-      analyzer CLIs can re-read bench dumps without an external
-      dependency.  @raise Parse_error on malformed input. *)
-
-  val member : string -> t -> t option
-  (** Object field lookup; [None] on missing keys and non-objects. *)
-end
+module Json = Tcm_json
+(** The repo's one JSON codec, under the name the bench readers use. *)
 
 val json_of_outcome : Harness.outcome -> Json.t
 (** Throughput, p50/p99 latency and the full abort breakdown of one
@@ -45,7 +22,7 @@ val json_of_service_figure : Tcm_service.Service.summary -> Json.t
 (** One open-loop service run as a figure entry ([kind = "service"]):
     per-class arrival-to-commit latency (queue time included), SLO
     attainment with sheds charged against the class, the abort /
-    conflict deltas of the run, and (tcm-bench/5) the observability
+    conflict deltas of the run, and the observability
     self-description: trace drops and whether metrics / trace were
     enabled. *)
 
@@ -66,24 +43,13 @@ val json_of_ladder_figure : Tcm_service.Ladder.curve -> Json.t
     rung held). *)
 
 val bench_schema : string
-(** The schema the writer emits: ["tcm-bench/7"]. *)
-
-val bench_schemas : string list
-(** Every schema a reader must accept: tcm-bench/1 (original),
-    /2 (adds GC words), /3 (adds the per-figure backend field),
-    /4 (adds the per-figure "kind" discriminator and open-loop
-    service figures), /5 (adds observability self-description on
-    service figures and kind = "obs" attribution entries),
-    /6 (adds kind = "consult" consult-cost microbench entries),
-    /7 (adds kind = "ladder" saturation-sweep entries and pooled
-    latency / spill / generator-allocation fields on service
-    entries). *)
+(** The one bench schema, written and read: ["tcm-bench/7"]. *)
 
 val bench_schema_of : Json.t -> (string, string) result
-(** Validate a parsed bench dump's schema header.  [Error _] when the
-    [schema] field is missing, not a string, or names a version not in
-    {!bench_schemas} — readers must refuse such documents rather than
-    misrender half-recognized fields. *)
+(** Validate a parsed bench dump's schema header.  [Error _] names the
+    expected version when the [schema] field is missing, not a string,
+    or not {!bench_schema} — readers must refuse such documents rather
+    than misrender half-recognized fields. *)
 
 val bench_json :
   ?extra:(string * Json.t) list ->

@@ -63,7 +63,7 @@ let t_percentile_vs_exact () =
     samples;
   List.iter
     (fun p ->
-      let exact = Tcm_workload.Stats.percentile p (List.map float_of_int samples) in
+      let exact = Tcm_dist.Stats.percentile p (List.map float_of_int samples) in
       let est = M.Buckets.percentile ~counts p in
       check_bool
         (Printf.sprintf "p%.0f within 2x (exact %.0f, est %.0f)" p exact est)

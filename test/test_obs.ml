@@ -402,6 +402,27 @@ let t_hot_no_sketch_when_off () =
   check_int "all increments committed" 500 (Tvar.peek v);
   check_int "no sketch attached" before (Hot.sketches ())
 
+(* A domain's sketches fold into its family's retired entries at exit:
+   joined domains leave no live sketch behind, and their conflicts stay
+   counted. *)
+let t_hot_domains_fold_at_exit () =
+  Tcm_obs.reset ();
+  Tcm_metrics.enable ();
+  let baseline = Hot.sketches () in
+  for _ = 1 to 100 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Hot.record (Hot.for_manager ~backend:"testb" ~runtime:"test" "m6") 9))
+  done;
+  Tcm_metrics.disable ();
+  check_int "live sketches back at baseline" baseline (Hot.sketches ());
+  let fam = { Hot.backend = "testb"; manager = "m6"; runtime = "test" } in
+  match List.assoc_opt fam (Hot.snapshot ()) with
+  | Some [ (e : Sketch.entry) ] ->
+      check_int "hot key" 9 e.key;
+      check_int "all 100 conflicts counted" 100 e.count
+  | _ -> Alcotest.fail "expected one retired entry for the family"
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -486,6 +507,77 @@ let t_flight_shed_spike () =
   check_int "spike dumped" 1 (Flight.count f);
   let b = Flight.read_bundle (List.hd (Flight.bundles dir)) in
   Alcotest.(check string) "trigger" "shed_spike" b.Flight.b_trigger
+
+(* ------------------------------------------------------------------ *)
+(* Artifact strings                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A manager name is whatever string a library user gives their
+   manager module, so each of these must read back exactly from a
+   trace section header, a flight bundle (tag, ledger and hot-key
+   family names) and a metrics label, and every line written must
+   parse with the codec. *)
+let t_artifact_strings_roundtrip () =
+  let every_line_parses path = Tcm_json.iter_jsonl path ignore in
+  List.iteri
+    (fun i s ->
+      let what msg = Printf.sprintf "%S: %s" s msg in
+      let path = Filename.temp_file "tcm-strings" ".jsonl" in
+      (* Trace section header. *)
+      Out_channel.with_open_text path (fun oc ->
+          Tcm_trace.Export.output_jsonl ~manager:s oc
+            [| { Tcm_trace.Event.seq = 0; dom = 0; tick = 0; kind = Begin; a = 1; b = 1; c = 0 } |]);
+      every_line_parses path;
+      (match Tcm_trace.Export.read_jsonl_sections path with
+      | [ (Some m, _, _) ] -> Alcotest.(check string) (what "trace manager") s m
+      | _ -> Alcotest.fail (what "expected one named trace section"));
+      (* Metrics label value, on a series and a sampler window. *)
+      let labels = [ ("manager", s) ] in
+      let snap =
+        {
+          Tcm_metrics.Snapshot.time = 1.5;
+          entries = [ { name = "tcm_test_total"; labels; help = ""; value = Counter 3 } ];
+        }
+      in
+      let windows =
+        [
+          {
+            Tcm_metrics.Sampler.w_t0 = 0.;
+            w_t1 = 1.;
+            w_name = "tcm_test_total";
+            w_labels = labels;
+            w_delta = 3;
+          };
+        ]
+      in
+      Tcm_metrics.Export.write_jsonl ~windows path snap;
+      every_line_parses path;
+      (match Tcm_metrics.Export.read_jsonl path with
+      | { entries = [ e ]; _ }, [ w ] ->
+          Alcotest.(check (list (pair string string))) (what "series labels") labels e.labels;
+          Alcotest.(check (list (pair string string))) (what "window labels") labels w.w_labels
+      | _ -> Alcotest.fail (what "expected one series and one window"));
+      Sys.remove path;
+      (* Flight bundle: tag, ledger row and hot-key family. *)
+      Tcm_obs.reset ();
+      Tcm_metrics.enable ();
+      Ledger.charge_wait (Ledger.for_manager ~backend:s ~runtime:s s) ~cost:7 ~ticks:2;
+      Hot.record (Hot.for_manager ~backend:s ~runtime:s s) 42;
+      Tcm_metrics.disable ();
+      let dir = temp_dir (Printf.sprintf "tcm-flight-strings-%d" i) in
+      Flight.force (Flight.create ~dir ~tag:s ()) ~trigger:"manual";
+      let path = List.hd (Flight.bundles dir) in
+      every_line_parses path;
+      let b = Flight.read_bundle path in
+      Alcotest.(check string) (what "flight tag") s b.b_tag;
+      check_bool (what "ledger family") true
+        (List.exists
+           (fun (r : Ledger.row) ->
+             r.backend = s && r.manager = s && r.runtime = s && r.wait_cost = 7)
+           b.b_ledger);
+      check_bool (what "hot family") true
+        (List.mem_assoc { Hot.backend = s; manager = s; runtime = s } b.b_hot))
+    [ "a\"b"; "back\\slash"; "tab\there"; "ctl\001x"; "caf\xc3\xa9" ]
 
 (* ------------------------------------------------------------------ *)
 (* Priced conflict scorer (Analysis.price)                             *)
@@ -607,6 +699,7 @@ let () =
         [
           Alcotest.test_case "snapshot merges domains" `Quick t_hot_snapshot;
           Alcotest.test_case "no sketch while off" `Quick t_hot_no_sketch_when_off;
+          Alcotest.test_case "domains fold at exit" `Quick t_hot_domains_fold_at_exit;
         ] );
       ( "flight",
         [
@@ -614,6 +707,8 @@ let () =
             t_flight_trigger_and_roundtrip;
           Alcotest.test_case "shed spike trigger" `Quick t_flight_shed_spike;
         ] );
+      ( "artifacts",
+        [ Alcotest.test_case "strings round-trip" `Quick t_artifact_strings_roundtrip ] );
       ( "price",
         [
           Alcotest.test_case "synthetic trace" `Quick t_price_synthetic;

@@ -453,14 +453,51 @@ let t_export_jsonl_single_section () =
       | [ (None, a, 0) ] -> check_int "one event" 1 (Array.length a)
       | _ -> Alcotest.fail "expected one anonymous section")
 
+(* Every artifact reader turns a bad line into the [Failure] the CLIs
+   catch, naming the file and the line, instead of letting the codec's
+   [Parse_error] (or a half-read record) escape.  Line 1 is a valid
+   header in each case, so the bad line is line 2. *)
 let t_export_jsonl_rejects_garbage () =
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      output_string oc "{\"seq\":not-a-number}\n";
-      close_out oc;
-      match Export.read_jsonl path with
-      | _ -> Alcotest.fail "malformed line accepted"
-      | exception Failure _ -> ())
+  let read_trace p = ignore (Export.read_jsonl p) in
+  let read_metrics p = ignore (Tcm_metrics.Export.read_jsonl p) in
+  let read_flight p = ignore (Tcm_obs.Flight.read_bundle p) in
+  let trace_hdr = {|{"schema":"tcm-trace/1","events":1,"drops":0}|} in
+  let metrics_hdr = {|{"schema":"tcm-metrics/1","time":1.5,"entries":1,"windows":0}|} in
+  let flight_hdr =
+    {|{"schema":"tcm-flight/1","tag":"t","trigger":"manual","unix_ms":1,"events":1,"drops":0}|}
+  in
+  List.iter
+    (fun (name, read, header, line) ->
+      with_temp_file (fun path ->
+          let oc = open_out path in
+          output_string oc (header ^ "\n" ^ line ^ "\n");
+          close_out oc;
+          match read path with
+          | () -> Alcotest.failf "%s: malformed line accepted" name
+          | exception Failure msg ->
+              let where = path ^ ":2:" in
+              if not (String.starts_with ~prefix:where msg) then
+                Alcotest.failf "%s: error %S does not name %s" name msg where))
+    [
+      ("trace truncated", read_trace, trace_hdr, {|{"seq":1,"dom":0,"tick":0,"kind":"begin"|});
+      ("trace non-json", read_trace, trace_hdr, {|{"seq":not-a-number}|});
+      ( "trace wrong type",
+        read_trace,
+        trace_hdr,
+        {|{"seq":"1","dom":0,"tick":0,"kind":"begin","a":1,"b":2,"c":0}|} );
+      ("metrics truncated", read_metrics, metrics_hdr, {|{"type":"counter","name":"x","labels":{|});
+      ("metrics non-json", read_metrics, metrics_hdr, "counter x 1");
+      ( "metrics wrong type",
+        read_metrics,
+        metrics_hdr,
+        {|{"type":"counter","name":"x","labels":{},"value":"1"}|} );
+      ("flight truncated", read_flight, flight_hdr, {|{"rec":"hot","backend":"b"|});
+      ("flight non-json", read_flight, flight_hdr, "rec=event seq=1");
+      ( "flight wrong type",
+        read_flight,
+        flight_hdr,
+        {|{"rec":"event","seq":1,"dom":0,"tick":0,"kind":7,"a":1,"b":2,"c":0}|} );
+    ]
 
 let t_export_chrome_shape () =
   let tr =

@@ -3,6 +3,7 @@
     rendering. *)
 
 open Tcm_workload
+module Stats = Tcm_dist.Stats
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -54,7 +55,7 @@ let t_json_parse_roundtrip () =
         ("minor_words", Float 8123.5);
         ("empty", Arr []);
         ("rows", Arr [ Obj [ ("threads", Int 2); ("ok", Bool true); ("gap", Null) ] ]);
-        ("text", Str "a\"b\\c\nd\twide: \xc3\xa9");
+        ("text", Str "a\"b\\c\nd\twide: \xc3\xa9 ctl:\001");
       ]
   in
   (match of_string (to_string v) with
@@ -73,7 +74,20 @@ let t_json_parse_roundtrip () =
            ignore (of_string bad);
            false
          with Parse_error _ -> true))
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\":}";
+      "tru";
+      "\"unterminated";
+      "1 2";
+      (* RFC 8259: control characters inside strings must be escaped. *)
+      "\"tab\there\"";
+      "\"ctl\001\"";
+      "\"after an escape\\n\001\"";
+      "\"\\u00zz\"";
+    ]
 
 let t_cv () =
   check_float "no spread" 0. (Stats.cv [ 4.; 4.; 4. ]);
@@ -269,39 +283,69 @@ let t_float_to_string () =
 (* Bench dump schema validation                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One regression case per shipped schema version: a reader must keep
-   accepting every dump this repo has ever written (tcm-bench/1 from
-   before the GC columns, /2 before the backend split, /3 before the
-   figure-kind discriminator, /4 before the observability fields,
-   /5 before the consult-cost entries, /6 before the rate-ladder
-   figures and per-run latency/admission fields, /7 current). *)
-let t_bench_schema_accepts_all_versions () =
+(* The reader accepts the one schema it writes and refuses the older
+   versions, naming the one it expects. *)
+let t_bench_schema_accepts_only_current () =
+  Alcotest.(check string) "writer emits /7" "tcm-bench/7" Report.bench_schema;
+  let read v = Report.bench_schema_of (Report.Json.Obj [ ("schema", Report.Json.Str v) ]) in
+  Alcotest.(check (result string string)) "accepts /7" (Ok "tcm-bench/7") (read "tcm-bench/7");
   List.iter
     (fun v ->
-      match Report.bench_schema_of (Report.Json.Obj [ ("schema", Report.Json.Str v) ]) with
-      | Ok got -> Alcotest.(check string) ("accepts " ^ v) v got
-      | Error e -> Alcotest.failf "%s rejected: %s" v e)
-    [
-      "tcm-bench/1";
-      "tcm-bench/2";
-      "tcm-bench/3";
-      "tcm-bench/4";
-      "tcm-bench/5";
-      "tcm-bench/6";
-      "tcm-bench/7";
-    ];
-  Alcotest.(check (list string)) "the accept list is exactly the lineage"
-    [
-      "tcm-bench/1";
-      "tcm-bench/2";
-      "tcm-bench/3";
-      "tcm-bench/4";
-      "tcm-bench/5";
-      "tcm-bench/6";
-      "tcm-bench/7";
-    ]
-    Report.bench_schemas;
-  Alcotest.(check string) "writer emits the newest" "tcm-bench/7" Report.bench_schema
+      match read v with
+      | Ok _ -> Alcotest.failf "%s accepted" v
+      | Error e ->
+          check_bool (Printf.sprintf "%s: error %S names tcm-bench/7" v e) true
+            (string_contains e "tcm-bench/7"))
+    [ "tcm-bench/1"; "tcm-bench/2"; "tcm-bench/3"; "tcm-bench/4"; "tcm-bench/5"; "tcm-bench/6" ]
+
+(* The committed trajectory (the repo's BENCH_*.json) stays readable:
+   every dump carries the current schema, and figures of one kind have
+   one key set across all dumps — sweep manager entries and service
+   classes included — so no reader needs a default for a field an
+   older run lacked. *)
+let t_committed_dumps () =
+  let module J = Report.Json in
+  let dumps =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  check_bool "the committed dumps are visible" true (List.length dumps >= 8);
+  let shapes = Hashtbl.create 8 in
+  let note file part j =
+    let keys =
+      match j with
+      | J.Obj kvs -> List.sort compare (List.map fst kvs)
+      | _ -> Alcotest.failf "%s: a %s entry is not an object" file part
+    in
+    match Hashtbl.find_opt shapes part with
+    | None -> Hashtbl.add shapes part (file, keys)
+    | Some (first, keys0) ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s %s keys as in %s" file part first)
+          keys0 keys
+  in
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_bin (Filename.concat ".." file) In_channel.input_all in
+      let j = J.of_string text in
+      Alcotest.(check (result string string)) (file ^ " schema") (Ok Report.bench_schema)
+        (Report.bench_schema_of j);
+      note file "dump" j;
+      List.iter
+        (fun fig ->
+          let kind = J.get_str "kind" fig in
+          note file kind fig;
+          match kind with
+          | "sweep" ->
+              List.iter
+                (fun row -> List.iter (note file "sweep manager") (J.get_list "managers" row))
+                (J.get_list "rows" fig)
+          | "service" -> List.iter (note file "service class") (J.get_list "classes" fig)
+          | _ -> ())
+        (J.get_list "figures" j))
+    dumps
 
 let t_bench_schema_rejects () =
   let open Report.Json in
@@ -563,10 +607,11 @@ let () =
         ] );
       ( "bench-schema",
         [
-          Alcotest.test_case "accepts every shipped version" `Quick
-            t_bench_schema_accepts_all_versions;
+          Alcotest.test_case "accepts only the current version" `Quick
+            t_bench_schema_accepts_only_current;
           Alcotest.test_case "rejects missing and unknown" `Quick t_bench_schema_rejects;
           Alcotest.test_case "writer emits current schema" `Quick
             t_bench_json_emits_current_schema;
+          Alcotest.test_case "committed dumps readable" `Quick t_committed_dumps;
         ] );
     ]
