@@ -37,7 +37,7 @@ tl2-smoke:
 	dune build @tl2-smoke
 
 # Open-loop service sweep on both backends across the full manager
-# registry, with the JSON dump pushed through the tcm-bench/4 schema
+# registry, with the JSON dump pushed through the tcm-bench/7 schema
 # validator (bin/tcm_service.exe validate).
 service-smoke:
 	dune build @service-smoke
@@ -50,8 +50,8 @@ obs-smoke:
 	dune build @obs-smoke
 
 # Consult-path allocation/latency gate: every registered manager's
-# resolve must allocate zero minor words and stay within the latency
-# band, on both backends (bench/consult_cost.ml).
+# resolve loop must allocate zero minor words (an exact count) and stay
+# within the latency band, on both backends (bench/consult_cost.ml).
 cm-smoke:
 	dune build @cm-smoke
 

@@ -4,10 +4,11 @@
 
     Usage: consult_cost.exe [iters] [--backend locator|tl2|all] [--check]
 
-    [--check] is the @cm-smoke bound: zero minor words per resolve
-    (within noise), an absolute latency ceiling, and a per-backend
-    flatness band — see [Tcm_workload.Consult_cost.check].  Without it
-    the table is informational. *)
+    [--check] is the @cm-smoke bound: zero minor words over each
+    manager's timed loop (an exact count), an absolute latency ceiling,
+    and a per-backend flatness band — see
+    [Tcm_workload.Consult_cost.check].  Without it the table is
+    informational. *)
 
 module C = Tcm_workload.Consult_cost
 
@@ -47,17 +48,18 @@ let rows =
 
 let () =
   Printf.printf "consult-cost probe: iters=%d (per resolve)\n" iters;
-  Printf.printf "  %-10s %-14s %12s %14s\n" "backend" "manager" "ns" "minor words";
+  Printf.printf "  %-10s %-14s %12s %14s %12s\n" "backend" "manager" "ns" "minor words"
+    "loop words";
   List.iter
     (fun (r : C.row) ->
-      Printf.printf "  %-10s %-14s %12.1f %14.4f\n" r.backend r.manager
-        r.ns_per_resolve r.minor_words_per_resolve)
+      Printf.printf "  %-10s %-14s %12.1f %14.4f %12.0f\n" r.backend r.manager
+        r.ns_per_resolve r.minor_words_per_resolve r.minor_words)
     rows;
   if checking then begin
     match C.check rows with
     | [] ->
         Printf.printf
-          "consult-cost check OK: <= %.2f minor words/resolve, <= %.0f ns, \
+          "consult-cost check OK: <= %.0f minor words per loop, <= %.0f ns, \
            flatness <= %.0fx\n"
           C.max_minor_words C.max_ns C.flatness_ratio
     | violations ->

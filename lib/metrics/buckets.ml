@@ -30,7 +30,7 @@ let upper_bound ~buckets i = if i >= buckets - 1 then max_int else (1 lsl (i + 1
 (** Nearest-rank percentile estimated from bucket counts, with linear
     interpolation inside the bucket (the true value is only known to
     within its power-of-two bucket).  [nan] on an empty histogram,
-    mirroring [Stats.percentile] on an empty sample. *)
+    mirroring [Tcm_dist.Stats.Sample.percentile] on an empty sample. *)
 let percentile ~counts p =
   let buckets = Array.length counts in
   let total = Array.fold_left ( + ) 0 counts in

@@ -46,25 +46,29 @@ type class_stats = {
 (** Pure per-class aggregation, separated from the engine so the SLO
     arithmetic (queue time included, drops count as misses) is
     testable deterministically.  Each domain owns a private [t];
-    results are merged after join. *)
+    results are merged after join.  Latencies go into flat
+    per-class samples, sized up front by the engine so that recording
+    a completion stores one float and allocates nothing. *)
 module Agg = struct
+  module Sample = Tcm_dist.Stats.Sample
+
   type t = {
     slo_us : float array;
     submitted : int array;
     dropped : int array;
     slo_ok : int array;
-    lats : float list array;  (** Per-class completion latencies, us. *)
+    lats : Sample.t array;  (** Per-class completion latencies, us. *)
   }
 
-  let create ~slo_us =
-    if Array.length slo_us <> Sclass.count then
-      invalid_arg "Service.Agg.create: one SLO per class";
+  let create ~slo_us ~capacity =
+    if Array.length slo_us <> Sclass.count || Array.length capacity <> Sclass.count then
+      invalid_arg "Service.Agg.create: one SLO and one capacity per class";
     {
       slo_us = Array.copy slo_us;
       submitted = Array.make Sclass.count 0;
       dropped = Array.make Sclass.count 0;
       slo_ok = Array.make Sclass.count 0;
-      lats = Array.make Sclass.count [];
+      lats = Array.map Sample.create capacity;
     }
 
   let submit t c =
@@ -77,7 +81,7 @@ module Agg = struct
 
   let complete t c ~latency_us =
     let i = Sclass.index c in
-    t.lats.(i) <- latency_us :: t.lats.(i);
+    Sample.add t.lats.(i) latency_us;
     if latency_us <= t.slo_us.(i) then t.slo_ok.(i) <- t.slo_ok.(i) + 1
 
   let within_slo t c ~latency_us = latency_us <= t.slo_us.(Sclass.index c)
@@ -87,12 +91,12 @@ module Agg = struct
       into.submitted.(i) <- into.submitted.(i) + src.submitted.(i);
       into.dropped.(i) <- into.dropped.(i) + src.dropped.(i);
       into.slo_ok.(i) <- into.slo_ok.(i) + src.slo_ok.(i);
-      into.lats.(i) <- List.rev_append src.lats.(i) into.lats.(i)
+      Sample.append ~into:into.lats.(i) src.lats.(i)
     done
 
   (** Every completion latency, classes pooled — feeds the overall
       latency-degradation percentiles of the rate ladder. *)
-  let all_lats t = Array.fold_left (fun acc l -> List.rev_append l acc) [] t.lats
+  let all_lats t = Sample.concat t.lats
 
   let class_stats t : class_stats list =
     Array.to_list
@@ -103,16 +107,16 @@ module Agg = struct
            {
              cls = c;
              submitted = t.submitted.(i);
-             completed = List.length lats;
+             completed = Sample.length lats;
              dropped = t.dropped.(i);
              slo_us = t.slo_us.(i);
              slo_ok = t.slo_ok.(i);
              attainment =
                (if t.submitted.(i) = 0 then nan
                 else float_of_int t.slo_ok.(i) /. float_of_int t.submitted.(i));
-             p50_us = Tcm_dist.Stats.percentile 50. lats;
-             p99_us = Tcm_dist.Stats.percentile 99. lats;
-             mean_us = Tcm_dist.Stats.mean lats;
+             p50_us = Sample.percentile lats 50.;
+             p99_us = Sample.percentile lats 99.;
+             mean_us = Sample.mean lats;
            })
          Sclass.all)
 end
@@ -210,6 +214,7 @@ type schedule = {
   key_off : int array;  (** Length [n + 1]; request i's keys are
                             [keys.(key_off.(i)) .. keys.(key_off.(i+1) - 1)]. *)
   keys : int array;
+  per_class : int array;  (** Requests of each class, indexed like {!Sclass.all}. *)
 }
 
 let keys_per_class cfg ci =
@@ -225,15 +230,17 @@ let build_schedule cfg =
   let n = Array.length times in
   let cls = Array.make n 0 in
   let key_off = Array.make (n + 1) 0 in
+  let per_class = Array.make Sclass.count 0 in
   for i = 0 to n - 1 do
     let ci = Sclass.index (Sclass.pick cfg.mix rng) in
     cls.(i) <- ci;
+    per_class.(ci) <- per_class.(ci) + 1;
     key_off.(i + 1) <- key_off.(i) + keys_per_class cfg ci
   done;
   let keys =
     Array.init key_off.(n) (fun _ -> Tcm_dist.Samplers.Zipf.draw zipf rng)
   in
-  { times; cls; key_off; keys }
+  { times; cls; key_off; keys; per_class }
 
 (* ------------------------------------------------------------------ *)
 (* Transaction bodies                                                  *)
@@ -309,8 +316,13 @@ let run (cfg : config) : summary =
   let trace_on = Tcm_trace.Sink.enabled () in
   let drops0 = if trace_on then Tcm_trace.Sink.drops () else 0 in
   let q = Squeue.create ~shards:cfg.workers cfg.queue_cap in
-  let gen_agg = Agg.create ~slo_us:cfg.slo_us in
-  let worker_aggs = Array.init cfg.workers (fun _ -> Agg.create ~slo_us:cfg.slo_us) in
+  let gen_agg = Agg.create ~slo_us:cfg.slo_us ~capacity:(Array.make Sclass.count 0) in
+  (* Any worker may complete every request of a class, so each sizes
+     its samples to the schedule's class counts: no sample grows while
+     the run is timed. *)
+  let worker_aggs =
+    Array.init cfg.workers (fun _ -> Agg.create ~slo_us:cfg.slo_us ~capacity:sched.per_class)
+  in
   (* Out-params written by the generator domain before it exits, read
      after join. *)
   let gen_minor_words = Array.make 1 0. in
@@ -379,9 +391,13 @@ let run (cfg : config) : summary =
   List.iter Domain.join workers;
   let elapsed = Unix.gettimeofday () -. t0 in
   let s1 = Stm.stats rt in
-  let total = Agg.create ~slo_us:cfg.slo_us in
+  (* Worker 0's samples already have room for every request, so the
+     others merge into them without growing. *)
+  let total = worker_aggs.(0) in
   Agg.merge_into ~into:total gen_agg;
-  Array.iter (fun a -> Agg.merge_into ~into:total a) worker_aggs;
+  for w = 1 to cfg.workers - 1 do
+    Agg.merge_into ~into:total worker_aggs.(w)
+  done;
   let classes = Agg.class_stats total in
   let all_lats = Agg.all_lats total in
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 classes in
@@ -401,8 +417,8 @@ let run (cfg : config) : summary =
     elapsed_s = elapsed;
     throughput = float_of_int completed /. elapsed;
     offered = float_of_int submitted /. elapsed;
-    p50_us = Tcm_dist.Stats.percentile 50. all_lats;
-    p99_us = Tcm_dist.Stats.percentile 99. all_lats;
+    p50_us = Tcm_dist.Stats.Sample.percentile all_lats 50.;
+    p99_us = Tcm_dist.Stats.Sample.percentile all_lats 99.;
     queue_high_water = Squeue.high_water q;
     queue_spills = gen_spills.(0);
     gen_minor_words_per_req =

@@ -30,12 +30,16 @@ type class_stats = {
 
 (** Pure per-class aggregation (one instance per domain, merged after
     join) — exposed so the SLO arithmetic is testable without running
-    the engine. *)
+    the engine.  Latencies are kept in flat {!Tcm_dist.Stats.Sample}s;
+    [complete] allocates nothing while a class's sample has room. *)
 module Agg : sig
   type t
 
-  val create : slo_us:float array -> t
-  (** @raise Invalid_argument unless one SLO per class. *)
+  val create : slo_us:float array -> capacity:int array -> t
+  (** [capacity.(i)]: completions of class [i] to make room for (the
+      samples grow past it).
+      @raise Invalid_argument unless one SLO and one capacity per
+      class. *)
 
   val submit : t -> Sclass.t -> unit
   val drop : t -> Sclass.t -> unit
@@ -43,8 +47,8 @@ module Agg : sig
   val within_slo : t -> Sclass.t -> latency_us:float -> bool
   val merge_into : into:t -> t -> unit
 
-  val all_lats : t -> float list
-  (** Every completion latency, classes pooled. *)
+  val all_lats : t -> Tcm_dist.Stats.Sample.t
+  (** Every completion latency, classes pooled (a fresh sample). *)
 
   val class_stats : t -> class_stats list
 end

@@ -9,9 +9,12 @@ type row = {
   backend : string;  (** "locator" or "tl2". *)
   ns_per_resolve : float;
   minor_words_per_resolve : float;
+  minor_words : float;  (** The whole timed loop's, exact ([Gc.minor_words]). *)
 }
 
 val max_minor_words : float
+(** Minor words the whole timed loop may allocate: 0. *)
+
 val max_ns : float
 val flatness_ratio : float
 val flatness_floor_ns : float
@@ -25,6 +28,7 @@ val measure_all : ?iters:int -> unit -> row list
 
 val check : row list -> string list
 (** Violation messages for the allocation (≤ {!max_minor_words} minor
-    words/resolve), latency (≤ {!max_ns} ns) and per-backend flatness
-    (≤ {!flatness_ratio} between slowest and fastest manager, after
-    clamping to {!flatness_floor_ns}) gates; empty means all hold. *)
+    words over the timed loop), latency (≤ {!max_ns} ns) and
+    per-backend flatness (≤ {!flatness_ratio} between slowest and
+    fastest manager, after clamping to {!flatness_floor_ns}) gates;
+    empty means all hold. *)

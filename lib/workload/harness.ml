@@ -72,9 +72,11 @@ type outcome = {
       (** Tail latency: where contention-manager fairness shows up. *)
   minor_words : float;
       (** Minor-heap words allocated by the worker domains during the
-          measurement window ([Gc.quick_stat] deltas, summed — the
-          counters are per-domain in OCaml 5).  Divide by [commits]
-          for the allocation cost per committed transaction. *)
+          measurement window: each domain's own [Gc.counters] delta,
+          summed ([Gc.quick_stat] counts every domain's allocation, so
+          summing its deltas would count k domains k times).  Divide
+          by [commits] for the allocation cost per committed
+          transaction. *)
   major_words : float;  (** Major-heap words, same accounting. *)
   stats : Tcm_stm.Runtime.stats_snapshot;
       (** Full runtime counters (enemy/self aborts, blocks, backoffs)
@@ -121,14 +123,14 @@ let run ?poll (cfg : config) : outcome =
   done;
   let stop = Atomic.make false in
   let per_thread = Array.make cfg.threads 0 in
-  let latencies = Array.make cfg.threads [] in
+  let latencies = Array.make cfg.threads (Tcm_dist.Stats.Sample.create 0) in
   let minor_w = Array.make cfg.threads 0. in
   let major_w = Array.make cfg.threads 0. in
   let body tid () =
-    let g0 = Gc.quick_stat () in
+    let samples = Tcm_dist.Stats.Sample.create 1024 in
+    let minor0, _, major0 = Gc.counters () in
     let rng = Splitmix.create (cfg.seed + (tid * 7919) + 1) in
     let count = ref 0 in
-    let samples = ref [] in
     while not (Atomic.get stop) do
       let key = Splitmix.int rng cfg.key_range in
       let r = Splitmix.int rng max_int in
@@ -145,14 +147,15 @@ let run ?poll (cfg : config) : outcome =
              in
              if cfg.post_work > 0 then spin cfg.post_work;
              res));
-      if sampling then samples := (Unix.gettimeofday () -. t0) *. 1e6 :: !samples;
+      if sampling then
+        Tcm_dist.Stats.Sample.add samples ((Unix.gettimeofday () -. t0) *. 1e6);
       incr count
     done;
     per_thread.(tid) <- !count;
-    latencies.(tid) <- !samples;
-    let g1 = Gc.quick_stat () in
-    minor_w.(tid) <- g1.Gc.minor_words -. g0.Gc.minor_words;
-    major_w.(tid) <- g1.Gc.major_words -. g0.Gc.major_words
+    latencies.(tid) <- samples;
+    let minor1, _, major1 = Gc.counters () in
+    minor_w.(tid) <- minor1 -. minor0;
+    major_w.(tid) <- major1 -. major0
   in
   let t0 = Unix.gettimeofday () in
   let doms = List.init cfg.threads (fun tid -> Domain.spawn (body tid)) in
@@ -176,7 +179,7 @@ let run ?poll (cfg : config) : outcome =
   let elapsed = Unix.gettimeofday () -. t0 in
   let s = Stm.stats rt in
   let commits = Array.fold_left ( + ) 0 per_thread in
-  let all_latencies = Array.fold_left (fun acc l -> List.rev_append l acc) [] latencies in
+  let all_latencies = Tcm_dist.Stats.Sample.concat latencies in
   let wx =
     Tcm_metrics.Conventions.for_workload
       ~workload:(structure_name cfg.structure)
@@ -192,8 +195,8 @@ let run ?poll (cfg : config) : outcome =
     throughput = float_of_int commits /. elapsed;
     per_thread;
     elapsed_s = elapsed;
-    latency_p50_us = Tcm_dist.Stats.percentile 50. all_latencies;
-    latency_p99_us = Tcm_dist.Stats.percentile 99. all_latencies;
+    latency_p50_us = Tcm_dist.Stats.Sample.percentile all_latencies 50.;
+    latency_p99_us = Tcm_dist.Stats.Sample.percentile all_latencies 99.;
     minor_words = Array.fold_left ( +. ) 0. minor_w;
     major_words = Array.fold_left ( +. ) 0. major_w;
     stats = s;

@@ -43,8 +43,9 @@ type outcome = {
   latency_p99_us : float;  (** Tail latency (fairness indicator). *)
   minor_words : float;
       (** Minor-heap words allocated by the worker domains during the
-          window (per-domain [Gc.quick_stat] deltas, summed); divide
-          by [commits] for the per-transaction allocation cost. *)
+          window (each domain's own [Gc.counters] delta, summed);
+          divide by [commits] for the per-transaction allocation
+          cost. *)
   major_words : float;  (** Major-heap words, same accounting. *)
   stats : Runtime.stats_snapshot;  (** Full runtime counters. *)
 }

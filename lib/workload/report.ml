@@ -64,8 +64,8 @@ let json_of_outcome (o : Harness.outcome) : Json.t =
       ("conflicts", Json.Int o.Harness.conflicts);
       ("latency_p50_us", Json.Float o.Harness.latency_p50_us);
       ("latency_p99_us", Json.Float o.Harness.latency_p99_us);
-      (* GC allocation during the measurement window (summed
-         per-domain quick_stat deltas). *)
+      (* GC allocation during the measurement window (each worker
+         domain's own Gc.counters delta, summed). *)
       ("minor_words", Json.Float o.Harness.minor_words);
       ("major_words", Json.Float o.Harness.major_words);
       ("enemy_aborts", Json.Int s.Tcm_stm.Runtime.n_enemy_aborts);

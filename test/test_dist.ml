@@ -1,9 +1,10 @@
 (* Statistical tests for the shared tcm.dist samplers: the Zipf(θ)
    rank-frequency law, the Poisson inter-arrival distribution, and the
-   weighted class picker.  Sample sizes and tolerances are chosen so
-   the checks are deterministic under the fixed seeds yet would catch
-   a broken formula (wrong exponent, off-by-one rank, biased picker) by
-   a wide margin. *)
+   weighted class picker; and the flat latency sample's percentiles
+   against the nearest-rank definition.  Sample sizes and tolerances
+   are chosen so the checks are deterministic under the fixed seeds
+   yet would catch a broken formula (wrong exponent, off-by-one rank,
+   biased picker) by a wide margin. *)
 
 module S = Tcm_dist.Samplers
 module Rng = Tcm_stm.Splitmix
@@ -235,6 +236,94 @@ let t_pick_weighted_invalid () =
     (try ignore (S.pick_weighted rng ~weights:[| 0.; 0. |]); false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Flat samples                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Sample = Tcm_dist.Stats.Sample
+
+(* The reference: nearest rank over a sorted copy of a float list. *)
+let nearest_rank p xs =
+  match List.sort compare xs with
+  | [] -> nan
+  | sorted ->
+      let n = List.length sorted in
+      let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+
+let ps = [ 0.; 1.; 50.; 99.; 100. ]
+
+let same_percentiles s xs =
+  List.for_all (fun p -> Float.equal (Sample.percentile s p) (nearest_rank p xs)) ps
+
+(* Latencies are quantized to 1 us, so the values are small integers:
+   long runs of duplicates. *)
+let latencies = QCheck.(list_of_size Gen.(int_range 0 1000) (map float_of_int (int_bound 40)))
+
+let prop_percentile_nearest_rank =
+  QCheck.Test.make ~name:"percentile = nearest rank of a sorted copy" ~count:300
+    QCheck.(pair latencies latencies)
+    (fun (xs, ys) ->
+      let s = Sample.of_list xs in
+      let before = same_percentiles s xs in
+      (* Adding after a query must re-sort. *)
+      List.iter (Sample.add s) ys;
+      let mean_ok =
+        let m = Tcm_dist.Stats.mean (xs @ ys) in
+        Float.abs (Sample.mean s -. m) <= 1e-9 *. Float.abs m
+      in
+      before && mean_ok
+      && same_percentiles s (xs @ ys)
+      && same_percentiles (Sample.concat [| Sample.of_list xs; Sample.of_list ys |]) (xs @ ys))
+
+let t_sample_edges () =
+  let one = Sample.of_list [ 7. ] in
+  let empty = Sample.create 4 in
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "one value: p%.0f" p) 7.
+        (Sample.percentile one p);
+      check_bool (Printf.sprintf "empty: p%.0f is nan" p) true
+        (Float.is_nan (Sample.percentile empty p)))
+    ps;
+  Alcotest.(check (float 0.)) "empty mean" 0. (Sample.mean empty);
+  (* A sample created with no room grows. *)
+  let s = Sample.create 0 in
+  for i = 1 to 1000 do
+    Sample.add s (float_of_int (1001 - i))
+  done;
+  Alcotest.(check int) "grown" 1000 (Sample.length s);
+  Alcotest.(check (float 0.)) "p50 after growth" 500. (Sample.percentile s 50.)
+
+(* Completion-order latencies come in shapes: ascending during a
+   drain, organ-pipe while a queue fills then empties, sawtooth.
+   200,000 of each must sort to the right ranks; a quadratic sort
+   would take minutes here. *)
+let t_sample_shapes () =
+  let n = 200_000 in
+  List.iter
+    (fun (name, f) ->
+      let s = Sample.create n in
+      let sorted = Float.Array.init n f in
+      for i = 0 to n - 1 do
+        Sample.add s (Float.Array.get sorted i)
+      done;
+      Float.Array.sort Float.compare sorted;
+      List.iter
+        (fun p ->
+          let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int n))) in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s p%.0f" name p)
+            (Float.Array.get sorted (rank - 1))
+            (Sample.percentile s p))
+        (List.init 101 float_of_int))
+    [
+      ("ascending", float_of_int);
+      ("descending", fun i -> float_of_int (n - i));
+      ("organ pipe", fun i -> float_of_int (min i (n - 1 - i)));
+      ("sawtooth", fun i -> float_of_int (i mod 1000));
+    ]
+
 let () =
   Alcotest.run "dist"
     [
@@ -264,5 +353,11 @@ let () =
         [
           Alcotest.test_case "proportions" `Quick t_pick_weighted_proportions;
           Alcotest.test_case "invalid weights" `Quick t_pick_weighted_invalid;
+        ] );
+      ( "sample",
+        [
+          QCheck_alcotest.to_alcotest prop_percentile_nearest_rank;
+          Alcotest.test_case "one value, empty, growth" `Quick t_sample_edges;
+          Alcotest.test_case "latency shapes sort" `Quick t_sample_shapes;
         ] );
     ]

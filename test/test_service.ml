@@ -160,7 +160,8 @@ let t_squeue_conservation_hammer () =
    submissions (one dropped, one over-SLO), 1 scan, 1 rmw. *)
 let t_agg_slo_accounting () =
   let slo_us = [| 1_000.; 10_000.; 2_000. |] in
-  let a = Service.Agg.create ~slo_us in
+  let capacity = Array.make Sclass.count 0 in
+  let a = Service.Agg.create ~slo_us ~capacity in
   let submit_complete cls lat =
     Service.Agg.submit a cls;
     Service.Agg.complete a cls ~latency_us:lat
@@ -191,7 +192,7 @@ let t_agg_slo_accounting () =
   let m = find Sclass.Rmw in
   check_int "rmw boundary within SLO" 1 m.slo_ok;
   (* Merge: a second (worker) accumulator folds in exactly. *)
-  let b = Service.Agg.create ~slo_us in
+  let b = Service.Agg.create ~slo_us ~capacity in
   Service.Agg.submit b Sclass.Read;
   Service.Agg.complete b Sclass.Read ~latency_us:50.;
   Service.Agg.merge_into ~into:a b;
@@ -202,6 +203,25 @@ let t_agg_slo_accounting () =
   in
   check_int "merged submitted" 5 r'.submitted;
   check_int "merged slo_ok" 3 r'.slo_ok
+
+(* A completion stores one float into a sample sized up front: counted
+   exactly (Gc.minor_words reads the allocation pointer), recording
+   100,000 of them allocates no word. *)
+let t_agg_complete_allocates_nothing () =
+  let n = 100_000 in
+  let a =
+    Service.Agg.create ~slo_us:Sclass.default_slos ~capacity:(Array.make Sclass.count n)
+  in
+  let lat = 250. in
+  let m0 = Gc.minor_words () in
+  for i = 1 to n do
+    Service.Agg.complete a Sclass.all.(i mod Sclass.count) ~latency_us:lat
+  done;
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check (float 0.)) "minor words for 100000 completions" 0. words;
+  check_int "every completion recorded" n
+    (List.fold_left (fun acc (c : Service.class_stats) -> acc + c.completed) 0
+       (Service.Agg.class_stats a))
 
 (* Queue time is part of the latency: a request that waited is charged
    from its scheduled arrival, not from dequeue. *)
@@ -469,6 +489,8 @@ let () =
       ( "slo",
         [
           Alcotest.test_case "per-class accounting" `Quick t_agg_slo_accounting;
+          Alcotest.test_case "completion allocates nothing" `Quick
+            t_agg_complete_allocates_nothing;
           Alcotest.test_case "latency includes queue time" `Quick
             t_latency_includes_queue_time;
         ] );

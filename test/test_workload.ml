@@ -23,14 +23,13 @@ let t_stddev () =
   check_float "known sample" 1. (Stats.stddev [ 1.; 2.; 3. ])
 
 let t_percentile () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  check_float "p50" 50. (Stats.percentile 50. xs);
-  check_float "p99" 99. (Stats.percentile 99. xs);
-  check_float "p100" 100. (Stats.percentile 100. xs);
-  check_float "median alias" 50. (Stats.median xs);
+  let xs = Stats.Sample.of_list (List.init 100 (fun i -> float_of_int (i + 1))) in
+  check_float "p50" 50. (Stats.Sample.percentile xs 50.);
+  check_float "p99" 99. (Stats.Sample.percentile xs 99.);
+  check_float "p100" 100. (Stats.Sample.percentile xs 100.);
   (* An empty sample has no percentiles: nan, not a fake 0. *)
-  check_bool "empty is nan" true (Float.is_nan (Stats.percentile 50. []));
-  check_bool "empty median is nan" true (Float.is_nan (Stats.median []))
+  check_bool "empty is nan" true
+    (Float.is_nan (Stats.Sample.percentile (Stats.Sample.create 0) 50.))
 
 let t_json_emit () =
   let open Report.Json in
@@ -137,6 +136,18 @@ let t_harness_runs () =
      skiplist workload allocates per txn). *)
   check_bool "minor words counted" true (o.Harness.minor_words > 0.);
   check_bool "major words non-negative" true (o.Harness.major_words >= 0.)
+
+(* [Gc.quick_stat] counts every domain's allocation in OCaml 5: summed
+   per-domain deltas of it read a 2-domain run at about twice its real
+   words per commit. *)
+let t_harness_minor_words_per_domain () =
+  let per_commit threads =
+    let o = Harness.run { Harness.default with threads; duration_s = 0.2 } in
+    o.Harness.minor_words /. float_of_int o.Harness.commits
+  in
+  let one = per_commit 1 and two = per_commit 2 in
+  if two > 1.5 *. one then
+    Alcotest.failf "fig1 list: %.1f minor words per commit at 2 domains, %.1f at 1" two one
 
 let t_harness_post_work_slows () =
   let base = { Harness.default with threads = 1; duration_s = 0.05 } in
@@ -437,6 +448,7 @@ let t_bench_json_emits_current_schema () =
       manager = "greedy";
       ns_per_resolve = 12.5;
       minor_words_per_resolve = 0.;
+      minor_words = 0.;
     }
   in
   let fake_ladder_curve : Tcm_service.Ladder.curve =
@@ -584,6 +596,8 @@ let () =
           Alcotest.test_case "structure names" `Quick t_structure_names;
           Alcotest.test_case "harness runs" `Quick t_harness_runs;
           Alcotest.test_case "post-work lowers throughput" `Quick t_harness_post_work_slows;
+          Alcotest.test_case "minor words counted per domain" `Quick
+            t_harness_minor_words_per_domain;
           Alcotest.test_case "ops for every structure" `Quick t_make_ops_all;
         ] );
       ( "sim-models",
