@@ -12,13 +12,18 @@
     On the locator backend the rows cover both read modes; on TL2
     (always invisible, clock-validated) there is a single mode.
 
+    A last row allocates variables with [Tvar.make] and reports the
+    words per variable, the footprint every structure node pays.
+
     Usage: write_cost.exe [iters] [--backend locator|tl2] [--check]
 
     [--check] is the @write-smoke / @tl2-smoke sanity bound.  It
     enforces the absolute minor-words budget for the steady-state
     4-write transaction (catching an accidental reintroduction of
-    per-open allocation), and fails if that transaction allocates more
-    with [tcm.metrics] on (the "+metrics" row).  On TL2 it
+    per-open allocation), fails if that transaction allocates more
+    with [tcm.metrics] on (the "+metrics" row), and holds the
+    [Tvar.make] row to exactly [tvar_words] words per variable, so a
+    field added to the variable fails it.  On TL2 it
     additionally runs the same workload on the locator backend and
     fails if the TL2 uncontended commit allocates more minor words per
     commit than the locator's — the PR-4 allocation discipline must
@@ -155,6 +160,17 @@ let bench_read_only ~backend read_mode k =
         sink := Stm.atomically rt body
       done)
 
+(* [Tvar.make] alone: 18 words (DESIGN.md "Reader slots"). *)
+let tvar_words = 18
+
+let kept = ref (Tvar.make 0)
+
+let bench_make () =
+  measure "Tvar.make (words per variable)" (fun n ->
+      for i = 1 to n do
+        kept := Tvar.make i
+      done)
+
 let rows_for backend =
   match backend with
   | Stm.Locator ->
@@ -189,13 +205,26 @@ let () =
   Printf.printf "write-cost probe: backend=%s iters=%d (per-txn figures; single domain)\n%!"
     (Stm.backend_name backend) iters;
   let rows = rows_for backend in
+  let make_row = bench_make () in
   Printf.printf "  %-34s %12s %14s %14s\n" "workload" "ns/txn" "minor-w/txn" "major-w/txn";
   List.iter
     (fun r ->
       Printf.printf "  %-34s %12.1f %14.2f %14.2f\n" r.label r.ns_per_txn
         r.minor_per_commit r.major_per_commit)
-    rows;
+    (rows @ [ make_row ]);
   if checking then begin
+    (* Footprint: the exact count, both ways — creep fails, and so does
+       a saving nobody recorded here. *)
+    let expect = float_of_int (tvar_words * iters) in
+    if make_row.minor_words <> expect then begin
+      Printf.eprintf
+        "write-smoke FAIL: Tvar.make allocates %.0f minor words over %d variables, \
+         expected exactly %d per variable\n"
+        make_row.minor_words iters tvar_words;
+      exit 1
+    end;
+    Printf.printf "write-smoke OK: Tvar.make allocates exactly %d words per variable\n"
+      tvar_words;
     (* Absolute ceiling: the steady-state 4-write transaction must stay
        well under the pre-pooling cost (~138 minor words per commit;
        pooled it measures ~14.4 on the locator — the fixed per-attempt

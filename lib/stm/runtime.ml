@@ -282,7 +282,7 @@ let clear_logs tx =
    a live one whose status would be mistaken for our resolution
    basis. *)
 let make_read_entry (type v) (tx : tx) (tvar : v Tvar.t) (loc : v Tvar.locator)
-    ~(owner : Txn.t) ~gen0 ~saw_committed ~seen (value : v) : read_entry =
+    ~(owner : Txn.t) ~gen0 ~saw_committed ~stamp ~seen (value : v) : read_entry =
   let check () =
     let cur = Atomic.get tvar.Tvar.loc in
     if cur == loc && Tvar.locator_gen loc = gen0 then
@@ -308,7 +308,7 @@ let make_read_entry (type v) (tx : tx) (tvar : v Tvar.t) (loc : v Tvar.locator)
       Valid_stable
     else Invalid
   in
-  { stamp = tvar.Tvar.version; seen; check }
+  { stamp; seen; check }
 
 (* Revalidate the read set, skipping entries whose stamp did not move
    since they were last found {e stable-}valid (an unchanged stamp
@@ -577,9 +577,24 @@ let rec read_invisible : 'a. tx -> 'a Tvar.t -> 'a =
      let v = if saw_committed then loc.Tvar.new_v else loc.Tvar.old_v in
      (* The stamp is read after the owner's status: commit publication
         bumps stamps before the status CAS, so observing a committed
-        owner implies observing its bump and taking the slow path. *)
-     let ver = Tvar.version tvar in
-     if Tvar.locator_gen loc <> g then read_invisible tx tvar
+        owner implies observing its bump and taking the slow path.
+        [stamp_cell] installs the variable's spill block on its first
+        invisible access; the block is never replaced, so the entry
+        keeps the one cell every later bump moves.
+
+        The link is re-checked after the stamp read.  A writer installs
+        its locator before it moves the stamp, so a stamp read while
+        [loc] is still linked predates every bump of a writer that
+        displaces [loc], and that bump moves the stamp past [ver].
+        Without the re-check, [ver] could already be a later writer's
+        published commit stamp while [v] came from the locator it
+        displaced: [seen = ver] would then skip the stale entry in
+        every validation (a torn a+b read in the invisible ABA
+        hammer). *)
+     let stamp = Tvar.stamp_cell tvar in
+     let ver = Atomic.get stamp in
+     if Tvar.locator_gen loc <> g || Atomic.get tvar.Tvar.loc != loc then
+       read_invisible tx tvar
      else begin
        (* Trust the stamp only when the resolution came from a
           committed owner.  A still-Active owner may already have
@@ -596,7 +611,8 @@ let rec read_invisible : 'a. tx -> 'a Tvar.t -> 'a =
            -1
          end
        in
-       push_read tx (make_read_entry tx tvar loc ~owner ~gen0:g ~saw_committed ~seen v);
+       push_read tx
+         (make_read_entry tx tvar loc ~owner ~gen0:g ~saw_committed ~stamp ~seen v);
        if ver > tx.valid_upto || tx.n_fragile > 0 then validate_extend tx ~extend:true;
        cm_opened tx;
        v

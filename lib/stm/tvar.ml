@@ -63,24 +63,47 @@
     pooled locator pins its last [owner]/[old_v]/[new_v] until reuse;
     the bound keeps that retention O(pool_cap) per domain.
 
-    {1 Per-variable bookkeeping}
+    {1 Per-variable bookkeeping: one inline reader slot, the rest spilled}
 
-    Two pieces of per-variable bookkeeping support the runtime's hot
-    paths:
+    A variable is 18 words in five blocks: the record, the [loc] cell,
+    the committed locator with its generation cell, one inline reader
+    slot and the [spill] cell.  Everything else a variable may need —
+    three more reader slots, the reader overflow list and the
+    invisible-mode stamp cell — lives in a {e spill block} that most
+    variables never get.  A fresh variable's [spill] cell points at one
+    shared empty sentinel, [no_spill], with no slots, an empty overflow
+    and a stamp of 0.  A CAS installs a variable's own block, once, the
+    first time a second live visible reader registers or an
+    invisible-mode access needs the stamp cell.  An installed block is
+    never replaced, so a stamp cell recorded in an invisible read log
+    stays the variable's stamp cell.  TL2 (which validates against a
+    global clock and a striped orec table) and a lone visible reader
+    never install one.
 
-    - [version] is a stamp drawn from a global clock, advanced by
+    - The stamp is drawn from a global clock, advanced by
       invisible-mode writers when they install a locator and again just
       before they publish a commit.  Invisible readers use it for
       incremental validation: a read set known valid at clock value [g]
       stays valid as long as no variable in it carries a stamp above
       [g], so the common-case read validates one variable instead of
-      re-checking the whole set.
+      re-checking the whole set.  A fresh block's stamp is 0, a fresh
+      variable's stamp; the sentinel's is never used, because
+      [stamp_cell] installs the block first.
 
-    - Visible readers register in a small fixed array of {e reader
-      slots} (CAS-claimed, lazily reclaimed when the registrant dies)
-      with a list-based overflow for the rare case of more simultaneous
-      readers than slots.  Registration and writer-side scans are
-      allocation-free while the slots suffice. *)
+    - Visible readers register by CAS in the inline slot, or, when a
+      live reader holds it, in a slot of the spill block (installing it
+      first), or in the block's CAS'd overflow list when every slot
+      holds a live reader.  Dead entries are reclaimed lazily.  A
+      reader registers {e before} it re-reads the locator; a writer,
+      after its install CAS, scans the inline slot and then whatever
+      block the [spill] cell holds.  All of these are SC atomics, so
+      either the writer's scan sees the registration or the reader's
+      re-read sees the writer's locator.  A registration in a block
+      follows that block's install, and the block is never replaced,
+      so a writer that read the sentinel scanned before the
+      registration and the reader sees its locator.  Registration and
+      writer-side scans are allocation-free while the slots suffice;
+      the block itself is the one allocation, once per variable. *)
 
 type 'a locator = {
   mutable owner : Txn.t;
@@ -92,13 +115,47 @@ type 'a locator = {
           (see the seqlock rule above).  Never reset. *)
 }
 
+type spill = {
+  slots : Txn.t Atomic.t array;
+  overflow : Txn.t list Atomic.t;
+  stamp : int Atomic.t;
+}
+
 type 'a t = {
   id : int;
   loc : 'a locator Atomic.t;
-  version : int Atomic.t;
-  reader_slots : Txn.t Atomic.t array;
-  reader_overflow : Txn.t list Atomic.t;
+  reader : Txn.t Atomic.t;
+  spill : spill Atomic.t;
 }
+
+(* An empty reader slot.  The sentinel is permanently committed, hence
+   never an active reader, so scans need no separate emptiness test. *)
+let no_reader = Txn.committed_sentinel
+
+(* The shared sentinel of every unspilled variable.  Its empty slot
+   array makes scans of it free; its overflow and stamp cells are never
+   written (registration and stamping install a block first, and a
+   purge CASes an overflow only when it held a dead entry). *)
+let no_spill = { slots = [||]; overflow = Atomic.make []; stamp = Atomic.make 0 }
+
+let new_spill () =
+  {
+    slots = [| Atomic.make no_reader; Atomic.make no_reader; Atomic.make no_reader |];
+    overflow = Atomic.make [];
+    stamp = Atomic.make 0;
+  }
+
+(* The variable's own block, installed first if it still has the
+   sentinel.  A losing installer adopts the winner's block, so there is
+   one block per variable, ever. *)
+let spill t =
+  let s = Atomic.get t.spill in
+  if s != no_spill then s
+  else
+    let b = new_spill () in
+    if Atomic.compare_and_set t.spill no_spill b then b else Atomic.get t.spill
+
+let spilled t = Atomic.get t.spill != no_spill
 
 (* ------------------------------------------------------------------ *)
 (* Version stamps                                                      *)
@@ -112,8 +169,7 @@ let clock = Atomic.make 1
 let now () = Atomic.get clock
 let next_stamp () = 1 + Atomic.fetch_and_add clock 1
 
-let version t = Atomic.get t.version
-let stamp_cell t = t.version
+let stamp_cell t = (spill t).stamp
 
 (* Stamp cells only move forward.  A plain store would let a lagging
    commit publication (an attempt that loses its status CAS after
@@ -124,7 +180,7 @@ let rec advance_stamp cell s =
   let cur = Atomic.get cell in
   if s > cur && not (Atomic.compare_and_set cell cur s) then advance_stamp cell s
 
-let bump_version t = advance_stamp t.version (next_stamp ())
+let bump_version t = advance_stamp (stamp_cell t) (next_stamp ())
 
 (* ------------------------------------------------------------------ *)
 (* Locator pool & hazard slots                                         *)
@@ -270,37 +326,34 @@ let recycle_locator (p : pool) (loc : 'a locator) =
 (* Construction & inspection                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An empty reader slot.  The sentinel is permanently committed, hence
-   never an active reader, so scans need no separate emptiness test. *)
-let no_reader = Txn.committed_sentinel
-
 let make v =
   {
     id = Txid.next_tvar_id ();
     loc =
       Atomic.make
         { owner = Txn.committed_sentinel; old_v = v; new_v = v; gen = Atomic.make 0 };
-    version = Atomic.make 0;
-    reader_slots =
-      [| Atomic.make no_reader; Atomic.make no_reader; Atomic.make no_reader;
-         Atomic.make no_reader |];
-    reader_overflow = Atomic.make [];
+    reader = Atomic.make no_reader;
+    spill = Atomic.make no_spill;
   }
 
 let id t = t.id
 
-(** Non-transactional store for bulk preloading, installing a fresh
-    committed locator.  Only sound while the variable is {e
-    unpublished} — no concurrent transaction (on either backend) may
-    have seen it: the store bypasses conflict detection entirely, so a
-    racing reader could validate against the displaced locator.  Both
+(** Non-transactional store for bulk preloading, written into the
+    variable's own linked locator, which it turns into a
+    committed-sentinel locator carrying [v]; allocates nothing.  Only
+    sound while the variable is {e unpublished} — no concurrent
+    transaction (on either backend) may have seen it: the plain stores
+    bypass conflict detection and the seqlock entirely, and reach
+    other domains through whatever later publishes the variable.  Both
     backends read the committed value as [new_v] of a
-    committed-sentinel locator, which is exactly what this installs;
-    the structure-level [unsafe_preload]s build million-entry stores
+    committed-sentinel locator, which is exactly what this leaves; the
+    structure-level [unsafe_preload]s build million-entry stores
     through it without paying a commit per variable. *)
 let unsafe_init t v =
-  Atomic.set t.loc
-    { owner = Txn.committed_sentinel; old_v = v; new_v = v; gen = Atomic.make 0 }
+  let l = Atomic.get t.loc in
+  l.owner <- Txn.committed_sentinel;
+  l.old_v <- v;
+  l.new_v <- v
 
 (** Value of a locator as seen by an outside observer, given the
     owner's status read {e after} the locator itself.  Only meaningful
@@ -352,65 +405,86 @@ let rec live_readers acc died = function
    would close over the variable and the transaction, allocating two
    closures per visible read — the read path must stay
    allocation-free. *)
-let rec rr_overflow t (txn : Txn.t) =
-  let rs = Atomic.get t.reader_overflow in
+let rec rr_overflow (s : spill) (txn : Txn.t) =
+  let rs = Atomic.get s.overflow in
   if List.memq txn rs then ()
   else
     let live, _ = live_readers [] false rs in
-    if not (Atomic.compare_and_set t.reader_overflow rs (txn :: live)) then
-      rr_overflow t txn
+    if not (Atomic.compare_and_set s.overflow rs (txn :: live)) then rr_overflow s txn
 
-let rec rr_slot t (txn : Txn.t) slots n i =
-  if i = n then rr_overflow t txn
+let rec rr_slot (s : spill) (txn : Txn.t) n i =
+  if i = n then rr_overflow s txn
   else
-    let cell = slots.(i) in
+    let cell = s.slots.(i) in
     let r = Atomic.get cell in
     if r == txn then ()
-    else if Txn.is_active r then rr_slot t txn slots n (i + 1)
+    else if Txn.is_active r then rr_slot s txn n (i + 1)
     else if Atomic.compare_and_set cell r txn then ()
-    else rr_slot t txn slots n i (* lost the race for this slot; re-examine it *)
+    else rr_slot s txn n i (* lost the race for this slot; re-examine it *)
 
-(** Register [txn] as a visible reader.  The scan stops at the first
-    slot that already holds [txn] or at the first claimable (dead)
-    slot, so the common case — a lone reader claiming slot 0, or
-    re-reading a variable it already registered on — costs one load
-    and at most one CAS, with no allocation.  The early exit tolerates
-    the occasional duplicate registration (a transaction can claim an
-    earlier slot than the one it already holds): visibility only
+(** Register [txn] as a visible reader: in the inline slot when it is
+    free, holds [txn] already or holds a dead reader; otherwise in the
+    spill block, installed on the way if the variable has none yet.
+    The block's scan stops at the first slot that already holds [txn]
+    or at the first claimable (dead) slot, so the common case — a lone
+    reader claiming the inline slot, or re-reading a variable it
+    already registered on — costs one load and at most one CAS, with
+    no allocation.  The early exit tolerates
+    the occasional duplicate registration (a transaction can claim the
+    inline slot while it already holds a block slot): visibility only
     requires {e at least} one live entry, writers drain until no
     active reader remains, and dead duplicates are reclaimed lazily
     like any other entry.  Only when every slot holds a live reader
     does registration fall back to the CAS'd overflow list. *)
-let register_reader t (txn : Txn.t) =
-  rr_slot t txn t.reader_slots (Array.length t.reader_slots) 0
+let rec register_reader t (txn : Txn.t) =
+  let r = Atomic.get t.reader in
+  if r == txn then ()
+  else if Txn.is_active r then
+    let s = spill t in
+    rr_slot s txn (Array.length s.slots) 0
+  else if not (Atomic.compare_and_set t.reader r txn) then register_reader t txn
 
 let rec far_overflow (txn : Txn.t) = function
   | [] -> None
   | r :: rest -> if r != txn && Txn.is_active r then Some r else far_overflow txn rest
 
-let rec far_slot t (txn : Txn.t) slots n i =
-  if i = n then far_overflow txn (Atomic.get t.reader_overflow)
+let rec far_slot (s : spill) (txn : Txn.t) n i =
+  if i = n then far_overflow txn (Atomic.get s.overflow)
   else
-    let r = Atomic.get slots.(i) in
-    if r != txn && Txn.is_active r then Some r else far_slot t txn slots n (i + 1)
+    let r = Atomic.get s.slots.(i) in
+    if r != txn && Txn.is_active r then Some r else far_slot s txn n (i + 1)
 
-(** First active reader other than [txn], if any.  Allocation-free
-    while the overflow list is empty. *)
+(** First active reader other than [txn], if any: the inline slot
+    first, then the spill block (the sentinel's scan is empty).
+    Allocation-free while the overflow list is empty. *)
 let find_active_reader t (txn : Txn.t) =
-  far_slot t txn t.reader_slots (Array.length t.reader_slots) 0
+  let r = Atomic.get t.reader in
+  if r != txn && Txn.is_active r then Some r
+  else
+    let s = Atomic.get t.spill in
+    far_slot s txn (Array.length s.slots) 0
 
-(** Opportunistically drop dead reader entries: dead slots are reset to
-    the sentinel, and the overflow list is rebuilt in a single pass —
-    the CAS is skipped entirely when nothing died. *)
+let purge_slot cell =
+  let r = Atomic.get cell in
+  if r != no_reader && not (Txn.is_active r) then
+    ignore (Atomic.compare_and_set cell r no_reader)
+
+(** Opportunistically drop dead reader entries: dead slots (inline and
+    spilled) are reset to the sentinel, and the overflow list is
+    rebuilt in a single pass — the CAS is skipped entirely when
+    nothing died.  The block itself stays installed. *)
 let purge_readers t =
-  Array.iter
-    (fun s ->
-      let r = Atomic.get s in
-      if r != no_reader && not (Txn.is_active r) then
-        ignore (Atomic.compare_and_set s r no_reader))
-    t.reader_slots;
-  match Atomic.get t.reader_overflow with
+  purge_slot t.reader;
+  let s = Atomic.get t.spill in
+  Array.iter purge_slot s.slots;
+  match Atomic.get s.overflow with
   | [] -> ()
   | rs ->
       let live, died = live_readers [] false rs in
-      if died then ignore (Atomic.compare_and_set t.reader_overflow rs live)
+      if died then ignore (Atomic.compare_and_set s.overflow rs live)
+
+let reader_entries t =
+  let n = if Atomic.get t.reader != no_reader then 1 else 0 in
+  let s = Atomic.get t.spill in
+  Array.fold_left (fun n c -> if Atomic.get c != no_reader then n + 1 else n) n s.slots
+  + List.length (Atomic.get s.overflow)

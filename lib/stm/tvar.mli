@@ -31,15 +31,26 @@
     still-published locator must never be recycled: concurrent readers
     resolve values through it.
 
-    [version] carries a stamp from a global clock, advanced by
-    invisible-mode writers on locator install and commit publication;
-    invisible readers compare it against the clock value their read set
-    is known valid at, turning the common-case revalidation into a
-    single load (see [Runtime]).
+    A variable is 18 words: the record, the locator cell, the
+    committed locator and its generation, one inline reader slot and a
+    [spill] cell.  The [spill] cell starts at a shared empty sentinel;
+    a CAS installs the variable's own {e spill block} — three more
+    reader slots, a reader overflow list and the invisible-mode stamp
+    cell — once, when a second live visible reader registers or an
+    invisible-mode access first needs the stamp.  An installed block is
+    never replaced.  TL2 and a lone visible reader never install one.
 
-    Visible readers register in a fixed array of CAS-claimed reader
-    slots (allocation-free in the common case) with a list overflow,
-    so writers resolve read-write conflicts through the contention
+    The stamp comes from a global clock, advanced by invisible-mode
+    writers on locator install and commit publication; invisible
+    readers compare it against the clock value their read set is known
+    valid at, turning the common-case revalidation into a single load
+    (see [Runtime]).
+
+    Visible readers register (inline slot, else a block slot, else the
+    overflow list) {e before} they re-read the locator; a writer scans
+    the inline slot and then the block after its install CAS, so either
+    the writer sees the reader or the reader sees the writer's locator.
+    Writers thus resolve read-write conflicts through the contention
     manager, matching the paper's conflict definition. *)
 
 type 'a locator = {
@@ -51,15 +62,18 @@ type 'a locator = {
           flight, even once the incarnation is complete. *)
 }
 
+type spill
+(** Spilled reader slots, reader overflow list and stamp cell. *)
+
 type 'a t = {
   id : int;
   loc : 'a locator Atomic.t;
-  version : int Atomic.t;  (** Stamp of the last invisible-writer event. *)
-  reader_slots : Txn.t Atomic.t array;
-  reader_overflow : Txn.t list Atomic.t;
+  reader : Txn.t Atomic.t;  (** The inline reader slot. *)
+  spill : spill Atomic.t;  (** The shared empty sentinel until installed. *)
 }
 
 val make : 'a -> 'a t
+(** A committed variable: 18 words, no spill block. *)
 
 val id : 'a t -> int
 
@@ -74,10 +88,11 @@ val peek : 'a t -> 'a
     (seqlock-guarded against concurrent recycling). *)
 
 val unsafe_init : 'a t -> 'a -> unit
-(** Non-transactional store (fresh committed locator), for bulk
-    preloading {e before} the variable is published to any
-    transaction.  Bypasses conflict detection on both backends: unsound
-    the moment a concurrent transaction may have read the variable. *)
+(** Non-transactional store into the variable's own locator (made a
+    committed-sentinel locator; allocates nothing), for bulk preloading
+    {e before} the variable is published to any transaction.  Bypasses
+    conflict detection on both backends: unsound the moment a
+    concurrent transaction may have read the variable. *)
 
 (** {2 Locator pool (per-domain freelist + hazard slot)} *)
 
@@ -139,11 +154,9 @@ val now : unit -> int
 val next_stamp : unit -> int
 (** Advance the global clock and return the new stamp. *)
 
-val version : 'a t -> int
-(** The variable's current stamp. *)
-
 val stamp_cell : 'a t -> int Atomic.t
-(** The stamp cell itself, for bulk publication at commit time. *)
+(** The stamp cell itself, installing the spill block if needed; the
+    same cell for the variable's whole life. *)
 
 val advance_stamp : int Atomic.t -> int -> unit
 (** Monotone stamp store: moves the cell forward to the given stamp,
@@ -156,13 +169,23 @@ val bump_version : 'a t -> unit
 (** {2 Visible readers} *)
 
 val register_reader : 'a t -> Txn.t -> unit
-(** Add a visible reader; reclaims dead slots lazily, allocation-free
-    while the slot array suffices.  May leave a duplicate entry for a
+(** Add a visible reader: the inline slot if it is free or dead, else
+    the spill block (installed on the first second live reader).
+    Reclaims dead slots lazily; allocation-free apart from that one
+    install while the slots suffice.  May leave a duplicate entry for a
     re-reading transaction (benign: writers drain every live entry). *)
 
 val find_active_reader : 'a t -> Txn.t -> Txn.t option
-(** First active reader other than the given transaction. *)
+(** First active reader other than the given transaction, scanning the
+    inline slot and then the spill block. *)
 
 val purge_readers : 'a t -> unit
-(** Opportunistically drop dead reader entries (single pass; no CAS
-    when nothing died). *)
+(** Opportunistically drop dead reader entries, inline and spilled
+    (single pass; no CAS when nothing died). *)
+
+val spilled : 'a t -> bool
+(** Whether the variable's spill block is installed (tests). *)
+
+val reader_entries : 'a t -> int
+(** Reader entries currently registered, live or dead, inline, in
+    block slots and in the overflow list (tests). *)

@@ -102,21 +102,124 @@ let t_tvar_ids_unique () =
   let a = Tvar.make 0 and b = Tvar.make 0 in
   check_bool "distinct ids" true (Tvar.id a <> Tvar.id b)
 
+let new_attempt () = Txn.new_attempt (Txn.new_shared ())
+
+let reader_id v txn =
+  match Tvar.find_active_reader v txn with Some r -> r.Txn.attempt_id | None -> -1
+
+(* The inline slot takes the first reader; a second live reader spills
+   into the block.  Writers find readers in either place, dead entries
+   are reclaimed in either place, and the block stays once installed. *)
 let t_tvar_readers () =
   let v = Tvar.make 0 in
-  let t1 = Txn.new_attempt (Txn.new_shared ()) in
-  let t2 = Txn.new_attempt (Txn.new_shared ()) in
+  let t1 = new_attempt () and t2 = new_attempt () and w = new_attempt () in
   Tvar.register_reader v t1;
   Tvar.register_reader v t1;
   (* idempotent *)
+  check_int "one entry" 1 (Tvar.reader_entries v);
+  check_bool "lone reader stays inline" false (Tvar.spilled v);
   Tvar.register_reader v t2;
-  (match Tvar.find_active_reader v t1 with
-  | Some r -> check_int "finds the other reader" t2.Txn.attempt_id r.Txn.attempt_id
-  | None -> Alcotest.fail "expected an active reader");
+  check_bool "second live reader spills" true (Tvar.spilled v);
+  check_int "two entries" 2 (Tvar.reader_entries v);
+  check_int "finds the spilled reader" t2.Txn.attempt_id (reader_id v t1);
+  check_int "finds the inline reader" t1.Txn.attempt_id (reader_id v t2);
+  check_int "writer scans inline first" t1.Txn.attempt_id (reader_id v w);
+  ignore (Txn.try_abort t1);
+  check_int "writer finds the spilled reader" t2.Txn.attempt_id (reader_id v w);
   ignore (Txn.try_abort t2);
-  check_bool "dead readers skipped" true (Tvar.find_active_reader v t1 = None);
+  check_bool "dead readers skipped" true (Tvar.find_active_reader v w = None);
+  (* Fill the inline slot, the three block slots and the overflow. *)
+  let live = List.init 6 (fun _ -> new_attempt ()) in
+  List.iter (Tvar.register_reader v) live;
+  check_int "dead slots reclaimed, two overflow entries" 6 (Tvar.reader_entries v);
+  let last = List.nth live 5 in
+  List.iter (fun r -> if r != last then ignore (Txn.try_abort r)) live;
+  check_int "writer finds the overflow reader" last.Txn.attempt_id (reader_id v w);
+  ignore (Txn.try_abort last);
   Tvar.purge_readers v;
-  ignore (Txn.try_abort t1)
+  check_int "purge clears inline, slots and overflow" 0 (Tvar.reader_entries v);
+  check_bool "the block stays installed" true (Tvar.spilled v);
+  (* A dead inline reader is reclaimed in place, without spilling. *)
+  let u = Tvar.make 0 in
+  let a1 = new_attempt () and a2 = new_attempt () in
+  Tvar.register_reader u a1;
+  ignore (Txn.try_abort a1);
+  Tvar.register_reader u a2;
+  check_bool "dead inline reader reclaimed without spilling" false (Tvar.spilled u);
+  check_int "one entry after reclaim" 1 (Tvar.reader_entries u);
+  check_int "the reclaiming reader is visible" a2.Txn.attempt_id (reader_id u w);
+  ignore (Txn.try_abort a2);
+  Tvar.purge_readers u;
+  check_int "purge clears the inline slot" 0 (Tvar.reader_entries u);
+  ignore (Txn.try_abort w)
+
+(* Exact footprint, in minor words: [Gc.minor_words] reads the calling
+   domain's allocation pointer, and each closure below is built before
+   the first read. *)
+let words f =
+  let m0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. m0
+
+(* A variable: record (5), locator cell (2), committed locator (5) and
+   its generation (2), inline reader slot (2), spill cell (2). *)
+let tvar_words = 18.
+
+(* A spill block: record (4), three-slot array (4) and its cells (6),
+   overflow cell (2), stamp cell (2). *)
+let spill_words = 18.
+
+let check_words = Alcotest.(check (float 0.))
+
+let t_tvar_footprint () =
+  let keep = ref (Tvar.make 0) in
+  check_words "Tvar.make" tvar_words (words (fun () -> keep := Tvar.make 1));
+  let v = !keep in
+  check_words "unsafe_init allocates nothing" 0. (words (fun () -> Tvar.unsafe_init v 2));
+  check_int "unsafe_init stores the value" 2 (Tvar.peek v);
+  check_bool "a fresh variable has no block" false (Tvar.spilled v);
+  let rs = Array.init 5 (fun _ -> new_attempt ()) in
+  let reg i () = Tvar.register_reader v rs.(i) in
+  check_words "first reader: inline, no allocation" 0. (words (reg 0));
+  check_bool "still no block" false (Tvar.spilled v);
+  check_words "second live reader installs the block" spill_words (words (reg 1));
+  check_words "third reader: a block slot" 0. (words (reg 2));
+  check_words "fourth reader: a block slot" 0. (words (reg 3));
+  Array.iter (fun r -> ignore (Txn.try_abort r)) rs;
+  check_words "dead slots reused, never a second block" 0. (words (reg 4));
+  check_words "re-registration allocates nothing" 0. (words (reg 4));
+  ignore (Txn.try_abort rs.(4))
+
+let t_tvar_spill_on_demand () =
+  let v = Tvar.make 0 in
+  let rt = rt_with "greedy" in
+  for i = 1 to 200 do
+    Stm.atomically rt (fun tx ->
+        let x = Stm.read tx v in
+        if i land 1 = 0 then Stm.write tx v (x + 1))
+  done;
+  check_int "updates applied" 100 (Tvar.peek v);
+  check_bool "successive lone visible readers never spill" false (Tvar.spilled v);
+  let w = Tvar.make 0 in
+  let tl2 = Stm.create ~backend:Stm.Tl2_backend (Tcm_core.Registry.find_exn "greedy") in
+  for i = 1 to 200 do
+    Stm.atomically tl2 (fun tx ->
+        let x = Stm.read tx w in
+        if i land 1 = 0 then Stm.write tx w (x + 1);
+        if i mod 3 = 0 then Stm.modify tx w succ)
+  done;
+  check_int "tl2 updates applied" 166 (Tvar.peek w);
+  check_bool "tl2 reads, writes and commits never spill" false (Tvar.spilled w);
+  let u = Tvar.make 0 in
+  let inv =
+    rt_with ~config:{ Runtime.default_config with read_mode = `Invisible } "greedy"
+  in
+  ignore (Stm.atomically inv (fun tx -> Stm.read tx u));
+  check_bool "an invisible read installs the stamp cell" true (Tvar.spilled u);
+  let cell = Tvar.stamp_cell u in
+  Stm.atomically inv (fun tx -> Stm.write tx u 1);
+  check_bool "the stamp cell is never replaced" true (Tvar.stamp_cell u == cell);
+  check_bool "the write moved that cell" true (Atomic.get cell > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime: single-threaded semantics                                  *)
@@ -925,6 +1028,8 @@ let () =
           Alcotest.test_case "peek" `Quick t_tvar_peek;
           Alcotest.test_case "unique ids" `Quick t_tvar_ids_unique;
           Alcotest.test_case "reader registration" `Quick t_tvar_readers;
+          Alcotest.test_case "footprint" `Quick t_tvar_footprint;
+          Alcotest.test_case "spill block on demand" `Quick t_tvar_spill_on_demand;
         ] );
       ( "runtime",
         [
