@@ -11,8 +11,8 @@
     + Theorem 9 sweep — greedy makespan vs optimal list schedule on
       random instances.
     + Lemma 7 demo — scores of random partitions of G(m, s).
-    + Ablations — fresh-vs-retained timestamps, visible-vs-invisible
-      reads, greedy-vs-greedy-ft under the chain.
+    + Ablations — fresh-vs-retained timestamps, greedy-vs-greedy-ft
+      under the chain.
     + Bechamel micro-benchmarks — one [Test.make] per figure workload
       (single-thread per-operation cost) and one for the simulator.
 
@@ -287,28 +287,7 @@ let run_ablations () =
         (m (module Tcm_core.Greedy))
         (m (module Tcm_core.Greedy_ft)))
     (if quick then [ 4 ] else [ 4; 8; 12 ]);
-  Format.fprintf fmt "@.";
-
-  if not no_real then begin
-    section "Ablation: visible vs invisible reads (live STM, rbtree)";
-    List.iter
-      (fun (label, read_mode) ->
-        let cfg =
-          {
-            Harness.default with
-            structure = Harness.Rbtree_s;
-            threads = 4;
-            duration_s = real_duration;
-            seed;
-            read_mode;
-          }
-        in
-        let o = Harness.run cfg in
-        Format.fprintf fmt "  %-10s commits=%6d aborts=%5d conflicts=%5d thr=%8.0f/s@." label
-          o.Harness.commits o.Harness.aborts o.Harness.conflicts o.Harness.throughput)
-      [ ("visible", `Visible); ("invisible", `Invisible) ];
-    Format.fprintf fmt "@."
-  end
+  Format.fprintf fmt "@."
 
 (* ------------------------------------------------------------------ *)
 (* Update-rate sweep (live STM)                                        *)
@@ -641,9 +620,9 @@ let run_json_dump path =
   (* Open the output before the sweeps so a bad path fails fast, not
      after minutes of measurement. *)
   let oc = open_out path in
-  (* Under --no-real the closed-loop sweeps and the read-mode A/B are
-     skipped: the dump then carries only the service figures — the
-     fast @service-smoke configuration. *)
+  (* Under --no-real the closed-loop sweeps are skipped: the dump then
+     carries only the service figures — the fast @service-smoke
+     configuration. *)
   let figures =
     if no_real then []
     else
@@ -658,32 +637,8 @@ let run_json_dump path =
             Figures.all)
         backends
   in
-  (* Visible-vs-invisible A/B on the read-heaviest structure, so the
-     committed trajectory also tracks per-read validation cost. *)
-  let extra =
-    if no_real then []
-    else
-      [
-        ( "read_modes_rbtree_2t",
-          Report.Json.Obj
-            (List.map
-               (fun (label, read_mode) ->
-                 let cfg =
-                   {
-                     Harness.default with
-                     structure = Harness.Rbtree_s;
-                     threads = 2;
-                     duration_s = real_duration;
-                     seed;
-                     read_mode;
-                   }
-                 in
-                 (label, Report.json_of_outcome (Harness.run cfg)))
-               [ ("visible", `Visible); ("invisible", `Invisible) ]) );
-      ]
-  in
   let doc =
-    Report.bench_json ~extra ~service_figures:!service_summaries
+    Report.bench_json ~service_figures:!service_summaries
       ~obs_figures:!obs_figures ~consult_figures:!consult_figures
       ~ladder_figures:!ladder_curves
       ~mode:(if quick then "quick" else "full")
@@ -700,9 +655,9 @@ let run_json_dump path =
 
 let run_trace_capture path =
   section (Printf.sprintf "Event traces (tcm.trace) -> %s" path);
-  (* Live STM: the same list workload under three managers.  Visible
-     reads only — invisible validation lets the oldest transaction
-     self-abort, which forfeits the pending-commit property by design. *)
+  (* Live STM: the same list workload under three managers, on the
+     locator backend, whose visible reads route every read-write
+     conflict through the manager. *)
   let capture manager =
     Tcm_trace.Sink.start ();
     let cfg =

@@ -1,49 +1,52 @@
-(** Focused per-read cost probe for the two read modes.
+(** Focused per-read cost probe: the locator's visible reads against
+    TL2's clock-validated invisible reads.
 
     Times transactions that read [k] distinct tvars ([k] on the command
     line, default 64) and transactions doing one insert/remove on a
-    [Tlist] prefilled to the same size, in both read modes.  This is
-    the A/B instrument for the read-validation hot path: invisible-mode
-    full revalidation costs O(k^2) per transaction, incremental
-    validation O(k).
+    [Tlist] prefilled to the same size, one row per backend.  This is
+    the A/B instrument for the read hot path: a locator read registers
+    the reader on the variable, a TL2 read samples the variable's orec
+    stripe and validates it against the version clock.
 
     Usage: read_cost.exe [k] [iters] [--backend locator|tl2]
 
-    On TL2 (clock-validated invisible reads only) a single row is
-    printed per workload. *)
+    Without [--backend] both rows are printed; [--backend] narrows the
+    probe to one.  A malformed argument prints the usage and exits 2. *)
 
 open Tcm_stm
 
-(* Positional ints first, then flags — keep the historical CLI. *)
-let positionals =
-  let rec go i acc =
-    if i >= Array.length Sys.argv then List.rev acc
-    else if Sys.argv.(i) = "--backend" then go (i + 2) acc
-    else go (i + 1) (Sys.argv.(i) :: acc)
-  in
-  go 1 []
+let usage () =
+  prerr_endline "usage: read_cost.exe [k] [iters] [--backend locator|tl2]";
+  exit 2
 
-let k = match positionals with x :: _ -> int_of_string x | [] -> 64
-let iters = match positionals with _ :: x :: _ -> int_of_string x | _ -> 200_000
-
-let backend =
-  let rec find i =
-    if i >= Array.length Sys.argv then Stm.Locator
+(* Up to two positive ints, [k] then [iters], and [--backend NAME]. *)
+let positionals, backend_flag =
+  let rec go i acc backend =
+    if i >= Array.length Sys.argv then (List.rev acc, backend)
     else if Sys.argv.(i) = "--backend" then
-      if i + 1 >= Array.length Sys.argv then begin
-        Printf.eprintf "read_cost: --backend requires an argument\n";
-        exit 2
-      end
+      if i + 1 >= Array.length Sys.argv then usage ()
       else
         match Stm.backend_of_name Sys.argv.(i + 1) with
-        | Some b -> b
+        | Some b -> go (i + 2) acc (Some b)
         | None ->
             Printf.eprintf "read_cost: unknown backend %S (locator or tl2)\n"
               Sys.argv.(i + 1);
             exit 2
-    else find (i + 1)
+    else
+      match int_of_string_opt Sys.argv.(i) with
+      | Some n when n > 0 -> go (i + 1) (n :: acc) backend
+      | _ -> usage ()
   in
-  find 1
+  go 1 [] None
+
+let k, iters =
+  match positionals with
+  | [] -> (64, 200_000)
+  | [ k ] -> (k, 200_000)
+  | [ k; iters ] -> (k, iters)
+  | _ -> usage ()
+
+let backends = match backend_flag with Some b -> [ b ] | None -> Stm.all_backends
 
 let time_per_txn f =
   (* One warmup pass, then the measured pass. *)
@@ -54,9 +57,8 @@ let time_per_txn f =
 
 let sink = ref 0
 
-let bench_reads read_mode =
-  let config = { Runtime.default_config with read_mode } in
-  let rt = Stm.create ~config ~backend (module Tcm_core.Greedy) in
+let bench_reads backend =
+  let rt = Stm.create ~backend (module Tcm_core.Greedy) in
   let vars = Array.init k (fun i -> Tvar.make i) in
   time_per_txn (fun n ->
       for _ = 1 to n do
@@ -67,9 +69,8 @@ let bench_reads read_mode =
               !acc)
       done)
 
-let bench_list read_mode =
-  let config = { Runtime.default_config with read_mode } in
-  let rt = Stm.create ~config ~backend (module Tcm_core.Greedy) in
+let bench_list backend =
+  let rt = Stm.create ~backend (module Tcm_core.Greedy) in
   let l = Tcm_structures.Tlist.create () in
   for i = 0 to k - 1 do
     ignore (Stm.atomically rt (fun tx -> Tcm_structures.Tlist.insert tx l (i * 2)))
@@ -85,15 +86,9 @@ let bench_list read_mode =
       done)
 
 let () =
-  Printf.printf "read-cost probe: backend=%s k=%d iters=%d (ns per txn)\n%!"
-    (Stm.backend_name backend) k iters;
-  let modes =
-    match backend with
-    | Stm.Locator -> [ ("visible", `Visible); ("invisible", `Invisible) ]
-    | Stm.Tl2_backend -> [ ("tl2", `Visible) ]
-  in
+  Printf.printf "read-cost probe: k=%d iters=%d (ns per txn)\n%!" k iters;
   List.iter
-    (fun (label, mode) ->
+    (fun backend ->
       Printf.printf "  %-10s %d-tvar read txn: %10.1f   list update (%d elems): %10.1f\n%!"
-        label k (bench_reads mode) k (bench_list mode))
-    modes
+        (Stm.backend_name backend) k (bench_reads backend) k (bench_list backend))
+    backends

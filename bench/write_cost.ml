@@ -3,14 +3,12 @@
 
     The A/B instrument for the allocation-free write path: each row
     times transactions that write [w] distinct tvars (plus a read-only
-    row exercising the read-only commit fast path), and reports the
-    per-commit minor- and major-heap allocation measured from GC
-    counter deltas around the timed loop.  All loops run on one
-    domain, and minor words come from [Gc.minor_words], which counts
-    up to the allocation pointer, so the minor figures are exact.
-
-    On the locator backend the rows cover both read modes; on TL2
-    (always invisible, clock-validated) there is a single mode.
+    row: TL2's CAS-free read-only commit, the locator's status CAS),
+    and reports the per-commit minor- and major-heap allocation
+    measured from GC counter deltas around the timed loop.  All loops
+    run on one domain, and minor words come from [Gc.minor_words],
+    which counts up to the allocation pointer, so the minor figures
+    are exact.
 
     A last row allocates variables with [Tvar.make] and reports the
     words per variable, the footprint every structure node pays.
@@ -93,19 +91,11 @@ let measure label f =
 
 let sink = ref 0
 
-let rt_of ~backend read_mode =
-  let config = { Runtime.default_config with read_mode } in
-  Stm.create ~config ~backend (module Tcm_core.Greedy)
-
-let mode_label ~backend read_mode =
-  match backend with
-  | Stm.Tl2_backend -> "tl2"
-  | Stm.Locator -> (
-      match read_mode with `Visible -> "visible" | `Invisible -> "invisible")
+let rt_of backend = Stm.create ~backend (module Tcm_core.Greedy)
 
 (* [w] writes to [w] distinct tvars per transaction. *)
-let bench_writes ?(suffix = "") ~backend read_mode w =
-  let rt = rt_of ~backend read_mode in
+let bench_writes ?(suffix = "") backend w =
+  let rt = rt_of backend in
   let vars = Array.init w (fun i -> Tvar.make i) in
   let body tx =
     for i = 0 to w - 1 do
@@ -113,7 +103,7 @@ let bench_writes ?(suffix = "") ~backend read_mode w =
     done
   in
   measure
-    (Printf.sprintf "%-9s w=%-3d write txn%s" (mode_label ~backend read_mode) w suffix)
+    (Printf.sprintf "%-9s w=%-3d write txn%s" (Stm.backend_name backend) w suffix)
     (fun n ->
       for _ = 1 to n do
         Stm.atomically rt body
@@ -121,14 +111,14 @@ let bench_writes ?(suffix = "") ~backend read_mode w =
 
 (* The 4-write row with tcm.metrics — and so the ledger and hot keys —
    on. *)
-let bench_instrumented ~backend =
+let bench_instrumented backend =
   Tcm_metrics.enable ();
   Fun.protect ~finally:Tcm_metrics.disable (fun () ->
-      bench_writes ~suffix:" +metrics" ~backend `Visible 4)
+      bench_writes ~suffix:" +metrics" backend 4)
 
 (* Read-modify-write of [w] tvars (the counter pattern). *)
-let bench_rmw ~backend read_mode w =
-  let rt = rt_of ~backend read_mode in
+let bench_rmw backend w =
+  let rt = rt_of backend in
   let vars = Array.init w (fun i -> Tvar.make i) in
   let body tx =
     for i = 0 to w - 1 do
@@ -136,15 +126,16 @@ let bench_rmw ~backend read_mode w =
     done
   in
   measure
-    (Printf.sprintf "%-9s w=%-3d rmw txn" (mode_label ~backend read_mode) w)
+    (Printf.sprintf "%-9s w=%-3d rmw txn" (Stm.backend_name backend) w)
     (fun n ->
       for _ = 1 to n do
         Stm.atomically rt body
       done)
 
-(* Read-only transaction over [k] tvars: the commit fast path. *)
-let bench_read_only ~backend read_mode k =
-  let rt = rt_of ~backend read_mode in
+(* Read-only transaction over [k] tvars: on TL2 the commit takes no
+   CAS at all; on the locator it is the status CAS. *)
+let bench_read_only backend k =
+  let rt = rt_of backend in
   let vars = Array.init k (fun i -> Tvar.make i) in
   let body tx =
     let acc = ref 0 in
@@ -154,7 +145,7 @@ let bench_read_only ~backend read_mode k =
     !acc
   in
   measure
-    (Printf.sprintf "%-9s k=%-3d read-only txn" (mode_label ~backend read_mode) k)
+    (Printf.sprintf "%-9s k=%-3d read-only txn" (Stm.backend_name backend) k)
     (fun n ->
       for _ = 1 to n do
         sink := Stm.atomically rt body
@@ -172,30 +163,14 @@ let bench_make () =
       done)
 
 let rows_for backend =
-  match backend with
-  | Stm.Locator ->
-      [
-        bench_writes ~backend `Visible 1;
-        bench_writes ~backend `Visible 4;
-        bench_instrumented ~backend;
-        bench_writes ~backend `Visible 16;
-        bench_rmw ~backend `Visible 4;
-        bench_read_only ~backend `Visible 8;
-        bench_writes ~backend `Invisible 1;
-        bench_writes ~backend `Invisible 4;
-        bench_rmw ~backend `Invisible 4;
-        bench_read_only ~backend `Invisible 8;
-      ]
-  | Stm.Tl2_backend ->
-      (* TL2 reads are always invisible; one mode. *)
-      [
-        bench_writes ~backend `Visible 1;
-        bench_writes ~backend `Visible 4;
-        bench_instrumented ~backend;
-        bench_writes ~backend `Visible 16;
-        bench_rmw ~backend `Visible 4;
-        bench_read_only ~backend `Visible 8;
-      ]
+  [
+    bench_writes backend 1;
+    bench_writes backend 4;
+    bench_instrumented backend;
+    bench_writes backend 16;
+    bench_rmw backend 4;
+    bench_read_only backend 8;
+  ]
 
 (* Index of the steady-state 4-write row in [rows_for] — the gated
    workload for both backends — followed by its "+metrics" twin. *)

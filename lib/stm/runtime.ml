@@ -6,33 +6,12 @@
     as in DSTM/SXM: the acquiring transaction consults its local
     contention manager and either aborts the enemy or stands back.
 
-    Two read modes are supported:
-
-    - [`Visible] (default): readers register on the variable; writers
-      resolve each active reader through the contention manager after
-      acquiring the locator.  This makes read-write conflicts go
-      through the manager (the paper's model) and yields serializable
-      executions without commit-time validation.
-    - [`Invisible]: DSTM-style invisible reads with incremental
-      (TL2-style) validation.  Each transaction keeps a watermark
-      [valid_upto]: the global stamp-clock value at which its whole
-      read set is known valid.  Invisible-mode writers advance a
-      variable's stamp when they install a locator and just before
-      they publish a commit, so a newly opened variable whose stamp is
-      at or below the watermark extends the read set in O(1); a moved
-      stamp forces a full revalidation (which itself skips entries
-      whose stamps did not move).  Stamps are trusted only for entries
-      resolved from terminal-status owners: an entry read under a
-      still-Active owner is rechecked on every validation — and forces
-      per-read revalidation while it exists — because that owner may
-      already have published its commit stamp, so its status flip
-      would not move the stamp again.  Cheaper under read-mostly
-      loads; provided for the ablation benchmarks.  Note the classic
-      caveat: the window between the last validation and the commit
-      CAS admits a narrow write-skew race, so this mode trades
-      strictness for speed.  Invisible-mode consistency assumes the
-      writers sharing those tvars also run in invisible mode (stamps
-      are not advanced by visible-mode writers).
+    Reads are {e visible}: a reader registers on the variable, and a
+    writer resolves each active reader through the contention manager
+    after acquiring the locator.  Every read-write conflict therefore
+    goes through the manager (the paper's model), and executions are
+    serializable without read validation: a commit is one status CAS.
+    Clock-validated invisible reads are the {!Tl2} backend's.
 
     {1 Allocation discipline}
 
@@ -42,25 +21,17 @@
     - locators come from the per-domain pool in [Tvar], refilled in
       place and recycled when displaced;
     - the transaction context [tx] is a per-domain scratch record,
-      reused across attempts and logical transactions; its read log
-      and write-stamp log are growable flat arrays, never reallocated
-      mid-attempt and scrubbed (dummy-filled, oversized arrays
-      dropped) when the attempt ends, so a finished transaction pins
-      none of its read set;
+      reused across attempts and logical transactions;
     - per logical transaction the runtime allocates only the [shared]
       descriptor, and per attempt only the [Txn.t] attempt record with
       its two atomics — those must stay fresh, because enemies abort a
       specific attempt by CAS-ing {e its} status word, and a reused
       status cell could receive an abort meant for a dead attempt.
 
-    Committing a read-only transaction in invisible mode takes a fast
-    path: final validation alone, with no status CAS and no stamp
-    publication (nothing was published that other transactions could
-    observe, so no terminal status needs to be advertised).  Visible
-    mode cannot skip the CAS: registered reader-slot entries are
-    reclaimed by writers {e only} when the registrant's status is
-    decided, so a forever-Active reader descriptor would pin its slots
-    and stall writers. *)
+    A read-only commit still takes the status CAS: registered
+    reader-slot entries are reclaimed by writers {e only} when the
+    registrant's status is decided, so a forever-Active reader
+    descriptor would pin its slots and stall writers. *)
 
 let backend_name = "locator"
 
@@ -73,10 +44,7 @@ exception Abort_attempt = Runtime_intf.Abort_attempt
 exception Too_many_attempts = Runtime_intf.Too_many_attempts
 exception Retry_wait = Runtime_intf.Retry_wait
 
-type read_mode = Runtime_intf.read_mode
-
 type config = Runtime_intf.config = {
-  read_mode : read_mode;
   max_attempts : int option;
   block_poll_usec : int;
   backoff_cap_usec : int;
@@ -94,33 +62,6 @@ type stats_snapshot = Runtime_intf.stats_snapshot = {
   n_backoffs : int;
 }
 
-(* Validity of a read entry at recheck time.  [Valid_stable]: the
-   entry cannot be invalidated without the variable's stamp moving
-   (its locator carries a terminal-status owner, or our own upgrade
-   locator), so revalidation may cache the current stamp in [seen].
-   [Valid_fragile]: the value is right now, but rests on a
-   still-Active owner — and commit publication writes stamps {e
-   before} the status CAS, so that owner may already have published
-   its commit stamp, in which case its status flip would invalidate
-   the entry without any further stamp movement.  Fragile entries
-   therefore never cache a stamp and are rechecked on every
-   validation. *)
-type validity = Invalid | Valid_fragile | Valid_stable
-
-(* A validated invisible read.  [stamp] is the variable's version cell
-   and [seen] the stamp at which the entry was last known
-   stable-valid: an unchanged stamp then means no invisible writer
-   installed or committed on the variable since, so revalidation can
-   skip the entry.  Fragile entries keep [seen = -1] (matching no real
-   stamp) until a recheck finds them stable.  [check] decides validity
-   from the locator: the entry stays valid while the variable still
-   carries the locator we resolved the value from {e in the same
-   incarnation} (locator pointer plus seqlock generation) and the
-   resolution is unchanged — or once the reading transaction itself
-   owns the variable with the observed value as the locator's old
-   version (read-then-write upgrade). *)
-type read_entry = { stamp : int Atomic.t; mutable seen : int; check : unit -> validity }
-
 type t = {
   config : config;
   cm : Cm_intf.factory;
@@ -135,8 +76,8 @@ and per_domain = {
           ledger and hot keys, one call per lifecycle point. *)
   pool : Tvar.pool;  (** This domain's locator freelist + hazard slot. *)
   scratch : tx;
-      (** The domain's reusable transaction context; reset (by lengths
-          and field stores, never reallocation) at each attempt start. *)
+      (** The domain's reusable transaction context; reset by field
+          stores, never reallocated, at each attempt start. *)
   mutable running : bool;
       (** Whether [scratch] is currently inside [atomically] (the
           nested-transaction test; replaces an allocated [tx option]). *)
@@ -146,32 +87,10 @@ and tx = {
   cfg : config;
   dom : per_domain;
   mutable txn : Txn.t;  (** Current attempt; fresh per attempt. *)
-  mutable read_log : read_entry array;  (** Invisible mode only. *)
-  mutable read_len : int;
-  mutable valid_upto : int;
-      (** Stamp-clock watermark: the read set is known valid as of this
-          clock value (invisible mode only). *)
-  mutable n_fragile : int;
-      (** Read-log entries currently resting on a still-Active owner
-          (see [validity]).  While non-zero, the watermark argument is
-          unsound — such an entry can go stale without a stamp moving —
-          so every read revalidates the whole set, as the pre-stamp
-          runtime did. *)
-  mutable wstamps : int Atomic.t array;
-      (** Stamp cells of variables acquired this attempt, bulk-bumped
-          at commit publication (invisible mode only).  Flat array,
-          cleared by [wstamps_len <- 0]. *)
-  mutable wstamps_len : int;
-  mutable n_writes : int;
-      (** Variables acquired by this attempt (both read modes) — zero
-          means the commit may take the read-only fast path. *)
   mutable n_opens : int;
       (** Objects opened by this attempt (reads and writes) — the
           read-set-size sample recorded at commit. *)
 }
-
-let empty_log : read_entry array = [||]
-let empty_wstamps : int Atomic.t array = [||]
 
 let create ?(config = default_config) cm =
   let stats = Tcm_metrics.Plane.group () in
@@ -187,21 +106,7 @@ let create ?(config = default_config) cm =
             scratch;
             running = false;
           }
-        and scratch =
-          {
-            cfg = config;
-            dom;
-            txn = Txn.committed_sentinel;
-            read_log = empty_log;
-            read_len = 0;
-            valid_upto = 0;
-            n_fragile = 0;
-            wstamps = empty_wstamps;
-            wstamps_len = 0;
-            n_writes = 0;
-            n_opens = 0;
-          }
-        in
+        and scratch = { cfg = config; dom; txn = Txn.committed_sentinel; n_opens = 0 } in
         dom)
   in
   { config; cm; stats; dls }
@@ -228,119 +133,6 @@ let cm_opened tx =
   Txn.record_open tx.txn;
   let (Cm_intf.Packed ((module M), st)) = tx.dom.cm_state in
   M.opened st tx.txn
-
-(* ------------------------------------------------------------------ *)
-(* Invisible-read validation                                           *)
-(* ------------------------------------------------------------------ *)
-
-let dummy_entry = { stamp = Atomic.make 0; seen = 0; check = (fun () -> Valid_stable) }
-
-let push_read tx e =
-  let cap = Array.length tx.read_log in
-  if tx.read_len = cap then begin
-    let a = Array.make (if cap = 0 then 8 else 2 * cap) dummy_entry in
-    Array.blit tx.read_log 0 a 0 cap;
-    tx.read_log <- a
-  end;
-  tx.read_log.(tx.read_len) <- e;
-  tx.read_len <- tx.read_len + 1
-
-let no_stamp = Atomic.make 0
-
-let push_wstamp tx cell =
-  let cap = Array.length tx.wstamps in
-  if tx.wstamps_len = cap then begin
-    let a = Array.make (if cap = 0 then 8 else 2 * cap) no_stamp in
-    Array.blit tx.wstamps 0 a 0 cap;
-    tx.wstamps <- a
-  end;
-  tx.wstamps.(tx.wstamps_len) <- cell;
-  tx.wstamps_len <- tx.wstamps_len + 1
-
-(* Scratch arrays above this capacity are replaced rather than kept: a
-   single huge transaction must not pin a huge log on the domain
-   forever. *)
-let log_retain_cap = 1024
-
-(* Scrub the scratch logs when an attempt ends.  Resetting by length
-   alone would keep every entry — closures over tvars, stamp cells and
-   user values — reachable until the slot happens to be overwritten by
-   a later transaction, pinning a finished transaction's whole read
-   set.  Runs in the attempt epilogue (commit and abort), so the cost
-   sits next to the O(read set) work the attempt already did. *)
-let clear_logs tx =
-  if Array.length tx.read_log > log_retain_cap then tx.read_log <- empty_log
-  else if tx.read_len > 0 then Array.fill tx.read_log 0 tx.read_len dummy_entry;
-  tx.read_len <- 0;
-  if Array.length tx.wstamps > log_retain_cap then tx.wstamps <- empty_wstamps
-  else if tx.wstamps_len > 0 then Array.fill tx.wstamps 0 tx.wstamps_len no_stamp;
-  tx.wstamps_len <- 0
-
-(* The entry captures the owner and seqlock generation it was resolved
-   under: [check] must never dereference [loc.owner] afresh, because a
-   recycled locator's owner field belongs to a different transaction —
-   a live one whose status would be mistaken for our resolution
-   basis. *)
-let make_read_entry (type v) (tx : tx) (tvar : v Tvar.t) (loc : v Tvar.locator)
-    ~(owner : Txn.t) ~gen0 ~saw_committed ~stamp ~seen (value : v) : read_entry =
-  let check () =
-    let cur = Atomic.get tvar.Tvar.loc in
-    if cur == loc && Tvar.locator_gen loc = gen0 then
-      if saw_committed then Valid_stable
-      else
-        (* We resolved [old_v] against a non-committed owner: the value
-           goes wrong exactly if that owner commits.  Aborted is
-           terminal, so the entry is stable from then on; an Active
-           owner may still commit — possibly having already published
-           its commit stamp — so the entry stays fragile. *)
-        (match Txn.status owner with
-        | Status.Committed -> Invalid
-        | Status.Aborted -> Valid_stable
-        | Status.Active -> Valid_fragile)
-    else if cur.Tvar.owner == tx.txn && cur.Tvar.old_v == value then
-      (* Upgrade: we acquired the variable ourselves after reading it;
-         the read stays consistent iff the stable value we captured at
-         acquisition is the one we had read.  Stable: only we can
-         replace our own locator while this attempt lives, and any
-         later replacement bumps the stamp.  (No false positives from
-         recycling: only this domain ever writes this attempt's
-         descriptor into a locator's owner field.) *)
-      Valid_stable
-    else Invalid
-  in
-  { stamp; seen; check }
-
-(* Revalidate the read set, skipping entries whose stamp did not move
-   since they were last found {e stable-}valid (an unchanged stamp
-   then means no invisible writer installed or committed on that
-   variable).  Fragile entries never cached a stamp ([seen = -1]), so
-   they are rechecked on every call; the scan recounts them so reads
-   know whether the watermark argument currently holds.  On success
-   the watermark advances to the clock value read {e before} the scan,
-   so later stamp bumps cannot be masked. *)
-let validate_extend tx ~extend =
-  let g = Tvar.now () in
-  let ok = ref true in
-  let frag = ref 0 in
-  let i = ref 0 in
-  while !ok && !i < tx.read_len do
-    let e = tx.read_log.(!i) in
-    let cur = Atomic.get e.stamp in
-    if cur <> e.seen then (
-      match e.check () with
-      | Valid_stable -> e.seen <- cur
-      | Valid_fragile -> incr frag
-      | Invalid -> ok := false);
-    incr i
-  done;
-  if not !ok then begin
-    ignore (Txn.try_abort tx.txn);
-    raise Abort_attempt
-  end;
-  tx.n_fragile <- !frag;
-  if extend then tx.valid_upto <- g
-
-let validate tx = validate_extend tx ~extend:false
 
 (* ------------------------------------------------------------------ *)
 (* Open for write                                                      *)
@@ -443,17 +235,7 @@ let rec open_write : 'a. tx -> 'a Tvar.t -> put:bool -> 'a -> int -> 'a =
          if Atomic.compare_and_set tvar.Tvar.loc loc nloc then begin
            if Tvar.recycle_locator pool loc then
              Tcm_obs.Probe.pool tx.dom.probe Tcm_metrics.Conventions.p_recycled;
-           (match tx.cfg.read_mode with
-            | `Visible -> drain_readers tx tvar 0
-            | `Invisible ->
-                (* Make concurrent invisible readers revalidate,
-                   record the cell for commit publication, and
-                   re-check our own read set (the entry on this very
-                   variable flips to its upgrade branch). *)
-                Tvar.bump_version tvar;
-                push_wstamp tx (Tvar.stamp_cell tvar);
-                validate_extend tx ~extend:true);
-           tx.n_writes <- tx.n_writes + 1;
+           drain_readers tx tvar 0;
            cm_opened tx;
            Tcm_trace.Sink.acquired ~txid:(Txn.timestamp tx.txn)
              ~obj:tvar.Tvar.id ~write:true ~tick:0;
@@ -554,75 +336,7 @@ let rec read_visible : 'a. tx -> 'a Tvar.t -> int -> 'a =
      end
    end
 
-let rec read_invisible : 'a. tx -> 'a Tvar.t -> 'a =
-  fun tx tvar ->
-   check_self tx;
-   let loc = Atomic.get tvar.Tvar.loc in
-   let g = Tvar.locator_gen loc in
-   if (not (Tvar.gen_stable g)) || Atomic.get tvar.Tvar.loc != loc then
-     read_invisible tx tvar
-   else if loc.Tvar.owner == tx.txn then begin
-     let v = loc.Tvar.new_v in
-     if Tvar.locator_gen loc = g then v
-     else begin
-       check_self tx;
-       raise Abort_attempt
-     end
-   end
-   else begin
-     let owner = loc.Tvar.owner in
-     let saw_committed =
-       match Txn.status owner with Status.Committed -> true | _ -> false
-     in
-     let v = if saw_committed then loc.Tvar.new_v else loc.Tvar.old_v in
-     (* The stamp is read after the owner's status: commit publication
-        bumps stamps before the status CAS, so observing a committed
-        owner implies observing its bump and taking the slow path.
-        [stamp_cell] installs the variable's spill block on its first
-        invisible access; the block is never replaced, so the entry
-        keeps the one cell every later bump moves.
-
-        The link is re-checked after the stamp read.  A writer installs
-        its locator before it moves the stamp, so a stamp read while
-        [loc] is still linked predates every bump of a writer that
-        displaces [loc], and that bump moves the stamp past [ver].
-        Without the re-check, [ver] could already be a later writer's
-        published commit stamp while [v] came from the locator it
-        displaced: [seen = ver] would then skip the stale entry in
-        every validation (a torn a+b read in the invisible ABA
-        hammer). *)
-     let stamp = Tvar.stamp_cell tvar in
-     let ver = Atomic.get stamp in
-     if Tvar.locator_gen loc <> g || Atomic.get tvar.Tvar.loc != loc then
-       read_invisible tx tvar
-     else begin
-       (* Trust the stamp only when the resolution came from a
-          committed owner.  A still-Active owner may already have
-          published its commit stamp to this very cell, so its later
-          status flip would invalidate the entry while leaving the
-          stamp — and hence every stamp-gated skip, including
-          commit-time validation — unchanged.  [seen = -1] keeps such
-          entries on the recheck path until a validation finds their
-          owner in a terminal state. *)
-       let seen =
-         if saw_committed then ver
-         else begin
-           tx.n_fragile <- tx.n_fragile + 1;
-           -1
-         end
-       in
-       push_read tx
-         (make_read_entry tx tvar loc ~owner ~gen0:g ~saw_committed ~stamp ~seen v);
-       if ver > tx.valid_upto || tx.n_fragile > 0 then validate_extend tx ~extend:true;
-       cm_opened tx;
-       v
-     end
-   end
-
-let read tx tvar =
-  match tx.cfg.read_mode with
-  | `Visible -> read_visible tx tvar 0
-  | `Invisible -> read_invisible tx tvar
+let read tx tvar = read_visible tx tvar 0
 
 (** Read through the write path: acquires the variable exclusively.
     Use for read-modify-write accesses to avoid upgrade conflicts. *)
@@ -655,45 +369,6 @@ let check tx cond = if not cond then retry_wait tx
 (* The atomic block                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let publish_stamps tx =
-  (* Publish stamps before the status CAS: a reader that observes the
-     committed owner then necessarily observes moved stamps and falls
-     back to full validation.  The store is monotone ([advance_stamp]):
-     an attempt that loses the CAS below may publish arbitrarily late,
-     and must not drag a stamp backward past the next owner's bump —
-     its forward bump merely causes spurious revalidations
-     elsewhere. *)
-  if tx.wstamps_len > 0 then begin
-    let s = Tvar.next_stamp () in
-    for i = 0 to tx.wstamps_len - 1 do
-      Tvar.advance_stamp tx.wstamps.(i) s
-    done
-  end
-
-let commit tx =
-  (* [validate] raises on failure; [commit] runs outside [atomically]'s
-     exception match (the [v ->] branch), so convert to a [false]
-     return here rather than letting [Abort_attempt] escape. *)
-  match tx.cfg.read_mode with
-  | `Invisible when tx.n_writes = 0 ->
-      (* Read-only fast path: the transaction published nothing — no
-         locators, no reader-slot entries, no waiting flag — so no
-         other transaction ever consults its status, and final
-         validation alone decides the commit.  The status CAS and
-         stamp publication are skipped entirely.  (Writers keep the
-         CAS: their locators make the attempt's status the variables'
-         pending value, and visible-mode readers keep it too — their
-         reader-slot entries are reclaimed only once the status is
-         decided.) *)
-      (match validate tx with () -> true | exception Abort_attempt -> false)
-  | `Invisible -> (
-      match validate tx with
-      | () ->
-          publish_stamps tx;
-          Txn.try_commit tx.txn
-      | exception Abort_attempt -> false)
-  | `Visible -> Txn.try_commit tx.txn
-
 (* One attempt bookkeeping cycle.  Top-level (not a closure inside
    [atomically]) so the per-transaction path allocates nothing beyond
    the attempt descriptor itself. *)
@@ -702,9 +377,8 @@ let finish_abort dom tx =
   ignore (Txn.try_abort tx.txn);
   Atomic.set tx.txn.Txn.waiting false;
   (* An abort can be raised while the hazard slot covers a locator
-     (validation inside [acquire], conflict resolution mid-drain). *)
+     (conflict resolution inside [open_write], mid-drain). *)
   Tvar.unprotect dom.pool;
-  clear_logs tx;
   (* The dead attempt's work — everything it opened — is what the
      abort wastes, in the cost model's unit. *)
   Tcm_obs.Probe.abort dom.probe ~txid:(Txn.timestamp tx.txn) ~attempt:tx.txn.Txn.attempt_id
@@ -720,11 +394,6 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
    | _ -> ());
    let txn = Txn.new_attempt shared in
    tx.txn <- txn;
-   tx.read_len <- 0;
-   tx.valid_upto <- Tvar.now ();
-   tx.n_fragile <- 0;
-   tx.wstamps_len <- 0;
-   tx.n_writes <- 0;
    tx.n_opens <- 0;
    dom.running <- true;
    let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
@@ -733,14 +402,11 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
      ~attempt:txn.Txn.attempt_id ~tick:0;
    match f tx with
    | v ->
-       if commit tx then begin
+       if Txn.try_commit txn then begin
          (* Opens leave the hazard slot published (one store per open,
             not a pair); release it now so the last locator we touched
-            does not linger un-recyclable.  Scrub the logs so the
-            committed read set's entries (and the values they close
-            over) do not stay pinned by the scratch descriptor. *)
+            does not linger un-recyclable. *)
          Tvar.unprotect dom.pool;
-         clear_logs tx;
          Tcm_obs.Probe.commit dom.probe ~txid:(Txn.timestamp txn)
            ~attempt:txn.Txn.attempt_id ~tick:0 ~opens:tx.n_opens;
          M.committed cm_st txn;

@@ -4,7 +4,12 @@
     contention manager, retrying on abort until the commit CAS
     succeeds.  Conflicts are detected eagerly, at access time, exactly
     as in DSTM/SXM: the acquirer consults its local manager and either
-    aborts the enemy or stands back. *)
+    aborts the enemy or stands back.
+
+    Reads are visible: readers register on the variable, and writers
+    resolve each active reader through the manager after acquiring, so
+    read-write conflicts go through the manager and executions are
+    serializable without read validation. *)
 
 val backend_name : string
 (** ["locator"]. *)
@@ -19,18 +24,7 @@ exception Too_many_attempts of int
 (** Raised when [max_attempts] is exceeded.  (Equal to
     {!Runtime_intf.Too_many_attempts}.) *)
 
-type read_mode = [ `Visible | `Invisible ]
-(** [`Visible] (default): readers register on the variable; writers
-    resolve each active reader through the manager after acquiring —
-    read-write conflicts go through the manager, and executions are
-    serializable without commit-time validation.  [`Invisible]:
-    DSTM-style invisible reads with incremental (stamp-watermark)
-    validation — O(1) per read in the common case, full revalidation
-    only when a variable's stamp moved — provided for the ablation
-    benchmarks (see DESIGN.md for the caveat). *)
-
 type config = Runtime_intf.config = {
-  read_mode : read_mode;
   max_attempts : int option;  (** [None] = retry forever. *)
   block_poll_usec : int;
       (** Cap on the sleep period while blocked on an enemy; the wait

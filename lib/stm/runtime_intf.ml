@@ -28,12 +28,7 @@ exception Retry_wait
 (** Internal control flow for [retry_wait]/[check]: abort the attempt
     and re-run after a pause, i.e. block until the world changes. *)
 
-type read_mode = [ `Visible | `Invisible ]
-(** Locator backend only; the TL2 backend's reads are always invisible
-    (validated against the global clock) and ignore this field. *)
-
 type config = {
-  read_mode : read_mode;
   max_attempts : int option;  (** [None] = retry forever. *)
   block_poll_usec : int;
       (** Cap on the sleeping period while blocked on an enemy (the
@@ -42,8 +37,7 @@ type config = {
   backoff_cap_usec : int;  (** Upper bound applied to [Backoff] verdicts. *)
 }
 
-let default_config =
-  { read_mode = `Visible; max_attempts = None; block_poll_usec = 50; backoff_cap_usec = 100_000 }
+let default_config = { max_attempts = None; block_poll_usec = 50; backoff_cap_usec = 100_000 }
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

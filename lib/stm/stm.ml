@@ -37,7 +37,6 @@ module Runtime = Runtime
 module Tl2 = Tl2
 
 type config = Runtime.config = {
-  read_mode : Runtime.read_mode;
   max_attempts : int option;
   block_poll_usec : int;
   backoff_cap_usec : int;

@@ -5,8 +5,7 @@
     locator runtime so the two are swappable under every structure,
     workload and bench:
 
-    - a {b global version clock} (the same stamp clock the locator
-      backend's invisible mode uses, [Tvar.now]/[Tvar.next_stamp]);
+    - a {b global version clock} ([now]/[next_stamp] below);
     - a {b striped ownership-record table}: a fixed global array of
       orecs, each a version cell (stamp of the last committed write)
       plus an owner cell that doubles as the write lock
@@ -30,12 +29,13 @@
 
     {1 Contention management}
 
-    The same 13-manager zoo runs unmodified.  The manager is consulted
-    wherever this backend can observe a conflict: at commit-time lock
-    acquisition (the owner recorded in the orec is the enemy — both
-    parties are live [Txn.t]s, so [resolve] gets real timestamps,
-    priorities and waiting flags), and at read time when a stripe is
-    locked by a live writer.  Verdicts map as:
+    The whole manager zoo ([Tcm_core.Registry.all], 14 managers) runs
+    unmodified.  The manager is consulted wherever this backend can
+    observe a conflict: at commit-time lock acquisition (the owner
+    recorded in the orec is the enemy — both parties are live
+    [Txn.t]s, so [resolve] gets real timestamps, priorities and waiting
+    flags), and at read time when a stripe is locked by a live writer.
+    Verdicts map as:
 
     - [Abort_other] → abort the enemy's status word, then {e steal}
       its lock (CAS owner enemy→me).  Stealing is safe because an
@@ -60,9 +60,7 @@
     Read postvalidation brackets a plain value load between two atomic
     loads; the publication argument needs load-load and store-store
     ordering (x86-TSO gives both; on weakly-ordered targets the value
-    load could theoretically be satisfied late — same class of caveat
-    as the locator backend's documented invisible-mode window, see
-    DESIGN.md "Runtime backends").
+    load could theoretically be satisfied late).
 
     A given [Tvar.t] must be used under a single backend: this backend
     stores committed values through the variable's permanently-linked
@@ -75,7 +73,6 @@ exception Too_many_attempts = Runtime_intf.Too_many_attempts
 exception Retry_wait = Runtime_intf.Retry_wait
 
 type config = Runtime_intf.config = {
-  read_mode : Runtime_intf.read_mode;
   max_attempts : int option;
   block_poll_usec : int;
   backoff_cap_usec : int;
@@ -88,8 +85,15 @@ type stats_snapshot = Runtime_intf.stats_snapshot
 let backend_name = "tl2"
 
 (* ------------------------------------------------------------------ *)
-(* The ownership-record table                                          *)
+(* The version clock and the ownership-record table                    *)
 (* ------------------------------------------------------------------ *)
+
+(* The global version clock: an attempt samples it for its read stamp
+   [rv], and a writing commit draws its write stamp [wv] from it. *)
+let clock = Atomic.make 1
+
+let now () = Atomic.get clock
+let next_stamp () = 1 + Atomic.fetch_and_add clock 1
 
 (* [o_owner] doubles as the write lock: [no_owner] (the committed
    sentinel, compared physically) means unlocked; any other value is
@@ -328,7 +332,7 @@ let[@inline] committed_value (tvar : 'a Tvar.t) : 'a = (Atomic.get tvar.Tvar.loc
    stripe fails the extension even if its version has not moved: the
    holder may already have drawn a write version below our new [rv]. *)
 let extend tx =
-  let g = Tvar.now () in
+  let g = now () in
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < tx.rs_len do
@@ -494,7 +498,7 @@ let lock_and_validate tx =
     let stripe = stripe_of_id tv.Tvar.id in
     acquire tx orecs.(stripe) ~stripe ~attempts:0 ~round:0
   done;
-  let wv = Tvar.next_stamp () in
+  let wv = next_stamp () in
   if wv > tx.rv + 1 then validate_reads tx;
   wv
 
@@ -564,7 +568,7 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
    | _ -> ());
    let txn = Txn.new_attempt shared in
    tx.txn <- txn;
-   tx.rv <- Tvar.now ();
+   tx.rv <- now ();
    tx.rs_len <- 0;
    tx.ws_len <- 0;
    tx.locked_len <- 0;

@@ -22,8 +22,6 @@ exception Too_many_attempts of int
 exception Retry_wait
 
 type config = Runtime_intf.config = {
-  read_mode : Runtime_intf.read_mode;
-      (** Ignored by this backend: TL2 reads are always invisible. *)
   max_attempts : int option;
   block_poll_usec : int;
   backoff_cap_usec : int;

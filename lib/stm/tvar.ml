@@ -67,43 +67,30 @@
 
     A variable is 18 words in five blocks: the record, the [loc] cell,
     the committed locator with its generation cell, one inline reader
-    slot and the [spill] cell.  Everything else a variable may need —
-    three more reader slots, the reader overflow list and the
-    invisible-mode stamp cell — lives in a {e spill block} that most
-    variables never get.  A fresh variable's [spill] cell points at one
-    shared empty sentinel, [no_spill], with no slots, an empty overflow
-    and a stamp of 0.  A CAS installs a variable's own block, once, the
-    first time a second live visible reader registers or an
-    invisible-mode access needs the stamp cell.  An installed block is
-    never replaced, so a stamp cell recorded in an invisible read log
-    stays the variable's stamp cell.  TL2 (which validates against a
-    global clock and a striped orec table) and a lone visible reader
-    never install one.
+    slot and the [spill] cell.  The rest of the reader bookkeeping —
+    three more reader slots and the reader overflow list — lives in a
+    15-word {e spill block} that most variables never get.  A fresh
+    variable's [spill] cell points at one shared empty sentinel,
+    [no_spill], with no slots and an empty overflow.  A CAS installs a
+    variable's own block, once, the first time a second live reader
+    registers; an installed block is never replaced.  TL2 (which
+    validates against a global clock and a striped orec table) and a
+    lone reader never install one.
 
-    - The stamp is drawn from a global clock, advanced by
-      invisible-mode writers when they install a locator and again just
-      before they publish a commit.  Invisible readers use it for
-      incremental validation: a read set known valid at clock value [g]
-      stays valid as long as no variable in it carries a stamp above
-      [g], so the common-case read validates one variable instead of
-      re-checking the whole set.  A fresh block's stamp is 0, a fresh
-      variable's stamp; the sentinel's is never used, because
-      [stamp_cell] installs the block first.
-
-    - Visible readers register by CAS in the inline slot, or, when a
-      live reader holds it, in a slot of the spill block (installing it
-      first), or in the block's CAS'd overflow list when every slot
-      holds a live reader.  Dead entries are reclaimed lazily.  A
-      reader registers {e before} it re-reads the locator; a writer,
-      after its install CAS, scans the inline slot and then whatever
-      block the [spill] cell holds.  All of these are SC atomics, so
-      either the writer's scan sees the registration or the reader's
-      re-read sees the writer's locator.  A registration in a block
-      follows that block's install, and the block is never replaced,
-      so a writer that read the sentinel scanned before the
-      registration and the reader sees its locator.  Registration and
-      writer-side scans are allocation-free while the slots suffice;
-      the block itself is the one allocation, once per variable. *)
+    Visible readers register by CAS in the inline slot, or, when a live
+    reader holds it, in a slot of the spill block (installing it first),
+    or in the block's CAS'd overflow list when every slot holds a live
+    reader.  Dead entries are reclaimed lazily.  A reader registers {e
+    before} it re-reads the locator; a writer, after its install CAS,
+    scans the inline slot and then whatever block the [spill] cell
+    holds.  All of these are SC atomics, so either the writer's scan
+    sees the registration or the reader's re-read sees the writer's
+    locator.  A registration in a block follows that block's install,
+    and the block is never replaced, so a writer that read the sentinel
+    scanned before the registration and the reader sees its locator.
+    Registration and writer-side scans are allocation-free while the
+    slots suffice; the block itself is the one allocation, once per
+    variable. *)
 
 type 'a locator = {
   mutable owner : Txn.t;
@@ -115,11 +102,7 @@ type 'a locator = {
           (see the seqlock rule above).  Never reset. *)
 }
 
-type spill = {
-  slots : Txn.t Atomic.t array;
-  overflow : Txn.t list Atomic.t;
-  stamp : int Atomic.t;
-}
+type spill = { slots : Txn.t Atomic.t array; overflow : Txn.t list Atomic.t }
 
 type 'a t = {
   id : int;
@@ -133,16 +116,15 @@ type 'a t = {
 let no_reader = Txn.committed_sentinel
 
 (* The shared sentinel of every unspilled variable.  Its empty slot
-   array makes scans of it free; its overflow and stamp cells are never
-   written (registration and stamping install a block first, and a
-   purge CASes an overflow only when it held a dead entry). *)
-let no_spill = { slots = [||]; overflow = Atomic.make []; stamp = Atomic.make 0 }
+   array makes scans of it free; its overflow cell is never written
+   (registration installs a block first, and a purge CASes an overflow
+   only when it held a dead entry). *)
+let no_spill = { slots = [||]; overflow = Atomic.make [] }
 
 let new_spill () =
   {
     slots = [| Atomic.make no_reader; Atomic.make no_reader; Atomic.make no_reader |];
     overflow = Atomic.make [];
-    stamp = Atomic.make 0;
   }
 
 (* The variable's own block, installed first if it still has the
@@ -156,31 +138,6 @@ let spill t =
     if Atomic.compare_and_set t.spill no_spill b then b else Atomic.get t.spill
 
 let spilled t = Atomic.get t.spill != no_spill
-
-(* ------------------------------------------------------------------ *)
-(* Version stamps                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Global stamp clock.  Advanced only by invisible-mode writers (once
-   per locator install, once per commit publication), so the default
-   visible mode never contends on it. *)
-let clock = Atomic.make 1
-
-let now () = Atomic.get clock
-let next_stamp () = 1 + Atomic.fetch_and_add clock 1
-
-let stamp_cell t = (spill t).stamp
-
-(* Stamp cells only move forward.  A plain store would let a lagging
-   commit publication (an attempt that loses its status CAS after
-   drawing a stamp) overwrite a newer stamp installed by the next
-   owner, moving the variable's version backward past watermarks that
-   were taken in between. *)
-let rec advance_stamp cell s =
-  let cur = Atomic.get cell in
-  if s > cur && not (Atomic.compare_and_set cell cur s) then advance_stamp cell s
-
-let bump_version t = advance_stamp (stamp_cell t) (next_stamp ())
 
 (* ------------------------------------------------------------------ *)
 (* Locator pool & hazard slots                                         *)

@@ -34,17 +34,10 @@
     A variable is 18 words: the record, the locator cell, the
     committed locator and its generation, one inline reader slot and a
     [spill] cell.  The [spill] cell starts at a shared empty sentinel;
-    a CAS installs the variable's own {e spill block} — three more
-    reader slots, a reader overflow list and the invisible-mode stamp
-    cell — once, when a second live visible reader registers or an
-    invisible-mode access first needs the stamp.  An installed block is
-    never replaced.  TL2 and a lone visible reader never install one.
-
-    The stamp comes from a global clock, advanced by invisible-mode
-    writers on locator install and commit publication; invisible
-    readers compare it against the clock value their read set is known
-    valid at, turning the common-case revalidation into a single load
-    (see [Runtime]).
+    a CAS installs the variable's own 15-word {e spill block} — three
+    more reader slots and a reader overflow list — once, when a second
+    live reader registers.  An installed block is never replaced.  TL2
+    and a lone reader never install one.
 
     Visible readers register (inline slot, else a block slot, else the
     overflow list) {e before} they re-read the locator; a writer scans
@@ -63,7 +56,7 @@ type 'a locator = {
 }
 
 type spill
-(** Spilled reader slots, reader overflow list and stamp cell. *)
+(** Spilled reader slots and the reader overflow list. *)
 
 type 'a t = {
   id : int;
@@ -145,26 +138,6 @@ val pool_size : pool -> int
 val hazard_slot_count : unit -> int
 (** Number of registered hazard slots — one per live domain that has
     used a pool; slots are unregistered at domain exit (tests). *)
-
-(** {2 Version stamps (invisible-read validation)} *)
-
-val now : unit -> int
-(** Current value of the global stamp clock. *)
-
-val next_stamp : unit -> int
-(** Advance the global clock and return the new stamp. *)
-
-val stamp_cell : 'a t -> int Atomic.t
-(** The stamp cell itself, installing the spill block if needed; the
-    same cell for the variable's whole life. *)
-
-val advance_stamp : int Atomic.t -> int -> unit
-(** Monotone stamp store: moves the cell forward to the given stamp,
-    never backward (a lagging publication must not undo a newer
-    owner's bump). *)
-
-val bump_version : 'a t -> unit
-(** Move the variable's stamp past every watermark taken so far. *)
 
 (** {2 Visible readers} *)
 

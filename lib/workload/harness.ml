@@ -37,7 +37,7 @@ type config = {
           paper's low-contention tail (Figure 3). *)
   prefill : int;  (** Keys inserted before measuring (half-full set). *)
   seed : int;
-  read_mode : Runtime.read_mode;
+  read_mode : [ `Visible ];
   backend : Stm.backend;
       (** Which runtime executes the workload: the obstruction-free
           locator STM or the lock-based TL2-style STM.  Structures are
@@ -109,8 +109,7 @@ let spin n =
 let poll_step_s = 0.01
 
 let run ?poll (cfg : config) : outcome =
-  let config = { Runtime.default_config with read_mode = cfg.read_mode } in
-  let rt = Stm.create ~config ~backend:cfg.backend cfg.manager in
+  let rt = Stm.create ~backend:cfg.backend cfg.manager in
   let ops = make_ops cfg.structure in
   (* Prefill with every other key so inserts and removes both hit. *)
   let prefill_rng = Splitmix.create cfg.seed in

@@ -23,7 +23,9 @@ type config = {
           accesses — the Figure 3 low-contention tail. *)
   prefill : int;
   seed : int;
-  read_mode : Runtime.read_mode;
+  read_mode : [ `Visible ];
+      (** One-valued: the locator backend has one read path.  Kept only
+          so configurations that still name the field compile. *)
   backend : Stm.backend;
       (** Which runtime executes the workload (defaults to the
           locator STM); structures are created fresh per run, so the

@@ -279,26 +279,24 @@ let bench_schema_of (j : Json.t) : (string, string) result =
     attribution entries appended with [kind = "obs"];
     [consult_figures] are consult-cost microbench rows appended with
     [kind = "consult"]; [ladder_figures] are rate-ladder curves
-    appended with [kind = "ladder"].  [extra] lets the caller attach
-    more top-level sections. *)
-let bench_json ?(extra = []) ?(service_figures = []) ?(obs_figures = [])
+    appended with [kind = "ladder"]. *)
+let bench_json ?(service_figures = []) ?(obs_figures = [])
     ?(consult_figures = []) ?(ladder_figures = []) ~mode ~duration_s ~seed
     (figures : (Figures.spec * string * Figures.detailed_row list) list) : string =
   Json.to_string
     (Json.Obj
-       ([
-          ("schema", Json.Str bench_schema);
-          ("mode", Json.Str mode);
-          ("duration_s_per_point", Json.Float duration_s);
-          ("seed", Json.Int seed);
-          ( "figures",
-            Json.Arr
-              (List.map
-                 (fun (spec, backend, rows) -> json_of_detailed_figure ~backend spec rows)
-                 figures
-              @ List.map json_of_service_figure service_figures
-              @ List.map (fun (row, hot) -> json_of_obs_figure ~row ~hot) obs_figures
-              @ List.map json_of_consult_figure consult_figures
-              @ List.map json_of_ladder_figure ladder_figures) );
-        ]
-       @ extra))
+       [
+         ("schema", Json.Str bench_schema);
+         ("mode", Json.Str mode);
+         ("duration_s_per_point", Json.Float duration_s);
+         ("seed", Json.Int seed);
+         ( "figures",
+           Json.Arr
+             (List.map
+                (fun (spec, backend, rows) -> json_of_detailed_figure ~backend spec rows)
+                figures
+             @ List.map json_of_service_figure service_figures
+             @ List.map (fun (row, hot) -> json_of_obs_figure ~row ~hot) obs_figures
+             @ List.map json_of_consult_figure consult_figures
+             @ List.map json_of_ladder_figure ladder_figures) );
+       ])

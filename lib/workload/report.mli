@@ -14,10 +14,6 @@ val print_kv_table :
 module Json = Tcm_json
 (** The repo's one JSON codec, under the name the bench readers use. *)
 
-val json_of_outcome : Harness.outcome -> Json.t
-(** Throughput, p50/p99 latency and the full abort breakdown of one
-    harness run. *)
-
 val json_of_service_figure : Tcm_service.Service.summary -> Json.t
 (** One open-loop service run as a figure entry ([kind = "service"]):
     per-class arrival-to-commit latency (queue time included), SLO
@@ -52,7 +48,6 @@ val bench_schema_of : Json.t -> (string, string) result
     than misrender half-recognized fields. *)
 
 val bench_json :
-  ?extra:(string * Json.t) list ->
   ?service_figures:Tcm_service.Service.summary list ->
   ?obs_figures:(Tcm_obs.Ledger.row * Tcm_obs.Sketch.entry list) list ->
   ?consult_figures:Consult_cost.row list ->

@@ -1,6 +1,6 @@
 (** Tests for the STM substrate: transactional variables, transaction
-    descriptors, the runtime's read/write/commit semantics (both read
-    modes), nesting, abort handling, statistics, and multi-domain
+    descriptors, the runtime's read/write/commit semantics (both
+    backends), nesting, abort handling, statistics, and multi-domain
     atomicity stress. *)
 
 open Tcm_stm
@@ -165,9 +165,9 @@ let words f =
    its generation (2), inline reader slot (2), spill cell (2). *)
 let tvar_words = 18.
 
-(* A spill block: record (4), three-slot array (4) and its cells (6),
-   overflow cell (2), stamp cell (2). *)
-let spill_words = 18.
+(* A spill block: record (3), three-slot array (4) and its cells (6),
+   overflow cell (2). *)
+let spill_words = 15.
 
 let check_words = Alcotest.(check (float 0.))
 
@@ -209,17 +209,7 @@ let t_tvar_spill_on_demand () =
         if i mod 3 = 0 then Stm.modify tx w succ)
   done;
   check_int "tl2 updates applied" 166 (Tvar.peek w);
-  check_bool "tl2 reads, writes and commits never spill" false (Tvar.spilled w);
-  let u = Tvar.make 0 in
-  let inv =
-    rt_with ~config:{ Runtime.default_config with read_mode = `Invisible } "greedy"
-  in
-  ignore (Stm.atomically inv (fun tx -> Stm.read tx u));
-  check_bool "an invisible read installs the stamp cell" true (Tvar.spilled u);
-  let cell = Tvar.stamp_cell u in
-  Stm.atomically inv (fun tx -> Stm.write tx u 1);
-  check_bool "the stamp cell is never replaced" true (Tvar.stamp_cell u == cell);
-  check_bool "the write moved that cell" true (Atomic.get cell > 0)
+  check_bool "tl2 reads, writes and commits never spill" false (Tvar.spilled w)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime: single-threaded semantics                                  *)
@@ -313,19 +303,6 @@ let t_stats_accumulate () =
 
 let t_manager_name () =
   Alcotest.(check string) "exposed" "karma" (Stm.manager_name (rt_with "karma"))
-
-let t_invisible_mode_semantics () =
-  let config = { Runtime.default_config with read_mode = `Invisible } in
-  let rt = Stm.create ~config (module Tcm_core.Greedy) in
-  let v = Tvar.make 7 in
-  let r =
-    Stm.atomically rt (fun tx ->
-        let a = Stm.read tx v in
-        Stm.write tx v (a + 1);
-        Stm.read tx v)
-  in
-  check_int "invisible read-your-writes" 8 r;
-  check_int "committed" 8 (Tvar.peek v)
 
 let t_atomic_return_value () =
   let rt = rt_with "greedy" in
@@ -456,175 +433,6 @@ let t_disjoint_domains () =
   List.iter Domain.join doms;
   Array.iter (fun v -> check_int "disjoint counters exact" 300 (Tvar.peek v)) vars
 
-let t_concurrent_invisible () =
-  let config = { Runtime.default_config with read_mode = `Invisible } in
-  let rt = Stm.create ~config (module Tcm_core.Greedy) in
-  let c = Tvar.make 0 in
-  let doms =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 300 do
-              (* Write-path read: exact even with invisible readers. *)
-              Stm.atomically rt (fun tx -> Stm.write tx c (Stm.read_for_write tx c + 1))
-            done))
-  in
-  List.iter Domain.join doms;
-  check_int "invisible mode, write-path counter" 1200 (Tvar.peek c)
-
-(* ------------------------------------------------------------------ *)
-(* Invisible-read validation                                           *)
-(* ------------------------------------------------------------------ *)
-
-let invisible_rt () =
-  let config = { Runtime.default_config with read_mode = `Invisible } in
-  Stm.create ~config (module Tcm_core.Greedy)
-
-(* Run [f] to a commit on another domain, deterministically in the
-   middle of the calling transaction's attempt. *)
-let enemy_commit rt f = Domain.join (Domain.spawn (fun () -> Stm.atomically rt f))
-
-let t_inv_upgrade_commits () =
-  let rt = invisible_rt () in
-  let v = Tvar.make 10 in
-  let attempts = ref 0 in
-  let r =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        let x = Stm.read tx v in
-        (* Read-then-write of the same variable: the acquire flips the
-           read entry to its upgrade branch, which must validate. *)
-        Stm.write tx v (x + 1);
-        Stm.read tx v)
-  in
-  check_int "upgrade read-your-write" 11 r;
-  check_int "single attempt" 1 !attempts;
-  check_int "committed" 11 (Tvar.peek v)
-
-let t_inv_upgrade_enemy () =
-  let rt = invisible_rt () in
-  let v = Tvar.make 1 in
-  let first = ref true in
-  let attempts = ref 0 in
-  let r =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        let x = Stm.read tx v in
-        if !first then begin
-          first := false;
-          enemy_commit rt (fun tx' -> Stm.write tx' v 2)
-        end;
-        (* The upgrade acquire must notice the value it read is stale
-           and abort this attempt rather than overwrite blindly. *)
-        Stm.write tx v (x + 10);
-        Stm.read tx v)
-  in
-  check_int "two attempts" 2 !attempts;
-  check_int "built on the enemy's value" 12 r;
-  check_int "committed" 12 (Tvar.peek v)
-
-let t_inv_extension_consistent () =
-  let rt = invisible_rt () in
-  let a = Tvar.make 1 and b = Tvar.make 100 in
-  let first = ref true in
-  let attempts = ref 0 in
-  let sum =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        let x = Stm.read tx a in
-        if !first then begin
-          first := false;
-          enemy_commit rt (fun tx' -> Stm.write tx' b 200)
-        end;
-        (* [b]'s stamp moved past the watermark, so this read takes the
-           slow path; [a] is untouched, so validation extends and the
-           attempt survives with a consistent (pre-commit a, post-commit
-           b) snapshot. *)
-        x + Stm.read tx b)
-  in
-  check_int "extension keeps the attempt alive" 1 !attempts;
-  check_int "sees the committed b" 201 sum
-
-let t_inv_validation_failure () =
-  let rt = invisible_rt () in
-  let a = Tvar.make 1 and b = Tvar.make 100 in
-  let first = ref true in
-  let attempts = ref 0 in
-  let sum =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        let x = Stm.read tx a in
-        if !first then begin
-          first := false;
-          enemy_commit rt (fun tx' ->
-              Stm.write tx' a 2;
-              Stm.write tx' b 200)
-        end;
-        (* Reading [b] forces revalidation, which must notice [a]
-           changed and abort instead of returning the torn 1 + 200. *)
-        x + Stm.read tx b)
-  in
-  check_int "aborted the torn snapshot" 2 !attempts;
-  check_int "consistent final snapshot" 202 sum
-
-let t_inv_commit_validation () =
-  let rt = invisible_rt () in
-  let a = Tvar.make 5 in
-  let first = ref true in
-  let attempts = ref 0 in
-  let r =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        let x = Stm.read tx a in
-        if !first then begin
-          first := false;
-          enemy_commit rt (fun tx' -> Stm.write tx' a 6)
-        end;
-        x)
-  in
-  check_int "retried after commit-time failure" 2 !attempts;
-  check_int "returns the enemy's value" 6 r
-
-(* Regression: commit publication writes stamps *before* the status
-   CAS, so a reader can record an entry against a still-Active owner
-   whose stamp cell already holds that owner's commit stamp.  The
-   owner's later status flip then invalidates the entry without moving
-   any stamp — validation must recheck such entries anyway instead of
-   trusting the unchanged stamp (which would let the torn snapshot
-   pass commit-time validation). *)
-let t_inv_published_stamp_race () =
-  let rt = invisible_rt () in
-  let a = Tvar.make 100 in
-  (* Hand-build an enemy frozen between publication and its status
-     CAS: locator installed, commit stamp published, still Active. *)
-  let enemy = Txn.new_attempt (Txn.new_shared ()) in
-  Atomic.set a.Tvar.loc
-    { Tvar.owner = enemy; old_v = 100; new_v = 200; gen = Atomic.make 0 };
-  Tvar.bump_version a;
-  Tvar.advance_stamp (Tvar.stamp_cell a) (Tvar.next_stamp ());
-  let attempts = ref 0 in
-  let r =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        (* The reader starts after the publication stamp was drawn, so
-           the stamp sits at or below its watermark and can never move
-           again for this commit. *)
-        let x = Stm.read tx a in
-        if !attempts = 1 then begin
-          check_int "resolved the pre-commit value" 100 x;
-          ignore (Txn.try_commit enemy)
-        end;
-        x)
-  in
-  check_int "caught the stamp-free status flip" 2 !attempts;
-  check_int "returns the committed value" 200 r
-
-let t_stamp_monotone () =
-  let cell = Atomic.make 10 in
-  Tvar.advance_stamp cell 5;
-  check_int "lagging publication cannot move a stamp backward" 10 (Atomic.get cell);
-  Tvar.advance_stamp cell 12;
-  check_int "newer stamp still advances" 12 (Atomic.get cell)
-
 (* ------------------------------------------------------------------ *)
 (* Locator pool (PR 4: allocation-free write path)                     *)
 (* ------------------------------------------------------------------ *)
@@ -695,44 +503,15 @@ let t_pool_hazard_registry_compacts () =
   done;
   check_int "dead domains' slots unregistered" base (Tvar.hazard_slot_count ())
 
-(* Read-only commits in invisible mode skip publication entirely — but
-   must still abort on a stale read set (deterministic regression for
-   the fast path). *)
-let t_read_only_fast_path_still_validates () =
-  let rt = invisible_rt () in
-  let a = Tvar.make 10 and b = Tvar.make 20 in
-  let attempts = ref 0 in
-  let sum =
-    Stm.atomically rt (fun tx ->
-        incr attempts;
-        let x = Stm.read tx a in
-        if !attempts = 1 then
-          enemy_commit rt (fun tx' ->
-              Stm.write tx' a 11;
-              Stm.write tx' b 19);
-        (* No writes: commit takes the validate-only fast path, which
-           must notice [a] moved rather than publish the torn sum. *)
-        x + Stm.read tx b)
-  in
-  check_int "fast path aborted the stale snapshot" 2 !attempts;
-  check_int "second attempt sees a consistent pair" 30 sum
-
 (* Multi-domain ABA hammer: writers continuously displace and recycle
    locators on a shared pair while readers race them.  A reader that
    trusts a recycled locator's fields (the classic pooling ABA) would
-   observe a torn pair and break the invariant a + b = 0.  Run once
-   per read mode — each mode homogeneous, since a runtime's conflict
-   detection only covers peers of its own mode (visible writers drain
-   reader slots; invisible writers publish stamps). *)
-let pool_aba_hammer read_mode () =
+   observe a torn pair and break the invariant a + b = 0. *)
+let t_pool_aba_hammer_visible () =
   let a = Tvar.make 0 and b = Tvar.make 0 in
   (* Churn variables so writer pools constantly recycle. *)
   let churn = Array.init 8 (fun _ -> Tvar.make 0) in
-  let rt =
-    Stm.create
-      ~config:{ Runtime.default_config with read_mode }
-      (module Tcm_core.Greedy)
-  in
+  let rt = Stm.create (module Tcm_core.Greedy) in
   let stop = Atomic.make false in
   let torn = Atomic.make 0 in
   let writer seed () =
@@ -768,9 +547,6 @@ let pool_aba_hammer read_mode () =
   List.iter Domain.join doms;
   check_int "no torn reads through recycled locators" 0 (Atomic.get torn);
   check_int "final pair consistent" 0 (Tvar.peek a + Tvar.peek b)
-
-let t_pool_aba_hammer_visible () = pool_aba_hammer `Visible ()
-let t_pool_aba_hammer_invisible () = pool_aba_hammer `Invisible ()
 
 (* ------------------------------------------------------------------ *)
 (* TL2 backend                                                         *)
@@ -839,6 +615,89 @@ let t_tl2_version_clock () =
   Stm.atomically rt (fun tx -> Stm.write tx v 1);
   check_bool "writing commit advances the stripe version" true
     (Tl2.Internal.orec_version v > v0)
+
+(* Run [f] to a commit on another domain, deterministically in the
+   middle of the calling transaction's attempt. *)
+let enemy_commit rt f = Domain.join (Domain.spawn (fun () -> Stm.atomically rt f))
+
+(* One scripted enemy: [enemy] commits on another domain after the
+   attempt's read of [a]; [rest] finishes the attempt from that read.
+   [final] is (a, b) after the commit. *)
+type enemy_case = {
+  name : string;
+  enemy : Stm.tx -> int Tvar.t -> int Tvar.t -> unit;
+  rest : Stm.tx -> int Tvar.t -> int Tvar.t -> int -> int;
+  attempts : int;
+  result : int;
+  final : int * int;
+}
+
+let enemy_cases =
+  [
+    {
+      name = "upgrade detects enemy commit";
+      enemy = (fun tx a _ -> Stm.write tx a 2);
+      rest =
+        (fun tx a _ x ->
+          Stm.write tx a (x + 10);
+          Stm.read tx a);
+      attempts = 2;
+      result = 12;
+      final = (12, 100);
+    };
+    {
+      name = "extension keeps consistent snapshot";
+      enemy = (fun tx _ b -> Stm.write tx b 200);
+      rest = (fun tx _ b x -> x + Stm.read tx b);
+      attempts = 1;
+      result = 201;
+      final = (1, 200);
+    };
+    {
+      name = "torn snapshot aborted";
+      enemy =
+        (fun tx a b ->
+          Stm.write tx a 2;
+          Stm.write tx b 200);
+      rest = (fun tx _ b x -> x + Stm.read tx b);
+      attempts = 2;
+      result = 202;
+      final = (2, 200);
+    };
+    {
+      name = "commit-time validation retries";
+      enemy = (fun tx a _ -> Stm.write tx a 2);
+      rest =
+        (fun tx _ b x ->
+          Stm.write tx b x;
+          x);
+      attempts = 2;
+      result = 2;
+      final = (2, 2);
+    };
+  ]
+
+(* TL2 reads are invisible and validated against the version clock:
+   a read of a stripe newer than the attempt's read stamp extends the
+   read set if every earlier read still holds, and aborts the attempt
+   otherwise; a writing commit re-checks its reads.  (On the locator
+   backend the younger enemy would wait on the older visible reader,
+   which is blocked in [Domain.join].) *)
+let t_tl2_clock_validation c () =
+  let rt = tl2_rt "greedy" in
+  let a = Tvar.make 1 and b = Tvar.make 100 in
+  let attempts = ref 0 in
+  let r =
+    Stm.atomically rt (fun tx ->
+        incr attempts;
+        let x = Stm.read tx a in
+        if !attempts = 1 then enemy_commit rt (fun tx' -> c.enemy tx' a b);
+        c.rest tx a b x)
+  in
+  check_int "attempts" c.attempts !attempts;
+  check_int "result" c.result r;
+  check_int "final a" (fst c.final) (Tvar.peek a);
+  check_int "final b" (snd c.final) (Tvar.peek b)
 
 let t_tl2_counter_exact () =
   let rt = tl2_rt "greedy" in
@@ -1043,22 +902,9 @@ let () =
           Alcotest.test_case "stats accumulate" `Quick t_stats_accumulate;
           Alcotest.test_case "pp_stats prints every counter" `Quick t_pp_stats_format;
           Alcotest.test_case "manager name" `Quick t_manager_name;
-          Alcotest.test_case "invisible-read semantics" `Quick t_invisible_mode_semantics;
           Alcotest.test_case "return value" `Quick t_atomic_return_value;
           Alcotest.test_case "read-only transaction" `Quick t_read_only;
           QCheck_alcotest.to_alcotest prop_register_semantics;
-        ] );
-      ( "invisible validation",
-        [
-          Alcotest.test_case "upgrade commits" `Quick t_inv_upgrade_commits;
-          Alcotest.test_case "upgrade detects enemy commit" `Quick t_inv_upgrade_enemy;
-          Alcotest.test_case "extension keeps consistent snapshot" `Quick
-            t_inv_extension_consistent;
-          Alcotest.test_case "torn snapshot aborted" `Quick t_inv_validation_failure;
-          Alcotest.test_case "commit-time validation retries" `Quick t_inv_commit_validation;
-          Alcotest.test_case "published stamp under active owner" `Quick
-            t_inv_published_stamp_race;
-          Alcotest.test_case "stamps are monotone" `Quick t_stamp_monotone;
         ] );
       ( "locator pool",
         [
@@ -1067,10 +913,7 @@ let () =
           Alcotest.test_case "capacity bounded" `Quick t_pool_capacity_bounded;
           Alcotest.test_case "hazard registry compacts on domain exit" `Quick
             t_pool_hazard_registry_compacts;
-          Alcotest.test_case "read-only fast path still validates" `Quick
-            t_read_only_fast_path_still_validates;
           Alcotest.test_case "ABA hammer (visible)" `Quick t_pool_aba_hammer_visible;
-          Alcotest.test_case "ABA hammer (invisible)" `Quick t_pool_aba_hammer_invisible;
         ] );
       ( "concurrency",
         [
@@ -1083,7 +926,6 @@ let () =
           Alcotest.test_case "conservation (polka)" `Quick t_conservation_polka;
           Alcotest.test_case "counter has no lost updates" `Quick t_counter_exact;
           Alcotest.test_case "disjoint domains never conflict" `Quick t_disjoint_domains;
-          Alcotest.test_case "invisible mode write-path counter" `Quick t_concurrent_invisible;
         ] );
       ( "tl2",
         [
@@ -1100,6 +942,10 @@ let () =
           Alcotest.test_case "dead-owner lock is free" `Quick t_tl2_dead_owner_lock_is_free;
           Alcotest.test_case "max_attempts enforced" `Quick t_tl2_max_attempts;
         ] );
+      ( "invisible validation",
+        List.map
+          (fun c -> Alcotest.test_case c.name `Quick (t_tl2_clock_validation c))
+          enemy_cases );
       ( "obs",
         [
           Alcotest.test_case "ledger matches stats (locator)" `Quick
