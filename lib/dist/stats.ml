@@ -129,10 +129,41 @@ module Sample = struct
     into.len <- into.len + src.len;
     into.sorted <- into.sorted && src.len = 0
 
+  (* Fills [into.data] with the values of the sorted [ts] in ascending
+     order, taking the least head each time: O(n k) for k samples,
+     which beats sorting their n values afresh when k is small (the
+     service pools one sample per request class). *)
+  let merge ~into ts =
+    let k = Array.length ts in
+    let pos = Array.make k 0 in
+    for o = 0 to into.len - 1 do
+      let best = ref (-1) and least = ref 0. in
+      for i = 0 to k - 1 do
+        let t = ts.(i) in
+        if pos.(i) < t.len then begin
+          let v = Float.Array.unsafe_get t.data pos.(i) in
+          if !best < 0 || v < !least then begin
+            best := i;
+            least := v
+          end
+        end
+      done;
+      Float.Array.unsafe_set into.data o !least;
+      pos.(!best) <- pos.(!best) + 1
+    done
+
   let concat ts =
-    let all = create (Array.fold_left (fun n t -> n + t.len) 0 ts) in
-    Array.iter (fun t -> append ~into:all t) ts;
-    all
+    let len = Array.fold_left (fun n t -> n + t.len) 0 ts in
+    if Array.for_all (fun t -> t.sorted) ts then begin
+      let all = { (create len) with len } in
+      merge ~into:all ts;
+      all
+    end
+    else begin
+      let all = create len in
+      Array.iter (fun t -> append ~into:all t) ts;
+      all
+    end
 
   let of_list xs =
     let t = create (List.length xs) in

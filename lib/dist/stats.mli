@@ -35,7 +35,10 @@ module Sample : sig
   (** Copy every value of the second sample into [into]. *)
 
   val concat : t array -> t
-  (** A fresh sample holding every value of the given ones. *)
+  (** A fresh sample holding every value of the given ones.  When every
+      given sample is sorted (no [add] or [append] since its last
+      percentile, or empty), their values are merged in order and the
+      result is sorted: its percentiles sort nothing. *)
 
   val of_list : float list -> t
 

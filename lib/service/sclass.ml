@@ -30,8 +30,19 @@ let default_mix = { read_w = 0.80; scan_w = 0.05; rmw_w = 0.15 }
 
 let weights mix = [| mix.read_w; mix.scan_w; mix.rmw_w |]
 
+(* [Samplers.pick_weighted rng ~weights:(weights mix)] unrolled over
+   the three weights, with the same float operations in the same order,
+   so it returns the same class; it allocates nothing. *)
 let pick mix rng : t =
-  all.(Tcm_dist.Samplers.pick_weighted rng ~weights:(weights mix))
+  let r = mix.read_w and s = mix.scan_w and w = mix.rmw_w in
+  let total = 0. +. r +. s +. w in
+  if not (total > 0.) then invalid_arg "Sclass.pick: total weight > 0";
+  let u = float_of_int (Tcm_stm.Splitmix.bits53 rng) /. 0x1p53 *. total in
+  if r > 0. && u < r then Read
+  else if s > 0. && u < (if r > 0. then r +. s else s) then Scan
+  else if w > 0. then Rmw
+  else if s > 0. then Scan
+  else Read
 
 (** Default per-class arrival-to-commit SLO targets (us).  Scans are
     allowed an order of magnitude more than point reads. *)

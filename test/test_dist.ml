@@ -44,7 +44,10 @@ let t_zipf_invalid () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   check_bool "n = 0 rejected" true (raises (fun () -> S.Zipf.create ~n:0 ~theta:0.5));
   check_bool "theta = 1 rejected" true (raises (fun () -> S.Zipf.create ~n:10 ~theta:1.0));
-  check_bool "theta < 0 rejected" true (raises (fun () -> S.Zipf.create ~n:10 ~theta:(-0.1)))
+  check_bool "theta < 0 rejected" true (raises (fun () -> S.Zipf.create ~n:10 ~theta:(-0.1)));
+  let z = S.Zipf.create ~n:10 ~theta:0.5 in
+  check_bool "negative bits rejected" true (raises (fun () -> S.Zipf.key_of_bits z (-1)));
+  check_bool "bits >= 2^53 rejected" true (raises (fun () -> S.Zipf.key_of_bits z (1 lsl 53)))
 
 (* Rank-frequency law: for Zipf(θ), log f(rank) is linear in
    log (rank+1) with slope -θ.  Least-squares fit over the
@@ -96,6 +99,230 @@ let t_zipf_theta_zero_uniform () =
       if Float.abs (float_of_int c -. expect) > 0.1 *. expect then
         Alcotest.failf "theta=0 not uniform: bucket has %d, expected ~%.0f" c expect)
     counts
+
+(* The table draw against the Gray formula.  The reference below
+   computes the formula directly, with the library's precompute and
+   per-draw arithmetic on [u = b / 2^53]; it is a copy kept apart from
+   the library, so that the table cannot drift from it unseen. *)
+let gray ~n ~theta =
+  let zeta n =
+    let s = ref 0. in
+    for i = 1 to n do
+      s := !s +. (1. /. (float_of_int i ** theta))
+    done;
+    !s
+  in
+  let zetan = zeta n and zeta2 = zeta (min n 2) in
+  let alpha = 1. /. (1. -. theta) in
+  let eta = (1. -. ((2. /. float_of_int n) ** (1. -. theta))) /. (1. -. (zeta2 /. zetan)) in
+  let half_pow_theta = 0.5 ** theta in
+  fun b ->
+    let u = Int64.to_float (Int64.of_int b) /. 9007199254740992.0 in
+    let uz = u *. zetan in
+    if uz < 1. then 0
+    else if uz < 1. +. half_pow_theta then min 1 (n - 1)
+    else
+      let k = int_of_float (float_of_int n *. (((eta *. u) -. eta +. 1.) ** alpha)) in
+      min (n - 1) (max 0 k)
+
+let bits = 1 lsl 53
+
+(* Every cut of the table, the margin around it, and the formula's own
+   jump points: each probe must draw the formula's key.  A cut's jump
+   point is found by bisecting between the two sides of its margin
+   for a pair of neighbouring bits the formula maps to different keys. *)
+let t_zipf_table_exact () =
+  List.iter
+    (fun (n, theta) ->
+      let z = S.Zipf.create ~n ~theta in
+      let gray = gray ~n ~theta in
+      let m = S.Zipf.margin z in
+      let bad = ref 0 and probes = ref 0 in
+      let probe b =
+        if b >= 0 && b < bits then begin
+          incr probes;
+          if S.Zipf.key_of_bits z b <> gray b then begin
+            if !bad < 5 then
+              Printf.printf "n=%d theta=%g b=%d: table %d, formula %d\n" n theta b
+                (S.Zipf.key_of_bits z b) (gray b);
+            incr bad
+          end
+        end
+      in
+      let cuts = S.Zipf.boundaries z in
+      Array.iter
+        (fun c ->
+          List.iter
+            (fun d -> probe (c + d))
+            [ -m - 1; -m; -m + 1; -1; 0; 1; m - 1; m; m + 1 ];
+          let lo = ref (max 0 (c - m - 1)) and hi = ref (min (bits - 1) (c + m + 1)) in
+          if gray !lo <> gray !hi then begin
+            while !hi - !lo > 1 do
+              let mid = !lo + ((!hi - !lo) / 2) in
+              if gray mid = gray !lo then lo := mid else hi := mid
+            done;
+            List.iter probe [ !lo - 1; !lo; !hi; !hi + 1 ]
+          end)
+        cuts;
+      (* And a stream of ordinary draws, through [draw] itself. *)
+      let a = Rng.create 7 and b = Rng.create 7 in
+      for _ = 1 to 100_000 do
+        incr probes;
+        if S.Zipf.draw z a <> gray (Rng.bits53 b) then incr bad
+      done;
+      if !bad > 0 then
+        Alcotest.failf "n=%d theta=%g: %d of %d probes differ from the formula" n theta !bad
+          !probes;
+      (* The margins hold a sliver of the bits, so draws take the table:
+         past the head branches (from cut 1 on), each interval leaves at
+         most [2m] of its bits to the formula. *)
+      let formula_bits = ref 0 in
+      for j = 1 to Array.length cuts - 2 do
+        formula_bits := !formula_bits + min (cuts.(j + 1) - cuts.(j)) (2 * m)
+      done;
+      let share = float_of_int !formula_bits /. float_of_int bits in
+      if share > 1e-3 then
+        Alcotest.failf "n=%d theta=%g: margin %d leaves %.2g of the bits to the formula" n
+          theta m share)
+    [
+      (1, 0.5);
+      (2, 0.5);
+      (3, 0.99);
+      (7, 0.01);
+      (100, 0.5);
+      (1_000, 0.2);
+      (8_192, 0.9);
+      (50_000, 0.999);
+      (262_144, 0.99);
+    ]
+
+(* Seeded streams replay bit for bit.  Every seeded result in the repo
+   (simulator figures, workload schedules, the benchmark's inputs) is
+   drawn from these streams, so each digest below pins one of them: a
+   change that moves a digest changes those results.  A digest covers
+   100,000 outputs unless its test says otherwise. *)
+let digest_of n f =
+  let b = Buffer.create (n * 8) in
+  for i = 0 to n - 1 do
+    f b i
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_int b x = Buffer.add_int64_le b (Int64.of_int x)
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+let t_splitmix_replay () =
+  let bounds = [| max_int; 100; 2; 1; 7919; (1 lsl 40) + 3; 256; 0 |] in
+  List.iter
+    (fun (seed, next, int, bool, float) ->
+      let check name want f =
+        let r = Rng.create seed in
+        Alcotest.(check string) (Printf.sprintf "seed %d: %s" seed name) want
+          (digest_of 100_000 (f r))
+      in
+      check "next" next (fun r b _ -> Buffer.add_int64_le b (Rng.next r));
+      check "int" int (fun r b i -> add_int b (Rng.int r bounds.(i mod Array.length bounds)));
+      check "bool" bool (fun r b _ -> Buffer.add_char b (if Rng.bool r then 't' else 'f'));
+      check "float" float (fun r b _ -> add_float b (Rng.float r)))
+    [
+      ( 42,
+        "328d3e3b54fbf9cf054165cb94485895",
+        "b4ef06e9e6c35660f1cb2bb6a341e3fc",
+        "4e352a2a1d3faf82a791cc363376d173",
+        "84869431d64ab0121a1a31eef903cadb" );
+      ( -7,
+        "b3796cbd3d42b5ec85d486530db53cf9",
+        "eab41fb9ffc37e199d33ce4e4db3f190",
+        "1cdb3cab177a2720522bc3bc8b751b6d",
+        "7cea08cfdb8df5c12df7003eba193f6f" );
+    ]
+
+let t_zipf_replay () =
+  List.iter
+    (fun (n, theta, want) ->
+      let z = S.Zipf.create ~n ~theta in
+      let r = Rng.create 5 in
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d theta=%g" n theta)
+        want
+        (digest_of 100_000 (fun b _ -> add_int b (S.Zipf.draw z r))))
+    [
+      (1, 0.5, "d96b0fd3002fe2fa3c557da8c18d628e");
+      (2, 0.5, "efc3b8183c08c9dc28984350d5ede88c");
+      (3, 0.99, "402604408039d182b3e019a01c4bf09c");
+      (8_192, 0.9, "fe4903e1d6e8fd8b0e9292fc2e8e325e");
+      (262_144, 0.99, "be1c5d9dc2179f40e77f084e61ce193f");
+      (1_000, 0., "33586a95a0f69ac441137edb050699a0");
+    ]
+
+let t_pick_replay () =
+  let r = Rng.create 41 in
+  let weights = [| 0.5; 0.; 0.3; 0.2 |] in
+  Alcotest.(check string) "pick_weighted" "a68b0bf460766b14ee691b7742be19ff"
+    (digest_of 100_000 (fun b _ -> add_int b (S.pick_weighted r ~weights)));
+  List.iter
+    (fun (read_w, scan_w, rmw_w, want) ->
+      let mix = { Tcm_service.Sclass.read_w; scan_w; rmw_w } in
+      let r = Rng.create 43 in
+      Alcotest.(check string)
+        (Printf.sprintf "Sclass.pick %g/%g/%g" read_w scan_w rmw_w)
+        want
+        (digest_of 100_000 (fun b _ ->
+             add_int b (Tcm_service.Sclass.index (Tcm_service.Sclass.pick mix r)))))
+    [
+      (0.80, 0.05, 0.15, "8a3ecc4906fad7eab8f61a3669187090");
+      (0.20, 0.05, 0.75, "6e6e0507736b18cf0f5880c9c58d661e");
+      (0., 1., 0., "3ddc56f8991e2a9d775e8c9d4f70a515");
+      (0., 0., 2.5, "7205c5d07ae5639b9c94e988d17e6f65");
+      (1e-3, 0., 1e-3, "bbd7aebf72ca00c4ec6adee4c2c86513");
+      (0.1, 0.2, 0., "0ee6581308d3eb7dbc87ea5f304cabe2");
+    ]
+
+(* One kv-hot fixed-rate window's traffic, drawn the way the service
+   draws it: the arrivals, then a class per request, then every key. *)
+let t_kv_window_replay () =
+  let open Tcm_service in
+  let rng = Rng.create ((11 * 31) + 1) in
+  let zipf = S.Zipf.create ~n:8_192 ~theta:0.9 in
+  let times = Arrival.schedule (Arrival.Poisson { rate = 150_000. }) rng ~horizon:0.8 in
+  let cls = Array.map (fun _ -> Sclass.pick Sclass.default_mix rng) times in
+  let nkeys = function Sclass.Read -> 8 | Sclass.Scan -> 1 | Sclass.Rmw -> 2 in
+  let total = Array.fold_left (fun a c -> a + nkeys c) 0 cls in
+  let keys = Array.init total (fun _ -> S.Zipf.draw zipf rng) in
+  Alcotest.(check int) "requests" 120_461 (Array.length times);
+  Alcotest.(check int) "keys" 814_170 total;
+  Alcotest.(check string) "arrival times" "113f2887f95cb1de9c92093ed5fca84f"
+    (digest_of (Array.length times) (fun b i -> add_float b times.(i)));
+  Alcotest.(check string) "classes" "73ade88e68937cab26a058c42c952169"
+    (digest_of (Array.length cls) (fun b i -> add_int b (Sclass.index cls.(i))));
+  Alcotest.(check string) "keys" "280bc8b1dfd3cea19fd9913ac179d8b9"
+    (digest_of total (fun b i -> add_int b keys.(i)))
+
+(* Exact allocation counts: a draw stores its state in place and
+   returns an immediate, so a million of them allocate nothing. *)
+let zero_words name f =
+  let m0 = Gc.minor_words () in
+  f ();
+  Alcotest.(check (float 0.)) (name ^ ": minor words") 0. (Gc.minor_words () -. m0)
+
+let t_draws_allocate_nothing () =
+  let n = 1_000_000 in
+  let r = Rng.create 3 in
+  let sink = ref 0 in
+  zero_words "1e6 Splitmix.int" (fun () ->
+      for _ = 1 to n do
+        sink := !sink + Rng.int r 1_000
+      done);
+  zero_words "1e6 Splitmix.bool" (fun () ->
+      for _ = 1 to n do
+        if Rng.bool r then incr sink
+      done);
+  let z = S.Zipf.create ~n:8_192 ~theta:0.9 in
+  zero_words "1e6 Zipf.draw at theta 0.9" (fun () ->
+      for _ = 1 to n do
+        sink := !sink + S.Zipf.draw z r
+      done);
+  ignore (Sys.opaque_identity !sink)
 
 (* ------------------------------------------------------------------ *)
 (* Poisson inter-arrivals                                              *)
@@ -242,14 +469,18 @@ let t_pick_weighted_invalid () =
 
 module Sample = Tcm_dist.Stats.Sample
 
-(* The reference: nearest rank over a sorted copy of a float list. *)
-let nearest_rank p xs =
-  match List.sort compare xs with
-  | [] -> nan
-  | sorted ->
-      let n = List.length sorted in
+(* The reference: nearest rank over a sorted copy of a float list,
+   sorted once for any number of percentiles. *)
+let nearest_ranks xs =
+  let sorted = Array.of_list (List.sort compare xs) in
+  let n = Array.length sorted in
+  fun p ->
+    if n = 0 then nan
+    else
       let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+      sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let nearest_rank p xs = nearest_ranks xs p
 
 let ps = [ 0.; 1.; 50.; 99.; 100. ]
 
@@ -260,10 +491,40 @@ let same_percentiles s xs =
    long runs of duplicates. *)
 let latencies = QCheck.(list_of_size Gen.(int_range 0 1000) (map float_of_int (int_bound 40)))
 
+(* [concat] merges inputs that are all sorted and appends otherwise;
+   either way its percentiles are those of every value pooled, at
+   every rank. *)
+let concat_is_pooled xs ys zs =
+  let sorted l =
+    let s = Sample.of_list l in
+    ignore (Sample.percentile s 50.);
+    s
+  in
+  let unsorted l =
+    let s = Sample.create 0 in
+    List.iter (Sample.add s) l;
+    s
+  in
+  let pooled all ts =
+    let want = nearest_ranks all in
+    let c = Sample.concat ts in
+    Sample.length c = List.length all
+    && List.for_all
+         (fun p -> Float.equal (Sample.percentile c p) (want p))
+         (List.init 101 float_of_int)
+  in
+  let all = xs @ ys @ zs in
+  let few = List.filteri (fun i _ -> i < 40) all in
+  pooled all [| sorted xs; sorted ys; sorted zs |]
+  && pooled all [| unsorted xs; unsorted ys; unsorted zs |]
+  && pooled all [| sorted xs; unsorted ys; sorted zs |]
+  && pooled all [| Sample.create 0; sorted xs; Sample.create 4; unsorted ys; sorted zs |]
+  && pooled few (Array.of_list (List.map (fun x -> sorted [ x ]) few))
+
 let prop_percentile_nearest_rank =
   QCheck.Test.make ~name:"percentile = nearest rank of a sorted copy" ~count:300
-    QCheck.(pair latencies latencies)
-    (fun (xs, ys) ->
+    QCheck.(triple latencies latencies latencies)
+    (fun (xs, ys, zs) ->
       let s = Sample.of_list xs in
       let before = same_percentiles s xs in
       (* Adding after a query must re-sort. *)
@@ -272,9 +533,7 @@ let prop_percentile_nearest_rank =
         let m = Tcm_dist.Stats.mean (xs @ ys) in
         Float.abs (Sample.mean s -. m) <= 1e-9 *. Float.abs m
       in
-      before && mean_ok
-      && same_percentiles s (xs @ ys)
-      && same_percentiles (Sample.concat [| Sample.of_list xs; Sample.of_list ys |]) (xs @ ys))
+      before && mean_ok && same_percentiles s (xs @ ys) && concat_is_pooled xs ys zs)
 
 let t_sample_edges () =
   let one = Sample.of_list [ 7. ] in
@@ -335,6 +594,15 @@ let () =
             t_zipf_rank_frequency_slope;
           Alcotest.test_case "monotone and skewed" `Quick t_zipf_monotone_and_skewed;
           Alcotest.test_case "theta=0 is uniform" `Quick t_zipf_theta_zero_uniform;
+          Alcotest.test_case "table draw = formula at every cut" `Quick t_zipf_table_exact;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "splitmix streams" `Quick t_splitmix_replay;
+          Alcotest.test_case "zipf streams" `Quick t_zipf_replay;
+          Alcotest.test_case "weighted and class picks" `Quick t_pick_replay;
+          Alcotest.test_case "kv-hot window schedule" `Quick t_kv_window_replay;
+          Alcotest.test_case "draws allocate nothing" `Quick t_draws_allocate_nothing;
         ] );
       ( "poisson",
         [

@@ -223,6 +223,39 @@ let t_agg_complete_allocates_nothing () =
     (List.fold_left (fun acc (c : Service.class_stats) -> acc + c.completed) 0
        (Service.Agg.class_stats a))
 
+(* The service draws a class for every request of its schedule. *)
+let t_class_pick_allocates_nothing () =
+  let n = 1_000_000 in
+  let rng = Tcm_stm.Splitmix.create 9 in
+  let reads = ref 0 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Sclass.pick Sclass.default_mix rng = Sclass.Read then incr reads
+  done;
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check (float 0.)) "minor words for 1000000 class picks" 0. words;
+  check_bool "about 80% reads" true (abs (!reads - (n * 4 / 5)) < n / 100)
+
+(* [Sclass.pick] is [Samplers.pick_weighted] over the mix's weights,
+   unrolled: same stream, same classes, zero weights included. *)
+let prop_pick_is_pick_weighted =
+  let weight = QCheck.(oneof [ always 0.; float_range 0. 1.; float_range 0. 1e-300 ]) in
+  QCheck.Test.make ~name:"Sclass.pick = Samplers.pick_weighted" ~count:500
+    QCheck.(pair (triple weight weight weight) small_nat)
+    (fun ((read_w, scan_w, rmw_w), seed) ->
+      let mix = { Sclass.read_w; scan_w; rmw_w } in
+      let a = Tcm_stm.Splitmix.create seed and b = Tcm_stm.Splitmix.create seed in
+      match Tcm_dist.Samplers.pick_weighted b ~weights:(Sclass.weights mix) with
+      | exception Invalid_argument _ ->
+          (try ignore (Sclass.pick mix a); false with Invalid_argument _ -> true)
+      | first ->
+          Sclass.index (Sclass.pick mix a) = first
+          && List.for_all
+               (fun _ ->
+                 Sclass.index (Sclass.pick mix a)
+                 = Tcm_dist.Samplers.pick_weighted b ~weights:(Sclass.weights mix))
+               (List.init 200 Fun.id))
+
 (* Queue time is part of the latency: a request that waited is charged
    from its scheduled arrival, not from dequeue. *)
 let t_latency_includes_queue_time () =
@@ -491,6 +524,9 @@ let () =
           Alcotest.test_case "per-class accounting" `Quick t_agg_slo_accounting;
           Alcotest.test_case "completion allocates nothing" `Quick
             t_agg_complete_allocates_nothing;
+          Alcotest.test_case "class pick allocates nothing" `Quick
+            t_class_pick_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_pick_is_pick_weighted;
           Alcotest.test_case "latency includes queue time" `Quick
             t_latency_includes_queue_time;
         ] );
