@@ -248,10 +248,11 @@ let exp_draw rng ~rate =
 module Schedule = struct
   (** Arrival times (strictly increasing, in [0, horizon)) of a
       Poisson process whose instantaneous rate is [rate_at t],
-      thinned against [peak] (an upper bound on [rate_at]).
+      thinned against [peak] (an upper bound on [rate_at]); without
+      [rate_at], a homogeneous process at [peak].
       Deterministic in the rng stream.
       @raise Invalid_argument on a non-positive peak or horizon. *)
-  let arrivals rng ~rate_at ~peak ~horizon =
+  let arrivals ?rate_at rng ~peak ~horizon =
     if peak <= 0. then invalid_arg "Samplers.Schedule.arrivals: peak > 0";
     if horizon <= 0. then invalid_arg "Samplers.Schedule.arrivals: horizon > 0";
     (* Expected count is peak·horizon before thinning; grow by
@@ -262,10 +263,20 @@ module Schedule = struct
     let n = ref 0 in
     let t = ref 0. in
     let continue = ref true in
+    (* The gap is [exp_draw]'s, drawn here so that no float is boxed.
+       A homogeneous process still draws the bits of its thinning
+       uniform [u], which always passes ([u < 1], so [u * peak <=
+       peak]): every stream stays the same. *)
     while !continue do
-      t := !t +. exp_draw rng ~rate:peak;
+      t := !t +. (-.log (1. -. uniform rng) /. peak);
       if !t >= horizon then continue := false
-      else if uniform rng *. peak <= rate_at !t then begin
+      else if
+        match rate_at with
+        | None ->
+            ignore (Rng.bits53 rng);
+            true
+        | Some rate_at -> uniform rng *. peak <= rate_at !t
+      then begin
         if !n = !cap then begin
           let bigger = Array.make (2 * !cap) 0. in
           Array.blit !buf 0 bigger 0 !n;

@@ -59,12 +59,15 @@ end
 
 module Schedule : sig
   val arrivals :
-    Rng.t -> rate_at:(float -> float) -> peak:float -> horizon:float -> float array
+    ?rate_at:(float -> float) -> Rng.t -> peak:float -> horizon:float -> float array
   (** Arrival times (strictly increasing, in [0, horizon)) of a
       non-homogeneous Poisson process with instantaneous rate
       [rate_at t], materialized ahead of time by thinning against
       [peak] (an upper bound on [rate_at]) — the allocation-free-at-
-      fire-time form of the open-loop generator's draw.
+      fire-time form of the open-loop generator's draw.  Without
+      [rate_at] the process is homogeneous at [peak], and nothing but
+      the result is allocated; each [rate_at] call boxes its argument.
+      Either way the rng stream is the same.
       @raise Invalid_argument on non-positive [peak] or [horizon]. *)
 end
 

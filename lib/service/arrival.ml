@@ -60,9 +60,12 @@ let next process rng ~t =
     the generator's hot loop allocates nothing per request. *)
 let schedule process rng ~horizon =
   validate process;
-  Tcm_dist.Samplers.Schedule.arrivals rng
-    ~rate_at:(fun t -> rate_at process ~t)
-    ~peak:(peak_rate process) ~horizon
+  let peak = peak_rate process in
+  match process with
+  | Poisson _ -> Tcm_dist.Samplers.Schedule.arrivals rng ~peak ~horizon
+  | Bursty _ ->
+      Tcm_dist.Samplers.Schedule.arrivals rng ~rate_at:(fun t -> rate_at process ~t) ~peak
+        ~horizon
 
 let describe = function
   | Poisson { rate } -> Printf.sprintf "poisson(%.0f rps)" rate

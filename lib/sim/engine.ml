@@ -33,16 +33,107 @@ type cell_kind = Run | Wait | Back | Idle | Done
 
 type cell = { attempt : int; kind : cell_kind }
 
-type thread_status =
-  | Idle_s
-  | Running_s
-  | Waiting_s of {
-      obj : int;
-      enemy : int * int;
-      deadline : int option;
-    }
-  | Backing_off_s of { until : int }
-  | Finished_s
+(* A family of int stacks, stack [i] being the array [s.(i)]: its
+   length in slot 0, its elements in slots 1 to length, the top last.
+   Every stack starts as the shared [empty], which is never written,
+   and gets an array of its own on its first push, doubled when full:
+   an object nobody reads costs no array.  Every operation compares
+   ints only. *)
+module Stacks = struct
+  type t = int array array
+
+  let empty = [| 0 |]
+  let create n : t = Array.make n empty
+  let length (s : t) i = s.(i).(0)
+
+  (* The [k]th element from the bottom, [0 <= k < length s i]. *)
+  let get (s : t) i k = s.(i).(k + 1)
+
+  let clear (s : t) i = if s.(i).(0) > 0 then s.(i).(0) <- 0
+
+  let push (s : t) i x =
+    let a = s.(i) in
+    let n = a.(0) in
+    let a =
+      if n + 1 < Array.length a then a
+      else begin
+        let b = Array.make (max 5 ((2 * n) + 1)) 0 in
+        Array.blit a 0 b 0 (n + 1);
+        s.(i) <- b;
+        b
+      end
+    in
+    a.(n + 1) <- x;
+    a.(0) <- n + 1
+
+  (* Slot of the topmost [x] in stack [i], 0 when absent. *)
+  let slot (s : t) i x =
+    let a = s.(i) in
+    let k = ref a.(0) in
+    while !k > 0 && a.(!k) <> x do
+      decr k
+    done;
+    !k
+
+  let mem s i x = slot s i x > 0
+
+  (* Drop [x] from stack [i] if it is there, keeping the others'
+     order. *)
+  let remove (s : t) i x =
+    let k = slot s i x in
+    if k > 0 then begin
+      let a = s.(i) in
+      let n = a.(0) in
+      Array.blit a (k + 1) a k (n - k);
+      a.(0) <- n - 1
+    end
+
+  (* The topmost element of stack [i] other than [x], or -1. *)
+  let top_other (s : t) i x =
+    let a = s.(i) in
+    let k = ref a.(0) in
+    while !k > 0 && a.(!k) = x do
+      decr k
+    done;
+    if !k > 0 then a.(!k) else -1
+end
+
+(* Object state and read/write sets outlive a run.  A run takes its
+   domain's arrays, growing them to fit, and hands them back clean, so
+   a sweep of many runs allocates them once: fresh arrays of
+   [n_objects] words per run kept a sweep's peak memory about 2 MB
+   higher (EXPERIMENTS.md).  A run that raises, or one nested in
+   another's stream, works on fresh arrays. *)
+type scratch = {
+  owner : int array;  (** The owning thread, -1 when free. *)
+  readers : Stacks.t;  (** Registered readers, most recent on top. *)
+  writes : Stacks.t;  (** Per thread: the objects it owns. *)
+  reads : Stacks.t;  (** Per thread: the objects it registered to read. *)
+}
+
+let scratch_key : scratch option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let take_scratch ~n_objects ~threads =
+  let prev = Domain.DLS.get scratch_key in
+  Domain.DLS.set scratch_key None;
+  match prev with
+  | Some s when Array.length s.owner >= n_objects && Array.length s.writes >= threads -> s
+  | _ ->
+      (* Grown to the largest run seen, so runs of alternating sizes
+         do not allocate every time. *)
+      let n_objects, threads =
+        match prev with
+        | Some s -> (max n_objects (Array.length s.owner), max threads (Array.length s.writes))
+        | None -> (n_objects, threads)
+      in
+      {
+        owner = Array.make n_objects (-1);
+        readers = Stacks.create n_objects;
+        writes = Stacks.create threads;
+        reads = Stacks.create threads;
+      }
+
+type thread_status = Idle_s | Running_s | Waiting_s | Backing_off_s | Finished_s
 
 type tstate = {
   tid : int;
@@ -50,25 +141,28 @@ type tstate = {
   cm : Cm_intf.packed;  (** This thread's manager instance. *)
   probe : Tcm_obs.Probe.t;  (** This thread's lane of the run's probe. *)
   mutable txn_index : int;
-  mutable spec : Spec.txn option;
+  mutable accesses : Spec.access list;  (** The current transaction's. *)
+  mutable dur : int;
+  mutable halts_at : int;  (** [max_int] when the transaction never halts. *)
   mutable txn : Txn.t;
       (** The current attempt's descriptor — all the manager sees of
           this thread, exactly as in the live runtimes. *)
   mutable attempt : int;  (** Global per-thread attempt counter. *)
   mutable status : thread_status;
+  mutable until : int;  (** Backing off: the tick to resume at. *)
+  mutable wait_obj : int;  (** Waiting: the object ... *)
+  mutable wait_enemy : int;  (** ... its owner's thread ... *)
+  mutable wait_enemy_attempt : int;  (** ... and attempt when the wait began ... *)
+  mutable wait_deadline : int;  (** ... and the timeout's tick, [max_int] for none. *)
   mutable opens : int;  (** Opens in the current attempt (its read-set size). *)
   mutable progress : int;
   mutable pending : Spec.access list;
-  mutable held : int list;  (** Objects owned for writing. *)
-  mutable reading : int list;  (** Objects registered as reader. *)
   mutable aborts : int;
   mutable stuck : int;  (** Consecutive resolves at the current access. *)
   mutable commits : int;
   mutable cur_aborts : int;  (** Restarts of the current transaction. *)
   mutable aborted_this_tick : bool;
 }
-
-type obj_state = { mutable owner : int option; mutable readers : int list }
 
 type result = {
   ticks : int;
@@ -143,15 +237,20 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
           cm = Cm_intf.instantiate manager;
           probe = Tcm_obs.Probe.lane probe;
           txn_index = 0;
-          spec = None;
+          accesses = [];
+          dur = 0;
+          halts_at = max_int;
           txn = Txn.committed_sentinel;
           attempt = 0;
           status = Idle_s;
+          until = 0;
+          wait_obj = 0;
+          wait_enemy = 0;
+          wait_enemy_attempt = 0;
+          wait_deadline = max_int;
           opens = 0;
           progress = 0;
           pending = [];
-          held = [];
-          reading = [];
           aborts = 0;
           stuck = 0;
           commits = 0;
@@ -159,7 +258,13 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
           aborted_this_tick = false;
         })
   in
-  let objs = Array.init n_objects (fun _ -> { owner = None; readers = [] }) in
+  let scratch = take_scratch ~n_objects ~threads:n in
+  let { owner; readers; writes; reads } = scratch in
+  let finished = ref 0 in
+  let finish (t : tstate) =
+    t.status <- Finished_s;
+    incr finished
+  in
   let total_aborts = ref 0 in
   let total_commits = ref 0 in
   let max_aborts_one_txn = ref 0 in
@@ -170,19 +275,23 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
      active and keeps its objects (Section 6's "transactions that stop
      prematurely").  Its thread is dead: if an enemy aborts it, the
      thread is finished rather than restarted. *)
-  let is_halted (t : tstate) =
-    match t.spec with
-    | Some { Spec.halts_at = Some p; _ } -> t.progress >= p
-    | _ -> false
-  in
+  let is_halted (t : tstate) = t.progress >= t.halts_at in
 
+  (* A read set may name an object the thread has since upgraded to a
+     write: it is no longer registered there, so [remove] finds
+     nothing.  No other thread can have taken the object meanwhile
+     without aborting this one. *)
   let release (t : tstate) =
-    List.iter (fun o -> if objs.(o).owner = Some t.tid then objs.(o).owner <- None) t.held;
-    List.iter
-      (fun o -> objs.(o).readers <- List.filter (fun r -> r <> t.tid) objs.(o).readers)
-      t.reading;
-    t.held <- [];
-    t.reading <- []
+    let tid = t.tid in
+    for k = 0 to Stacks.length writes tid - 1 do
+      let o = Stacks.get writes tid k in
+      if owner.(o) = tid then owner.(o) <- -1
+    done;
+    for k = 0 to Stacks.length reads tid - 1 do
+      Stacks.remove readers (Stacks.get reads tid k) tid
+    done;
+    Stacks.clear writes tid;
+    Stacks.clear reads tid
   in
 
   (* A fresh attempt of the current transaction, starting at [start]:
@@ -194,7 +303,7 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     t.opens <- 0;
     t.progress <- 0;
     t.stuck <- 0;
-    t.pending <- (match t.spec with Some s -> s.Spec.accesses | None -> []);
+    t.pending <- t.accesses;
     cm_begin t.cm t.txn;
     Tcm_obs.Probe.attempt_begin t.probe ~txid:(Txn.timestamp t.txn)
       ~attempt:t.txn.Txn.attempt_id ~tick:start
@@ -211,12 +320,10 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     victim.cur_aborts <- victim.cur_aborts + 1;
     max_aborts_one_txn := max !max_aborts_one_txn victim.cur_aborts;
     victim.aborted_this_tick <- true;
-    if halted then begin
+    if halted then
       (* The thread behind it is dead; clearing the objects is all an
          enemy can do. *)
-      victim.spec <- None;
-      victim.status <- Finished_s
-    end
+      finish victim
     else begin
       (* Ablation hook: the paper's greedy retains the timestamp across
          aborts; [`Fresh] deliberately breaks that to demonstrate why. *)
@@ -226,104 +333,112 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
         | `Fresh -> { victim.txn.Txn.shared with timestamp = fresh_timestamp () }
       in
       (* Restart (same transaction) at the next tick. *)
-      victim.status <- Backing_off_s { until = now + 1 };
+      victim.status <- Backing_off_s;
+      victim.until <- now + 1;
       begin_attempt victim shared ~start:(now + 1)
     end;
     incr total_aborts
   in
 
-  (* First conflicting party for an access, if any. *)
-  let conflict_of (t : tstate) (a : Spec.access) : tstate option =
-    let o = objs.(a.Spec.obj) in
-    let owner_conflict =
-      match o.owner with Some w when w <> t.tid -> Some threads.(w) | _ -> None
-    in
-    match a.Spec.kind with
-    | Spec.Read -> owner_conflict
-    | Spec.Write -> (
-        match owner_conflict with
-        | Some _ as c -> c
-        | None -> (
-            match List.find_opt (fun r -> r <> t.tid) o.readers with
-            | Some r -> Some threads.(r)
-            | None -> None))
+  (* First conflicting thread for an access, or -1.  A writer meets an
+     owner first, else the most recently registered other reader. *)
+  let conflict_of (t : tstate) (a : Spec.access) =
+    let o = a.Spec.obj in
+    let w = owner.(o) in
+    if w >= 0 && w <> t.tid then w
+    else
+      match a.Spec.kind with
+      | Spec.Read -> -1
+      | Spec.Write -> Stacks.top_other readers o t.tid
   in
 
+  (* The caller has checked that [t] does not own the object.  An
+     upgrade drops [t]'s reader registration but leaves its read set
+     alone (see [release]). *)
   let do_acquire (t : tstate) (a : Spec.access) ~now =
-    let o = objs.(a.Spec.obj) in
-    (match a.Spec.kind with
-    | Spec.Write ->
-        o.owner <- Some t.tid;
-        o.readers <- List.filter (fun r -> r <> t.tid) o.readers;
-        if not (List.mem a.Spec.obj t.held) then t.held <- a.Spec.obj :: t.held;
-        t.reading <- List.filter (fun x -> x <> a.Spec.obj) t.reading
-    | Spec.Read ->
-        if o.owner <> Some t.tid && not (List.mem t.tid o.readers) then begin
-          o.readers <- t.tid :: o.readers;
-          t.reading <- a.Spec.obj :: t.reading
-        end);
+    let o = a.Spec.obj in
+    let write =
+      match a.Spec.kind with
+      | Spec.Write ->
+          owner.(o) <- t.tid;
+          Stacks.remove readers o t.tid;
+          Stacks.push writes t.tid o;
+          true
+      | Spec.Read ->
+          if not (Stacks.mem readers o t.tid) then begin
+            Stacks.push readers o t.tid;
+            Stacks.push reads t.tid o
+          end;
+          false
+    in
     t.opens <- t.opens + 1;
     Txn.record_open t.txn;
     cm_opened t.cm t.txn;
     t.stuck <- 0;
-    Tcm_trace.Sink.acquired ~txid:(Txn.timestamp t.txn) ~obj:a.Spec.obj
-      ~write:(a.Spec.kind = Spec.Write) ~tick:now
+    Tcm_trace.Sink.acquired ~txid:(Txn.timestamp t.txn) ~obj:o ~write ~tick:now
   in
 
   (* Attempt all accesses due at the current progress point.  Returns
      when the thread is no longer Running or all due accesses are in. *)
   let rec process_accesses (t : tstate) ~now =
     match t.pending with
-    | a :: rest when a.Spec.at <= t.progress -> (
+    | a :: rest when a.Spec.at <= t.progress ->
+        (* The arrays may be longer than this run's [n_objects]. *)
+        if a.Spec.obj >= n_objects then invalid_arg "Engine.run: object id >= n_objects";
         if
           (* Already own it for writing: nothing to do. *)
-          objs.(a.Spec.obj).owner = Some t.tid
+          owner.(a.Spec.obj) = t.tid
         then begin
           t.pending <- rest;
           t.stuck <- 0;
           process_accesses t ~now
         end
         else
-          match conflict_of t a with
-          | None ->
-              do_acquire t a ~now;
-              t.pending <- rest;
-              process_accesses t ~now
-          | Some enemy -> (
-              (* The locator backend's conflict adapter: the simulator
-                 models the eager locator protocol, so its verdicts
-                 come from the code path the live runtime takes. *)
-              let d = Runtime.consult t.cm ~me:t.txn ~other:enemy.txn ~attempts:t.stuck in
-              Tcm_obs.Probe.verdict t.probe ~me:(Txn.timestamp t.txn)
-                ~other:(Txn.timestamp enemy.txn) ~code:(Runtime_intf.decision_trace_code d)
-                ~key:a.Spec.obj ~tick:now;
-              t.stuck <- t.stuck + 1;
-              match d with
-              | Decision.Abort_other ->
-                  abort enemy ~now;
-                  process_accesses t ~now
-              | Decision.Abort_self -> abort t ~now
-              | Decision.Block { timeout_usec } ->
-                  Atomic.set t.txn.Txn.waiting true;
-                  Tcm_obs.Probe.wait_begin t.probe ~me:(Txn.timestamp t.txn)
-                    ~enemy:(Txn.timestamp enemy.txn) ~tick:now;
-                  t.status <-
-                    Waiting_s
-                      {
-                        obj = a.Spec.obj;
-                        enemy = (enemy.tid, enemy.attempt);
-                        deadline = Option.map (fun d -> now + ticks_of_usec d) timeout_usec;
-                      }
-              | Decision.Backoff { usec } ->
-                  t.status <- Backing_off_s { until = now + max 1 (ticks_of_usec usec) }))
+          let e = conflict_of t a in
+          if e < 0 then begin
+            do_acquire t a ~now;
+            t.pending <- rest;
+            process_accesses t ~now
+          end
+          else begin
+            let enemy = threads.(e) in
+            (* The locator backend's conflict adapter: the simulator
+               models the eager locator protocol, so its verdicts come
+               from the code path the live runtime takes. *)
+            let d = Runtime.consult t.cm ~me:t.txn ~other:enemy.txn ~attempts:t.stuck in
+            Tcm_obs.Probe.verdict t.probe ~me:(Txn.timestamp t.txn)
+              ~other:(Txn.timestamp enemy.txn) ~code:(Runtime_intf.decision_trace_code d)
+              ~key:a.Spec.obj ~tick:now;
+            t.stuck <- t.stuck + 1;
+            match d with
+            | Decision.Abort_other ->
+                abort enemy ~now;
+                process_accesses t ~now
+            | Decision.Abort_self -> abort t ~now
+            | Decision.Block { timeout_usec } ->
+                Atomic.set t.txn.Txn.waiting true;
+                Tcm_obs.Probe.wait_begin t.probe ~me:(Txn.timestamp t.txn)
+                  ~enemy:(Txn.timestamp enemy.txn) ~tick:now;
+                t.status <- Waiting_s;
+                t.wait_obj <- a.Spec.obj;
+                t.wait_enemy <- e;
+                t.wait_enemy_attempt <- enemy.attempt;
+                t.wait_deadline <-
+                  (match timeout_usec with Some d -> now + ticks_of_usec d | None -> max_int)
+            | Decision.Backoff { usec } ->
+                t.status <- Backing_off_s;
+                t.until <- now + max 1 (ticks_of_usec usec)
+          end
     | _ -> ()
   in
 
   let start_next_txn (t : tstate) ~now =
     match t.stream t.txn_index with
-    | None -> t.status <- Finished_s
+    | None -> finish t
     | Some spec ->
-        t.spec <- Some spec;
+        t.accesses <- spec.Spec.accesses;
+        t.dur <- spec.Spec.dur;
+        t.halts_at <- Option.value spec.Spec.halts_at ~default:max_int;
         let ts = if t.txn_index = 0 then initial_timestamp t.tid else fresh_timestamp () in
         t.cur_aborts <- 0;
         begin_attempt t (new_shared ts) ~start:now;
@@ -332,64 +447,59 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
   in
 
   let phase_a now =
-    Array.iter
-      (fun t ->
-        t.aborted_this_tick <- false;
-        match t.status with
-        | Finished_s -> ()
-        | Idle_s -> start_next_txn t ~now
-        | Running_s -> if not (is_halted t) then process_accesses t ~now
-        | Backing_off_s { until } ->
-            if now >= until then begin
-              t.status <- Running_s;
-              process_accesses t ~now
-            end
-        | Waiting_s { obj; enemy = enemy_tid, enemy_attempt; deadline } ->
-            let resume =
-              (match objs.(obj).owner with
-              | None -> true
-              | Some w ->
-                  w <> enemy_tid
-                  || threads.(w).attempt <> enemy_attempt
-                  || Txn.is_waiting threads.(w).txn)
-              || match deadline with Some d -> now >= d | None -> false
-            in
-            if resume then begin
-              Atomic.set t.txn.Txn.waiting false;
-              (* Ticks are the sim's native duration: the probe prices
-                 the wait by it, with no spin/yield ladder. *)
-              Tcm_obs.Probe.wait_end t.probe ~me:(Txn.timestamp t.txn)
-                ~enemy:(Txn.timestamp threads.(enemy_tid).txn) ~tick:now ~rounds:0;
-              t.status <- Running_s;
-              process_accesses t ~now
-            end)
-      threads
+    for i = 0 to n - 1 do
+      let t = threads.(i) in
+      t.aborted_this_tick <- false;
+      match t.status with
+      | Finished_s -> ()
+      | Idle_s -> start_next_txn t ~now
+      | Running_s -> if not (is_halted t) then process_accesses t ~now
+      | Backing_off_s ->
+          if now >= t.until then begin
+            t.status <- Running_s;
+            process_accesses t ~now
+          end
+      | Waiting_s ->
+          let w = owner.(t.wait_obj) in
+          let resume =
+            w < 0
+            || w <> t.wait_enemy
+            || threads.(w).attempt <> t.wait_enemy_attempt
+            || Txn.is_waiting threads.(w).txn
+            || now >= t.wait_deadline
+          in
+          if resume then begin
+            Atomic.set t.txn.Txn.waiting false;
+            (* Ticks are the sim's native duration: the probe prices
+               the wait by it, with no spin/yield ladder. *)
+            Tcm_obs.Probe.wait_end t.probe ~me:(Txn.timestamp t.txn)
+              ~enemy:(Txn.timestamp threads.(t.wait_enemy).txn) ~tick:now ~rounds:0;
+            t.status <- Running_s;
+            process_accesses t ~now
+          end
+    done
   in
 
   let phase_b now =
-    Array.iter
-      (fun t ->
-        match t.status with
-        | Running_s when (not t.aborted_this_tick) && not (is_halted t) -> (
-            match t.spec with
-            | None -> ()
-            | Some spec ->
-                t.progress <- t.progress + 1;
-                if t.progress >= spec.Spec.dur then begin
-                  release t;
-                  ignore (Txn.try_commit t.txn);
-                  Tcm_obs.Probe.commit t.probe ~txid:(Txn.timestamp t.txn)
-                    ~attempt:t.txn.Txn.attempt_id ~tick:(now + 1) ~opens:t.opens;
-                  cm_committed t.cm t.txn;
-                  t.commits <- t.commits + 1;
-                  incr total_commits;
-                  commit_log := (t.tid, t.txn_index, now + 1) :: !commit_log;
-                  t.spec <- None;
-                  t.txn_index <- t.txn_index + 1;
-                  t.status <- Idle_s
-                end)
-        | _ -> ())
-      threads
+    for i = 0 to n - 1 do
+      let t = threads.(i) in
+      match t.status with
+      | Running_s when (not t.aborted_this_tick) && not (is_halted t) ->
+          t.progress <- t.progress + 1;
+          if t.progress >= t.dur then begin
+            release t;
+            ignore (Txn.try_commit t.txn);
+            Tcm_obs.Probe.commit t.probe ~txid:(Txn.timestamp t.txn)
+              ~attempt:t.txn.Txn.attempt_id ~tick:(now + 1) ~opens:t.opens;
+            cm_committed t.cm t.txn;
+            t.commits <- t.commits + 1;
+            incr total_commits;
+            commit_log := (t.tid, t.txn_index, now + 1) :: !commit_log;
+            t.txn_index <- t.txn_index + 1;
+            t.status <- Idle_s
+          end
+      | _ -> ()
+    done
   in
 
   let snapshot () =
@@ -398,8 +508,8 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
         let kind =
           match t.status with
           | Running_s -> Run
-          | Waiting_s _ -> Wait
-          | Backing_off_s _ -> Back
+          | Waiting_s -> Wait
+          | Backing_off_s -> Back
           | Idle_s -> Idle
           | Finished_s -> Done
         in
@@ -407,17 +517,19 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
       threads
   in
 
-  let all_finished () = Array.for_all (fun t -> t.status = Finished_s) threads in
-
   let tick = ref 0 in
   (* Threads discover stream exhaustion when Idle; prime the check. *)
-  while (not (all_finished ())) && !tick < horizon do
+  while !finished < n && !tick < horizon do
     phase_a !tick;
     if record_grid then grid := snapshot () :: !grid;
     phase_b !tick;
     incr tick
   done;
-  let completed = all_finished () in
+  (* Every object free and unread again: the arrays are clean for the
+     next run. *)
+  Array.iter release threads;
+  Domain.DLS.set scratch_key (Some scratch);
+  let completed = !finished = n in
   let commit_log = List.rev !commit_log in
   let makespan =
     if completed then

@@ -26,12 +26,21 @@ let txn ?halts_at ~dur accesses =
   (match halts_at with
   | Some p when p < 0 || p >= dur -> invalid_arg "Spec.txn: halts_at out of range"
   | _ -> ());
-  List.iter
-    (fun a ->
-      if a.at < 0 || a.at >= dur then invalid_arg "Spec.txn: access time out of range";
-      if a.obj < 0 then invalid_arg "Spec.txn: negative object")
-    accesses;
-  { dur; accesses = List.stable_sort (fun a b -> compare a.at b.at) accesses; halts_at }
+  (* One pass validates every access and tells whether the list is
+     already sorted by [at], as the repo's generators emit it: such a
+     list is kept as it is. *)
+  let rec check sorted prev = function
+    | [] -> sorted
+    | a :: rest ->
+        if a.at < 0 || a.at >= dur then invalid_arg "Spec.txn: access time out of range";
+        if a.obj < 0 then invalid_arg "Spec.txn: negative object";
+        check (sorted && prev <= a.at) a.at rest
+  in
+  let accesses =
+    if check true 0 accesses then accesses
+    else List.stable_sort (fun a b -> Int.compare a.at b.at) accesses
+  in
+  { dur; accesses; halts_at }
 
 let write ~at ~obj = { at; obj; kind = Write }
 let read ~at ~obj = { at; obj; kind = Read }

@@ -16,7 +16,9 @@ type txn = {
 }
 
 val txn : ?halts_at:int -> dur:int -> access list -> txn
-(** @raise Invalid_argument on non-positive durations or out-of-range
+(** The accesses in a stable order by [at]; a list already in that
+    order is returned as it is (physically).
+    @raise Invalid_argument on non-positive durations or out-of-range
     access times / halt points. *)
 
 val write : at:int -> obj:int -> access

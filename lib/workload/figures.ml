@@ -10,9 +10,10 @@ open Tcm_stm
 
 type mode =
   | Real of { duration_s : float }
-      (** Live STM on OCaml domains.  Wall-clock dependent; on a
-          single-core host the curves flatten but relative manager
-          behaviour under conflicts survives. *)
+      (** Live STM on OCaml domains.  Wall-clock dependent; with
+          more domains than hardware threads the domains timeslice and
+          the curves flatten, but relative manager behaviour under
+          conflicts survives. *)
   | Sim of { horizon : int }
       (** Deterministic discrete-event simulation of the same access
           patterns; reproduces the paper's shapes hardware-

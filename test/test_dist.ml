@@ -435,6 +435,33 @@ let t_schedule_invalid () =
   reject "horizon = 0 rejected" (fun () ->
       S.Schedule.arrivals (Rng.create 1) ~rate_at:(fun _ -> 1.) ~peak:1. ~horizon:0.)
 
+(* A homogeneous schedule allocates its buffer and its result and
+   nothing per arrival, and draws the stream a constant [rate_at]
+   draws. *)
+let t_schedule_allocation () =
+  let rate = 1_000. and horizon = 0.1 in
+  (* Both arrays are small enough for the minor heap, so both are
+     counted: the buffer's [cap] floats and the result's [n]. *)
+  let cap = max 16 (int_of_float (1.2 *. rate *. horizon) + 8) in
+  let rng = Rng.create 67 in
+  let m0 = Gc.minor_words () in
+  let arr = S.Schedule.arrivals rng ~peak:rate ~horizon in
+  let words = Gc.minor_words () -. m0 in
+  let n = Array.length arr in
+  check_bool "arrivals fill part of the buffer" true (n > 50 && n < cap);
+  Alcotest.(check (float 0.)) "minor words: buffer and result only"
+    (float_of_int (cap + 1 + n + 1)) words;
+  check_bool "same arrivals as a constant rate_at" true
+    (arr = S.Schedule.arrivals (Rng.create 67) ~rate_at:(fun _ -> rate) ~peak:rate ~horizon);
+  (* A kv-hot window: both arrays go straight to the major heap, so the
+     minor heap sees nothing at all. *)
+  let rng = Rng.create 53 in
+  let m0 = Gc.minor_words () in
+  let arr = S.Schedule.arrivals rng ~peak:150_000. ~horizon:0.8 in
+  let words = Gc.minor_words () -. m0 in
+  check_bool "a kv-hot window's arrivals" true (Array.length arr > 100_000);
+  Alcotest.(check (float 0.)) "kv-hot window: minor words" 0. words
+
 (* ------------------------------------------------------------------ *)
 (* Weighted pick                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -616,6 +643,8 @@ let () =
             t_schedule_shape_and_rate;
           Alcotest.test_case "thinning follows rate_at" `Quick t_schedule_thinning;
           Alcotest.test_case "invalid parameters" `Quick t_schedule_invalid;
+          Alcotest.test_case "homogeneous schedule allocates nothing per arrival" `Quick
+            t_schedule_allocation;
         ] );
       ( "pick-weighted",
         [

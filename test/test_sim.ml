@@ -36,6 +36,23 @@ let t_spec_sorted () =
   Alcotest.(check (list int)) "sorted by at" [ 1; 3 ]
     (List.map (fun a -> a.Spec.at) t.Spec.accesses)
 
+(* Random access lists with many equal [at] values: [Spec.txn] must
+   order them exactly as a stable sort by [at] does, and hand an
+   already-sorted list back without copying it. *)
+let prop_spec_sorted =
+  let access =
+    QCheck.(
+      map
+        (fun (at, obj, w) -> if w then Spec.write ~at ~obj else Spec.read ~at ~obj)
+        (triple (int_bound 4) (int_bound 9) bool))
+  in
+  QCheck.Test.make ~name:"accesses = stable sort by at" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 12) access)
+    (fun accesses ->
+      let by_at = List.stable_sort (fun a b -> compare a.Spec.at b.Spec.at) accesses in
+      (Spec.txn ~dur:5 accesses).Spec.accesses = by_at
+      && (Spec.txn ~dur:5 by_at).Spec.accesses == by_at)
+
 let t_spec_n_objects () =
   let inst = Spec.instance [ Spec.txn ~dur:1 [ Spec.write ~at:0 ~obj:7 ] ] in
   check_int "n_objects" 8 inst.Spec.n_objects
@@ -180,6 +197,103 @@ let t_multi_txn_stream () =
   check_int "three commits" 3 r.Engine.commits;
   (* Idle tick between transactions: each txn takes 2 ticks + 1 idle. *)
   check_bool "makespan >= 6" true (makespan_exn r >= 6)
+
+(* ------------------------------------------------------------------ *)
+(* Engine semantics                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A manager that aborts the enemy and records what the engine showed
+   it: the timestamp of every enemy it was handed, in order, and the
+   number of opens it was told about.  After 8 resolves in a row at
+   one access it aborts itself instead, so an engine that keeps
+   handing it an enemy fails the test rather than spinning. *)
+module Recorder = struct
+  let name = "recorder"
+
+  type t = unit
+
+  let enemies = ref []
+  let opens = ref 0
+
+  let reset () =
+    enemies := [];
+    opens := 0
+
+  let create () = ()
+  let begin_attempt () _ = ()
+  let opened () _ = incr opens
+  let committed () _ = ()
+  let aborted () _ = ()
+
+  let resolve () ~me:_ ~other ~attempts =
+    enemies := Tcm_stm.Txn.timestamp other :: !enemies;
+    if attempts < 8 then Tcm_stm.Decision.abort_other else Tcm_stm.Decision.abort_self
+end
+
+let recorder : Tcm_stm.Cm_intf.factory = (module Recorder)
+
+let t_writer_meets_latest_reader () =
+  (* Readers of object 0 register at ticks 0 (threads 0, 2), 1
+     (thread 3) and 2 (thread 1); thread 0 then upgrades to a write at
+     tick 3.  Each enemy it is handed is the most recently registered
+     reader other than itself: 1, then 3, then 2.  Thread i carries
+     timestamp i + 1. *)
+  Recorder.reset ();
+  let inst =
+    Spec.instance
+      [
+        Spec.txn ~dur:5 [ Spec.read ~at:0 ~obj:0; Spec.write ~at:3 ~obj:0 ];
+        Spec.txn ~dur:9 [ Spec.read ~at:2 ~obj:0 ];
+        Spec.txn ~dur:9 [ Spec.read ~at:0 ~obj:0 ];
+        Spec.txn ~dur:9 [ Spec.read ~at:1 ~obj:0 ];
+      ]
+  in
+  (* The run stops before the readers restart and fight back. *)
+  let r = Engine.run_instance ~horizon:4 ~manager:recorder inst in
+  Alcotest.(check (list int)) "enemies, latest registration first" [ 2; 4; 3 ]
+    (List.rev !Recorder.enemies);
+  check_int "three aborted readers" 3 r.Engine.aborts
+
+let t_upgrade_then_abort_leaves_no_reader () =
+  (* Thread 1 reads object 0, upgrades to a write, and halts holding
+     it.  Thread 0 aborts it at tick 3 and commits at tick 4.  Thread
+     2's write at tick 5 then finds object 0 free and unread: one
+     conflict in the run, and thread 2 commits at its own pace. *)
+  Recorder.reset ();
+  let inst =
+    Spec.instance
+      [
+        Spec.txn ~dur:4 [ Spec.write ~at:3 ~obj:0 ];
+        Spec.txn ~halts_at:2 ~dur:9 [ Spec.read ~at:0 ~obj:0; Spec.write ~at:1 ~obj:0 ];
+        Spec.txn ~dur:7 [ Spec.write ~at:5 ~obj:0 ];
+      ]
+  in
+  let r = Engine.run_instance ~horizon:20 ~manager:recorder inst in
+  Alcotest.(check (list int)) "only thread 1 was an enemy" [ 2 ] !Recorder.enemies;
+  check_bool "completed" true r.Engine.completed;
+  Alcotest.(check (list (triple int int int)))
+    "commits" [ (0, 0, 4); (2, 0, 7) ] r.Engine.commit_log
+
+let t_reread_owned_object () =
+  (* Re-reading an object the thread writes is no open: the manager
+     hears of the write alone. *)
+  Recorder.reset ();
+  let inst =
+    Spec.instance [ Spec.txn ~dur:4 [ Spec.write ~at:0 ~obj:0; Spec.read ~at:1 ~obj:0 ] ]
+  in
+  let r = Engine.run_instance ~manager:recorder inst in
+  check_int "one open" 1 !Recorder.opens;
+  check_int "one commit" 1 r.Engine.commits
+
+let t_object_out_of_range () =
+  (* Object state is reused across runs, so an earlier run's larger
+     arrays must not let an out-of-range object through. *)
+  ignore (Engine.run_instance ~manager:greedy (Spec.instance [ Spec.txn ~dur:1 [ Spec.write ~at:0 ~obj:9 ] ]));
+  Alcotest.check_raises "object 5 of 2" (Invalid_argument "Engine.run: object id >= n_objects")
+    (fun () ->
+      ignore
+        (Engine.run ~manager:greedy ~n_objects:2
+           [| (fun k -> if k = 0 then Some (Spec.txn ~dur:1 [ Spec.read ~at:0 ~obj:5 ]) else None) |]))
 
 (* ------------------------------------------------------------------ *)
 (* The Section 4 chain                                                 *)
@@ -402,7 +516,8 @@ let t_oldest_never_aborted () =
 
 let t_golden_sim_values () =
   (* Deterministic end-to-end pin: any engine or policy change that
-     alters scheduling shows up here first. *)
+     alters scheduling shows up here first.  Update the values only
+     with a change that means to alter the simulation. *)
   let run manager =
     let o =
       Tcm_workload.Sim_load.run ~horizon:1_000 ~seed:42 ~threads:4 ~manager
@@ -410,14 +525,107 @@ let t_golden_sim_values () =
     in
     o.Tcm_workload.Sim_load.commits
   in
-  let greedy_c = run greedy in
-  let karma_c = run (manager "karma") in
-  check_bool "greedy commits plausible" true (greedy_c > 300 && greedy_c < 800);
-  check_bool "karma commits plausible" true (karma_c > 300 && karma_c < 800);
-  (* The exact values are pinned so regressions are loud; update them
-     deliberately if the engine's semantics change. *)
-  check_int "greedy pinned" greedy_c (run greedy);
-  check_int "karma pinned" karma_c (run (manager "karma"))
+  check_int "greedy pinned" 555 (run greedy);
+  check_int "karma pinned" 479 (run (manager "karma"))
+
+(* The rows of a short fig1-fig4 sweep (threads 1-32, the paper's five
+   managers), printed as the benchmark prints them: every bit of every
+   throughput. *)
+let t_pinned_sweep () =
+  let module F = Tcm_workload.Figures in
+  let rows =
+    List.concat_map
+      (fun (spec : F.spec) ->
+        let r = F.run ~mode:(F.Sim { horizon = 1_500 }) spec in
+        List.map
+          (fun (row : F.row) ->
+            Printf.sprintf "%s/%d:%s" spec.F.id row.F.threads
+              (String.concat ","
+                 (List.map (fun (m, v) -> Printf.sprintf "%s=%h" m v) row.F.cells)))
+          r.F.rows)
+      F.all
+  in
+  Alcotest.(check string) "sweep rows digest" "f76c3fd92371c79031072102d4410a20"
+    (Digest.to_hex (Digest.string (String.concat ";" rows)))
+
+(* Every field of a run, the grid included. *)
+let result_string (r : Engine.result) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "%s t%d %b m%d c%d a%d x%d|" r.Engine.manager_name r.Engine.ticks
+    r.Engine.completed
+    (Option.value ~default:(-1) r.Engine.makespan)
+    r.Engine.commits r.Engine.aborts r.Engine.max_aborts_one_txn;
+  List.iter (fun (th, k, tick) -> Printf.bprintf b "%d.%d@%d " th k tick) r.Engine.commit_log;
+  Array.iter (Printf.bprintf b "c%d ") r.Engine.per_thread_commits;
+  Array.iter (Printf.bprintf b "a%d ") r.Engine.per_thread_aborts;
+  Array.iter
+    (fun row ->
+      Buffer.add_char b '|';
+      Array.iter
+        (fun (c : Engine.cell) ->
+          Printf.bprintf b "%d%c" c.Engine.attempt
+            (match c.Engine.kind with
+            | Engine.Run -> 'r'
+            | Engine.Wait -> 'w'
+            | Engine.Back -> 'b'
+            | Engine.Idle -> 'i'
+            | Engine.Done -> 'd'))
+        row)
+    r.Engine.grid;
+  Buffer.contents b
+
+(* Three transactions per thread over [s] objects, reads and writes
+   mixed, so an object may be read and later written (an upgrade) or
+   written and read again. *)
+let mixed_streams ~seed ~threads ~s =
+  Array.init threads (fun tid k ->
+      if k >= 3 then None
+      else
+        let rng = Tcm_stm.Splitmix.create ((seed * 7_919) + (tid * 131) + k) in
+        let dur = 2 + Tcm_stm.Splitmix.int rng 8 in
+        let n_acc = 1 + Tcm_stm.Splitmix.int rng 4 in
+        Some
+          (Spec.txn ~dur
+             (List.init n_acc (fun _ ->
+                  let at = Tcm_stm.Splitmix.int rng dur and obj = Tcm_stm.Splitmix.int rng s in
+                  if Tcm_stm.Splitmix.bool rng then Spec.write ~at ~obj else Spec.read ~at ~obj))))
+
+(* Every simulated manager over the canonical scenarios: random
+   instances with and without inverted ranks, the Section 4 chain, a
+   halted owner (the timeout managers' Block deadlines), a Zipf hot
+   spot, the dependency cycle and mixed read/write streams, each run
+   recorded tick by tick. *)
+let t_pinned_scenarios () =
+  let b = Buffer.create 65_536 in
+  let add r =
+    Buffer.add_string b (result_string r);
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun m ->
+      let run ?ranks ?(horizon = 3_000) ~seed inst =
+        add (Engine.run_instance ?ranks ~horizon ~record_grid:true ~seed ~manager:m inst)
+      in
+      for seed = 1 to 6 do
+        let n = 3 + (seed mod 4) in
+        let inst = Scenarios.random_instance ~seed ~n ~s:3 () in
+        run ~seed inst;
+        run ~ranks:(Array.init n (fun i -> n - i)) ~seed inst
+      done;
+      let chain, ranks = Scenarios.adversarial_chain ~s:4 () in
+      run ~ranks ~seed:7 chain;
+      run ~seed:8 (Scenarios.halted_owner ~n:4 ());
+      run ~seed:9 (Scenarios.hotspot_instance ~seed:9 ~n:8 ~s:3 ~dur:4 ());
+      run ~horizon:500 ~seed:10 (Scenarios.dependency_cycle ());
+      List.iter
+        (fun seed ->
+          add
+            (Engine.run ~horizon:2_000 ~record_grid:true ~seed ~manager:m ~n_objects:4
+               (mixed_streams ~seed ~threads:5 ~s:4)))
+        [ 11; 12 ])
+    Tcm_core.Registry.simulated;
+  Alcotest.(check string) "scenario results digest" "e609f87c1acadb54f5d72a120a0e8f70"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let t_halted_transactions () =
   (* Section 6: a transaction halts while holding the hot object.
@@ -468,6 +676,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick t_spec_validation;
           Alcotest.test_case "accesses sorted" `Quick t_spec_sorted;
+          QCheck_alcotest.to_alcotest prop_spec_sorted;
           Alcotest.test_case "object counting" `Quick t_spec_n_objects;
           Alcotest.test_case "task-system conversion" `Quick t_to_task_system;
         ] );
@@ -485,6 +694,11 @@ let () =
           Alcotest.test_case "empty instance" `Quick t_empty_instance;
           Alcotest.test_case "usec_per_tick scales backoffs" `Quick t_usec_per_tick;
           Alcotest.test_case "sequential stream of transactions" `Quick t_multi_txn_stream;
+          Alcotest.test_case "writer meets the latest reader" `Quick t_writer_meets_latest_reader;
+          Alcotest.test_case "upgrade then abort leaves no reader" `Quick
+            t_upgrade_then_abort_leaves_no_reader;
+          Alcotest.test_case "re-reading an owned object" `Quick t_reread_owned_object;
+          Alcotest.test_case "object id out of range" `Quick t_object_out_of_range;
         ] );
       ( "chain",
         [
@@ -515,6 +729,8 @@ let () =
           Alcotest.test_case "eruption transfers pressure" `Quick t_eruption_pressure;
           Alcotest.test_case "oldest transaction never aborted" `Quick t_oldest_never_aborted;
           Alcotest.test_case "golden deterministic values" `Quick t_golden_sim_values;
+          Alcotest.test_case "pinned fig1-fig4 sweep" `Quick t_pinned_sweep;
+          Alcotest.test_case "pinned scenario results" `Quick t_pinned_scenarios;
           Alcotest.test_case "randomized greedy (open problem)" `Quick t_randomized_greedy;
           Alcotest.test_case "timeline rendering" `Quick t_timeline_render;
           Alcotest.test_case "halted transactions (section 6)" `Quick t_halted_transactions;
