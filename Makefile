@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench-smoke metrics-smoke write-smoke tl2-smoke service-smoke obs-smoke cm-smoke bench ci clean
+.PHONY: all build test bench-smoke metrics-smoke write-smoke tl2-smoke service-smoke obs-smoke cm-smoke sim-smoke bench ci clean
 
 # Perf-trajectory point number: `make bench N=2` writes BENCH_2.json.
 N ?= 1
@@ -56,6 +56,12 @@ obs-smoke:
 cm-smoke:
 	dune build @cm-smoke
 
+# Simulator record smoke: the makespan demo, the adversarial chain table
+# and a chain timeline, all read from a run's trace events, diffed
+# against their expected output in test/sim_smoke.
+sim-smoke:
+	dune build @sim-smoke
+
 # Full bench, regenerating the committed perf trajectory point
 # (closed-loop sweeps plus the open-loop service figures, the
 # conflict-attribution entries and the consult-cost microbench on
@@ -63,7 +69,7 @@ cm-smoke:
 bench:
 	dune exec bench/main.exe -- --quick --no-micro --service --obs --consult --backend both --json BENCH_$(N).json
 
-ci: build test bench-smoke metrics-smoke write-smoke tl2-smoke service-smoke obs-smoke cm-smoke
+ci: build test bench-smoke metrics-smoke write-smoke tl2-smoke service-smoke obs-smoke cm-smoke sim-smoke
 
 clean:
 	dune clean

@@ -686,12 +686,12 @@ let run_trace_capture path =
       let trace, drops = capture manager in
       let pc = Tcm_trace.Analysis.pending_commit trace in
       let ca = Tcm_trace.Analysis.cascades trace in
-      let wa = Tcm_trace.Analysis.wasted_work trace in
+      let p = Tcm_trace.Analysis.price trace in
       Format.fprintf fmt "%-12s %8d %6d %9d %10d %11d %11d %6d/%-6d@." name
         (Array.length trace) drops pc.Tcm_trace.Analysis.conflicts
         pc.Tcm_trace.Analysis.violations pc.Tcm_trace.Analysis.undecidable
-        ca.Tcm_trace.Analysis.max_cascade wa.Tcm_trace.Analysis.opens_wasted
-        wa.Tcm_trace.Analysis.opens_total;
+        ca.Tcm_trace.Analysis.max_cascade p.Tcm_trace.Analysis.work_wasted
+        p.Tcm_trace.Analysis.work_total;
       Tcm_trace.Export.output_jsonl ~drops ~manager:name oc trace)
     [ "greedy"; "backoff"; "aggressive" ];
   close_out oc;

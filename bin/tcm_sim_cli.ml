@@ -16,15 +16,16 @@ let adversarial s_max =
   Printf.printf "%6s %16s %16s %8s %12s\n" "s" "greedy" "optimal" "ratio" "bound";
   for s = 1 to s_max do
     let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s () in
-    let r =
-      Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~manager:greedy_manager inst
+    let r, events =
+      Tcm_sim.Record.capture (fun () ->
+          Tcm_sim.Engine.run_instance ~ranks ~manager:greedy_manager inst)
     in
     let greedy = Option.value r.Tcm_sim.Engine.makespan ~default:(-1) in
     let optimal = 2 * Tcm_sched.Adversarial.optimal_makespan ~s in
     Printf.printf "%6d %16d %16d %8.2f %12d  pending-commit=%b\n" s greedy optimal
       (float_of_int greedy /. float_of_int optimal)
       (Tcm_sched.Bounds.pending_commit_factor ~s)
-      (Tcm_sim.Props.pending_commit r)
+      (Tcm_sim.Props.pending_commit r events)
   done
 
 let bound_sweep trials n s =
@@ -86,11 +87,12 @@ let timeline s manager_name =
         Printf.eprintf "unknown manager %S\n" manager_name;
         exit 2
   in
-  let r =
-    Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~horizon:5_000 ~seed:1 ~manager inst
+  let r, events =
+    Tcm_sim.Record.capture (fun () ->
+        Tcm_sim.Engine.run_instance ~ranks ~horizon:5_000 ~seed:1 ~manager inst)
   in
   Printf.printf "chain s=%d under %s (thread i plays T_i):\n%s" s manager_name
-    (Tcm_sim.Timeline.render r)
+    (Tcm_sim.Timeline.render r events)
 
 let halted n =
   let inst = Tcm_sim.Scenarios.halted_owner ~n () in

@@ -14,14 +14,19 @@ let () =
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~granularity ~s () in
   Printf.printf "Chain instance: %d transactions over %d objects.\n" (s + 1) s;
   Printf.printf "T_i opens X_(i+1) at time 0 and X_i at time 1-eps; T_i is older than T_(i-1).\n\n";
-  let r =
-    Tcm_sim.Engine.run_instance ~ranks ~record_grid:true ~manager:(module Tcm_core.Greedy) inst
+  let r, events =
+    Tcm_sim.Record.capture (fun () ->
+        Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst)
   in
   Printf.printf "Commit order under greedy (tick = %d per paper time unit):\n" granularity;
-  List.iter
-    (fun (thread, _, tick) -> Printf.printf "  T%-2d commits at time %.1f\n" thread
-        (float_of_int tick /. float_of_int granularity))
-    r.Tcm_sim.Engine.commit_log;
+  Array.iter
+    (fun (e : Tcm_trace.Event.t) ->
+      (* A commit names its transaction by timestamp: T_i's is ranks.(i). *)
+      if e.kind = Tcm_trace.Event.Commit then
+        Printf.printf "  T%-2d commits at time %.1f\n"
+          (Option.get (Array.find_index (( = ) e.a) ranks))
+          (float_of_int e.tick /. float_of_int granularity))
+    events;
   let greedy = Option.value r.Tcm_sim.Engine.makespan ~default:(-1) in
   let optimal = granularity * Tcm_sched.Adversarial.optimal_makespan ~s in
   Printf.printf "\ngreedy makespan : %.1f time units (paper: s+1 = %d)\n"
@@ -33,5 +38,6 @@ let () =
     (float_of_int greedy /. float_of_int optimal)
     (Tcm_sched.Bounds.pending_commit_factor ~s)
     (greedy <= Tcm_sched.Bounds.pending_commit_factor ~s * optimal);
-  Printf.printf "pending-commit property held throughout: %b\n" (Tcm_sim.Props.pending_commit r);
-  Printf.printf "\nTimeline (thread i plays T_i):\n%s" (Tcm_sim.Timeline.render r)
+  Printf.printf "pending-commit property held throughout: %b\n"
+    (Tcm_sim.Props.pending_commit r events);
+  Printf.printf "\nTimeline (thread i plays T_i):\n%s" (Tcm_sim.Timeline.render r events)

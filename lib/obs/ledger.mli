@@ -14,8 +14,8 @@
     Cost model:
     - an abort wastes the dead attempt's work, measured in opens
       (reads + writes + upgrades — the same unit
-      {!Tcm_trace.Analysis.wasted_work} and [Analysis.price] use, so
-      ledger totals and trace pricing agree);
+      {!Tcm_trace.Analysis.price} uses, so ledger totals and trace
+      pricing agree);
     - a CM-induced wait costs its duration in the runtime's native
       unit (microseconds live, ticks in the simulator — the same
       integer observed into [tcm_wait_duration]), plus the spin/yield

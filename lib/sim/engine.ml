@@ -29,10 +29,6 @@
 
 open Tcm_stm
 
-type cell_kind = Run | Wait | Back | Idle | Done
-
-type cell = { attempt : int; kind : cell_kind }
-
 (* A family of int stacks, stack [i] being the array [s.(i)]: its
    length in slot 0, its elements in slots 1 to length, the top last.
    Every stack starts as the shared [empty], which is never written,
@@ -170,14 +166,11 @@ type result = {
   makespan : int option;  (** Tick of the last commit, when [completed]. *)
   commits : int;
   aborts : int;
-  commit_log : (int * int * int) list;
-      (** [(thread, txn_index, tick)] in commit order. *)
   per_thread_commits : int array;
   per_thread_aborts : int array;
   max_aborts_one_txn : int;
       (** Worst number of restarts any single transaction needed — the
           starvation metric for the timestamp-retention ablation. *)
-  grid : cell array array;  (** [grid.(tick).(thread)], possibly empty. *)
   manager_name : string;
 }
 
@@ -197,7 +190,7 @@ let default_usec_per_tick = 1
 let new_shared timestamp =
   { Txn.timestamp; priority = 0; aborts = 0; opens = 0; cm_stamp = Txn.no_cm_stamp }
 
-let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
+let run ?(horizon = default_horizon) ?ranks
     ?(ts_on_restart = `Keep) ?(seed = 0) ?(usec_per_tick = default_usec_per_tick)
     ~(manager : Cm_intf.factory) ~n_objects (streams : (int -> Spec.txn option) array) :
     result =
@@ -268,8 +261,7 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
   let total_aborts = ref 0 in
   let total_commits = ref 0 in
   let max_aborts_one_txn = ref 0 in
-  let commit_log = ref [] in
-  let grid = ref [] in
+  let last_commit = ref 0 in
 
   (* Fault injection: a halted transaction stops acting but stays
      active and keeps its objects (Section 6's "transactions that stop
@@ -494,7 +486,7 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
             cm_committed t.cm t.txn;
             t.commits <- t.commits + 1;
             incr total_commits;
-            commit_log := (t.tid, t.txn_index, now + 1) :: !commit_log;
+            last_commit := now + 1;
             t.txn_index <- t.txn_index + 1;
             t.status <- Idle_s
           end
@@ -502,26 +494,10 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     done
   in
 
-  let snapshot () =
-    Array.map
-      (fun t ->
-        let kind =
-          match t.status with
-          | Running_s -> Run
-          | Waiting_s -> Wait
-          | Backing_off_s -> Back
-          | Idle_s -> Idle
-          | Finished_s -> Done
-        in
-        { attempt = t.attempt; kind })
-      threads
-  in
-
   let tick = ref 0 in
   (* Threads discover stream exhaustion when Idle; prime the check. *)
   while !finished < n && !tick < horizon do
     phase_a !tick;
-    if record_grid then grid := snapshot () :: !grid;
     phase_b !tick;
     incr tick
   done;
@@ -530,23 +506,15 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
   Array.iter release threads;
   Domain.DLS.set scratch_key (Some scratch);
   let completed = !finished = n in
-  let commit_log = List.rev !commit_log in
-  let makespan =
-    if completed then
-      Some (List.fold_left (fun acc (_, _, t) -> max acc t) 0 commit_log)
-    else None
-  in
   {
     ticks = !tick;
     completed;
-    makespan;
+    makespan = (if completed then Some !last_commit else None);
     commits = !total_commits;
     aborts = !total_aborts;
-    commit_log;
     per_thread_commits = Array.map (fun (t : tstate) -> t.commits) threads;
     per_thread_aborts = Array.map (fun (t : tstate) -> t.aborts) threads;
     max_aborts_one_txn = !max_aborts_one_txn;
-    grid = Array.of_list (List.rev !grid);
     manager_name;
   }
 
@@ -554,10 +522,10 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     [ranks], thread order is priority order (thread 0 oldest);
     [ranks.(i)] overrides the timestamp of thread [i]'s transaction
     (smaller = older). *)
-let run_instance ?horizon ?record_grid ?ranks ?ts_on_restart ?seed ~manager
+let run_instance ?horizon ?ranks ?ts_on_restart ?seed ~manager
     (inst : Spec.instance) : result =
   let streams =
     Array.map (fun txn k -> if k = 0 then Some txn else None) inst.txns
   in
-  run ?horizon ?record_grid ?ranks ?ts_on_restart ?seed ~manager
+  run ?horizon ?ranks ?ts_on_restart ?seed ~manager
     ~n_objects:inst.n_objects streams

@@ -12,13 +12,12 @@
     Conflicts are resolved by the live [Tcm_core] managers, one
     instance per thread, over real [Txn.t] descriptors, through the
     locator backend's [Runtime.consult]; decision durations convert to
-    ticks at [usec_per_tick] (default {!default_usec_per_tick}). *)
+    ticks at [usec_per_tick] (default {!default_usec_per_tick}).
+
+    A run's record is the [Tcm_trace] events its probe emits at each
+    lifecycle point; {!Record} captures and reads them. *)
 
 open Tcm_stm
-
-type cell_kind = Run | Wait | Back | Idle | Done
-
-type cell = { attempt : int; kind : cell_kind }
 
 type result = {
   ticks : int;
@@ -26,13 +25,10 @@ type result = {
   makespan : int option;  (** Tick of the last commit, when completed. *)
   commits : int;
   aborts : int;
-  commit_log : (int * int * int) list;
-      (** [(thread, txn_index, tick)] in commit order. *)
   per_thread_commits : int array;
   per_thread_aborts : int array;
   max_aborts_one_txn : int;
       (** Worst restarts of a single transaction (starvation metric). *)
-  grid : cell array array;  (** [grid.(tick).(thread)] when recorded. *)
   manager_name : string;
 }
 
@@ -45,7 +41,6 @@ val default_usec_per_tick : int
 
 val run :
   ?horizon:int ->
-  ?record_grid:bool ->
   ?ranks:int array ->
   ?ts_on_restart:[ `Keep | `Fresh ] ->
   ?seed:int ->
@@ -64,7 +59,6 @@ val run :
 
 val run_instance :
   ?horizon:int ->
-  ?record_grid:bool ->
   ?ranks:int array ->
   ?ts_on_restart:[ `Keep | `Fresh ] ->
   ?seed:int ->

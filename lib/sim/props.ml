@@ -9,54 +9,23 @@
     it under greedy whenever delays are finite.) *)
 let all_committed (r : Engine.result) = r.Engine.completed
 
-(** The pending-commit property: at any tick [t] before the makespan,
-    some attempt running at [t] runs uninterrupted until its commit.
-    Requires the result to carry a recorded grid. *)
-let pending_commit (r : Engine.result) : bool =
+(** The pending-commit property: every tick [t] before the makespan
+    lies inside the final uninterrupted run of some attempt that
+    commits, the run [Record.fold] ends with [Commit]. *)
+let pending_commit (r : Engine.result) events =
   match r.Engine.makespan with
   | None -> false
   | Some makespan ->
-      let grid = r.Engine.grid in
-      if Array.length grid = 0 then invalid_arg "Props.pending_commit: run with ~record_grid:true";
-      let n = Array.length grid.(0) in
-      (* commit_tick.(thread) for each attempt that committed: derive
-         from the grid — an attempt commits at tick t+1 if the thread is
-         Run at t and at t+1 is a different attempt / Idle / Done. *)
-      let ticks = Array.length grid in
-      let runs_to_commit t i =
-        (* Does the attempt running at tick t for thread i keep running
-           continuously until it commits? *)
-        let a = grid.(t).(i).Engine.attempt in
-        let rec go u =
-          if u >= ticks then false
-          else
-            let c = grid.(u).(i) in
-            if c.Engine.kind <> Engine.Run || c.Engine.attempt <> a then false
-            else if
-              (* commits at end of tick u if next tick it is a new
-                 txn/attempt in Idle/Run/Done with different attempt, or
-                 the grid ends *)
-              u + 1 >= ticks
-              ||
-              let nxt = grid.(u + 1).(i) in
-              (nxt.Engine.kind = Engine.Idle || nxt.Engine.kind = Engine.Done
-              || nxt.Engine.attempt <> a)
-              && nxt.Engine.kind <> Engine.Back && nxt.Engine.kind <> Engine.Wait
-            then true
-            else go (u + 1)
-        in
-        go t
+      let covered = Array.make makespan false in
+      let (), _ =
+        Record.fold r events
+          (fun () ~row:_ state ~from ~until ending ->
+            match (state, ending) with
+            | Record.Run, Record.Commit -> Array.fill covered from (until - from) true
+            | _ -> ())
+          ()
       in
-      let ok = ref true in
-      for t = 0 to min (makespan - 1) (ticks - 1) do
-        let found = ref false in
-        for i = 0 to n - 1 do
-          if (not !found) && grid.(t).(i).Engine.kind = Engine.Run && runs_to_commit t i then
-            found := true
-        done;
-        if not !found then ok := false
-      done;
-      !ok
+      Array.for_all Fun.id covered
 
 (** Theorem 9 check on a one-shot instance: measured makespan vs the
     best off-line list schedule, against the [s(s+1)+2] factor. *)

@@ -4,10 +4,10 @@ val all_committed : Engine.result -> bool
 (** Every thread finished all its transactions (Theorem 1 under
     greedy, given finite delays). *)
 
-val pending_commit : Engine.result -> bool
-(** Section 4.3: at any tick before the makespan, some running attempt
-    runs uninterrupted until its commit.
-    @raise Invalid_argument unless run with [~record_grid:true]. *)
+val pending_commit : Engine.result -> Tcm_trace.Event.t array -> bool
+(** Section 4.3: every tick before the makespan lies inside some
+    committed attempt's final uninterrupted run, read from the run's
+    events (see {!Record.fold}); false on an incomplete run. *)
 
 type bound_report = {
   s : int;

@@ -1,51 +1,43 @@
-(** ASCII rendering of a recorded execution grid: one row per thread,
-    one column per tick.
+(** ASCII rendering of a simulated run: one row per transaction, in
+    the order of their first [Begin] (thread order on a one-shot
+    instance), one column per tick.
 
-    Legend: ['R'] running, ['w'] waiting, ['b'] backing off / restart
-    gap, ['.'] idle between transactions, ['C'] the tick whose end the
-    thread committed at, ['X'] the tick in which the attempt was
-    aborted (the attempt number changed afterwards), [' '] after the
-    thread finished. *)
+    Legend: ['R'] running, ['w'] waiting, ['b'] backing off or waiting
+    to restart, ['C'] the tick at whose end the attempt committed,
+    ['X'] a running tick followed by the attempt's abort, [' '] before
+    the transaction began or after it ended. *)
 
-let cell_char (grid : Engine.cell array array) ~tick ~thread =
-  let c = grid.(tick).(thread) in
-  let next = if tick + 1 < Array.length grid then Some grid.(tick + 1).(thread) else None in
-  match c.Engine.kind with
-  | Engine.Done -> ' '
-  | Engine.Idle -> '.'
-  | Engine.Wait -> 'w'
-  | Engine.Back -> 'b'
-  | Engine.Run -> (
-      match next with
-      | Some n when n.Engine.kind = Engine.Idle || n.Engine.kind = Engine.Done -> 'C'
-      | Some n when n.Engine.attempt <> c.Engine.attempt -> 'X'
-      | None -> 'C'
-      | Some _ -> 'R')
-
-(** Render the grid of a result produced with [~record_grid:true]. *)
-let render (r : Engine.result) : string =
-  let grid = r.Engine.grid in
-  if Array.length grid = 0 then "(no grid recorded; run with ~record_grid:true)"
-  else begin
-    let ticks = Array.length grid in
-    let threads = Array.length grid.(0) in
-    let buf = Buffer.create ((threads + 2) * (ticks + 16)) in
-    (* Tick ruler every 10 columns. *)
-    Buffer.add_string buf "        ";
-    for t = 0 to ticks - 1 do
-      Buffer.add_char buf (if t mod 10 = 0 then '|' else ' ')
-    done;
-    Buffer.add_char buf '\n';
-    for i = 0 to threads - 1 do
+let render (r : Engine.result) events =
+  let ticks = r.Engine.ticks in
+  let spans, rows =
+    Record.fold r events
+      (fun acc ~row state ~from ~until ending -> (row, state, from, until, ending) :: acc)
+      []
+  in
+  let cells = Array.init rows (fun _ -> Bytes.make ticks ' ') in
+  List.iter
+    (fun (row, state, from, until, ending) ->
+      let cells = cells.(row) in
+      Bytes.fill cells from (until - from)
+        (match state with Record.Run -> 'R' | Record.Wait -> 'w' | Record.Back -> 'b');
+      match ending with
+      | Record.Commit -> Bytes.set cells (until - 1) 'C'
+      | Record.Abort when until > 0 && Bytes.get cells (until - 1) = 'R' ->
+          Bytes.set cells (until - 1) 'X'
+      | _ -> ())
+    (List.rev spans);
+  let buf = Buffer.create ((rows + 2) * (ticks + 16)) in
+  (* Tick ruler every 10 columns. *)
+  Buffer.add_string buf "        ";
+  for t = 0 to ticks - 1 do
+    Buffer.add_char buf (if t mod 10 = 0 then '|' else ' ')
+  done;
+  Buffer.add_char buf '\n';
+  Array.iteri
+    (fun i cells ->
       Buffer.add_string buf (Printf.sprintf "T%-3d    " i);
-      for t = 0 to ticks - 1 do
-        Buffer.add_char buf (cell_char grid ~tick:t ~thread:i)
-      done;
-      Buffer.add_char buf '\n'
-    done;
-    Buffer.add_string buf
-      "        R running  w waiting  b backoff/restart  . idle  C commit  X aborted\n";
-    Buffer.contents buf
-  end
-
-let print fmt r = Format.pp_print_string fmt (render r)
+      Buffer.add_bytes buf cells;
+      Buffer.add_char buf '\n')
+    cells;
+  Buffer.add_string buf "        R running  w waiting  b backoff/restart  C commit  X aborted\n";
+  Buffer.contents buf

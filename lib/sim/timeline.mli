@@ -1,9 +1,6 @@
-(** ASCII rendering of a recorded execution grid (one row per thread,
-    one column per tick); requires the result to have been produced
-    with [~record_grid:true]. *)
+(** ASCII rendering of a simulated run from its trace events: one row
+    per transaction, one column per tick. *)
 
-val cell_char : Engine.cell array array -> tick:int -> thread:int -> char
-
-val render : Engine.result -> string
-
-val print : Format.formatter -> Engine.result -> unit
+val render : Engine.result -> Tcm_trace.Event.t array -> string
+(** [render r events], [events] being the run's capture (see
+    {!Record.fold}). *)

@@ -88,57 +88,6 @@ let cascades (trace : Event.t array) =
     mean_cascade = (if !count = 0 then 0. else float_of_int !total /. float_of_int !count);
   }
 
-type waste_report = {
-  attempts : int;
-  committed : int;
-  aborted : int;
-  opens_total : int;
-  opens_wasted : int;
-  waste_ratio : float;
-}
-
-let wasted_work (trace : Event.t array) =
-  let outcomes : (int, bool) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Commit -> Hashtbl.replace outcomes e.b true
-      | Event.Abort -> Hashtbl.replace outcomes e.b false
-      | _ -> ())
-    trace;
-  (* txid -> uid of its attempt current at this point of the sweep *)
-  let cur : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let attempts = ref 0 and committed = ref 0 and aborted = ref 0 in
-  let opens_total = ref 0 and opens_wasted = ref 0 in
-  Array.iter
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Begin ->
-        incr attempts;
-        Hashtbl.replace cur e.a e.b
-      | Event.Commit -> incr committed
-      | Event.Abort -> incr aborted
-      | Event.Open -> (
-        incr opens_total;
-        match Hashtbl.find_opt cur e.a with
-        | Some uid -> (
-          match Hashtbl.find_opt outcomes uid with
-          | Some false -> incr opens_wasted
-          | Some true | None -> ())
-        | None -> ())
-      | _ -> ())
-    trace;
-  {
-    attempts = !attempts;
-    committed = !committed;
-    aborted = !aborted;
-    opens_total = !opens_total;
-    opens_wasted = !opens_wasted;
-    waste_ratio =
-      (if !opens_total = 0 then 0.
-       else float_of_int !opens_wasted /. float_of_int !opens_total);
-  }
-
 type price_report = {
   p_attempts : int;
   p_committed : int;
@@ -151,8 +100,9 @@ type price_report = {
   price_per_commit : float;
 }
 
-(* The same outcome/current-attempt machinery as [wasted_work], plus
-   wait-interval pairing: a Wait_begin opens an interval for its txid,
+(* Pass 1: final outcome of every attempt uid.  Pass 2: count attempts
+   and outcomes, charge each [Open] to its txid's current attempt, and
+   pair wait intervals: a Wait_begin opens an interval for its txid,
    closed by the matching Wait_end — or by the attempt's terminal
    event, since an attempt blocked on an enemy can be aborted while
    waiting and never emit Wait_end.  Intervals are measured in ticks
@@ -289,11 +239,12 @@ let pp_summary fmt trace =
   let ca = cascades trace in
   Format.fprintf fmt "cascades: enemy-aborts=%d max=%d mean=%.2f@." ca.enemy_aborts
     ca.max_cascade ca.mean_cascade;
-  let wa = wasted_work trace in
+  let p = price trace in
   Format.fprintf fmt
     "wasted work: attempts=%d committed=%d aborted=%d opens=%d wasted=%d (%.1f%%)@."
-    wa.attempts wa.committed wa.aborted wa.opens_total wa.opens_wasted
-    (100. *. wa.waste_ratio);
+    p.p_attempts p.p_committed p.p_aborted p.work_total p.work_wasted
+    (if p.work_total = 0 then 0.
+     else 100. *. float_of_int p.work_wasted /. float_of_int p.work_total);
   let mk = empirical_makespan trace in
   Format.fprintf fmt "makespan (%s): %d@."
     (if Array.exists (fun (e : Event.t) -> e.tick > 0) trace then "ticks" else "seq")

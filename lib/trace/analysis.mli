@@ -41,30 +41,14 @@ type cascade_report = {
 
 val cascades : Event.t array -> cascade_report
 
-(** {1 Wasted work}
-
-    [Open] events (locator installs) attributed to attempts that go on to
-    abort: the trace-level analogue of the paper's "work is wasted when a
-    transaction aborts". *)
-
-type waste_report = {
-  attempts : int;
-  committed : int;
-  aborted : int;
-  opens_total : int;
-  opens_wasted : int;  (** opens charged to attempts that abort *)
-  waste_ratio : float;  (** opens_wasted / opens_total, or 0. *)
-}
-
-val wasted_work : Event.t array -> waste_report
-
 (** {1 Conflict pricing ("The Transactional Conflict Problem")}
 
     Alistarh et al. price each abort-vs-wait decision by the work it
     destroys: an abort wastes everything the dead attempt had done, a
     wait costs the time spent blocked.  Applied to a trace: wasted
-    work is [Open]s charged to aborting attempts (exactly
-    {!wasted_work}'s attribution) and wait cost is the summed length
+    work is the [Open]s (locator installs) charged to attempts that go
+    on to abort, the paper's "work is wasted when a transaction
+    aborts", and wait cost is the summed length
     of [Wait_begin]/[Wait_end] intervals — an interval an abort cuts
     short (the victim never emits [Wait_end]) is closed at the
     terminal event.  Time is in ticks when the trace carries them, seq

@@ -13,6 +13,60 @@ let makespan_exn (r : Engine.result) =
   | Some m -> m
   | None -> Alcotest.fail "expected a completed run"
 
+(* A run's events: tick, kind, [a], [b] and [c], with attempt uids (the
+   [b] of begin, commit and abort) renumbered by first appearance in
+   the run, since raw uids come from a process-wide counter and so
+   depend on what ran before. *)
+let events_string (events : Tcm_trace.Event.t array) =
+  let b = Buffer.create 1024 in
+  let uids = Hashtbl.create 16 in
+  Array.iter
+    (fun (e : Tcm_trace.Event.t) ->
+      let eb =
+        match e.kind with
+        | Tcm_trace.Event.Begin | Tcm_trace.Event.Commit | Tcm_trace.Event.Abort -> (
+            match Hashtbl.find_opt uids e.b with
+            | Some k -> k
+            | None ->
+                let k = Hashtbl.length uids in
+                Hashtbl.add uids e.b k;
+                k)
+        | _ -> e.b
+      in
+      Printf.bprintf b "%d:%d:%d:%d:%d " e.tick (Tcm_trace.Event.kind_code e.kind) e.a eb e.c)
+    events;
+  Buffer.contents b
+
+(* Three transactions per thread over [s] objects, reads and writes
+   mixed, so an object may be read and later written (an upgrade) or
+   written and read again. *)
+let mixed_streams ~seed ~threads ~s =
+  Array.init threads (fun tid k ->
+      if k >= 3 then None
+      else
+        let rng = Tcm_stm.Splitmix.create ((seed * 7_919) + (tid * 131) + k) in
+        let dur = 2 + Tcm_stm.Splitmix.int rng 8 in
+        let n_acc = 1 + Tcm_stm.Splitmix.int rng 4 in
+        Some
+          (Spec.txn ~dur
+             (List.init n_acc (fun _ ->
+                  let at = Tcm_stm.Splitmix.int rng dur and obj = Tcm_stm.Splitmix.int rng s in
+                  if Tcm_stm.Splitmix.bool rng then Spec.write ~at ~obj else Spec.read ~at ~obj))))
+
+(* The [(thread, tick)] of every commit in [events], in commit order.
+   Thread [i] carries timestamp [ranks.(i)], or [i + 1] without
+   [ranks]. *)
+let commit_order ?ranks (events : Tcm_trace.Event.t array) =
+  let thread txid =
+    match ranks with
+    | None -> txid - 1
+    | Some ranks -> Option.get (Array.find_index (( = ) txid) ranks)
+  in
+  Array.fold_right
+    (fun (e : Tcm_trace.Event.t) acc ->
+      if e.kind = Tcm_trace.Event.Commit then (thread e.a, e.tick) :: acc else acc)
+    events []
+
 let greedy : Tcm_stm.Cm_intf.factory = (module Tcm_core.Greedy)
 let manager = Tcm_core.Registry.find_exn
 let unbounded_fifo : Tcm_stm.Cm_intf.factory = (module Tcm_core.Queue_on_block.Unbounded)
@@ -110,12 +164,12 @@ let t_conflict_older_aborts () =
     Spec.instance
       [ Spec.txn ~dur:4 [ Spec.write ~at:1 ~obj:0 ]; Spec.txn ~dur:4 [ Spec.write ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~manager:greedy inst in
+  let r, events = Record.capture (fun () -> Engine.run_instance ~manager:greedy inst) in
   check_bool "completed" true r.Engine.completed;
   check_int "one abort (the younger)" 1 r.Engine.aborts;
   (* Thread 0 commits first at 4; thread 1 restarts at tick 1+1 and
      needs the object again. *)
-  let first_committer, _, _ = List.hd r.Engine.commit_log in
+  let first_committer, _ = List.hd (commit_order events) in
   check_int "older commits first" 0 first_committer
 
 let t_ranks_override () =
@@ -125,8 +179,9 @@ let t_ranks_override () =
     Spec.instance
       [ Spec.txn ~dur:4 [ Spec.write ~at:1 ~obj:0 ]; Spec.txn ~dur:4 [ Spec.write ~at:0 ~obj:0 ] ]
   in
-  let r = Engine.run_instance ~ranks:[| 2; 1 |] ~manager:greedy inst in
-  let first_committer, _, _ = List.hd r.Engine.commit_log in
+  let ranks = [| 2; 1 |] in
+  let r, events = Record.capture (fun () -> Engine.run_instance ~ranks ~manager:greedy inst) in
+  let first_committer, _ = List.hd (commit_order ~ranks events) in
   check_int "re-ranked winner" 1 first_committer;
   (* Thread 0 is now the younger party: it waits instead of aborting. *)
   check_int "thread 0 waits, no abort" 0 r.Engine.per_thread_aborts.(0)
@@ -152,8 +207,10 @@ let t_write_read_conflict () =
 let t_determinism () =
   let run () =
     let inst = Scenarios.random_instance ~seed:123 ~n:6 ~s:3 () in
-    let r = Engine.run_instance ~seed:9 ~manager:(manager "backoff") inst in
-    (r.Engine.commits, r.Engine.aborts, r.Engine.makespan, r.Engine.commit_log)
+    let r, events =
+      Record.capture (fun () -> Engine.run_instance ~seed:9 ~manager:(manager "backoff") inst)
+    in
+    (r.Engine.commits, r.Engine.aborts, r.Engine.makespan, events_string events)
   in
   check_bool "identical reruns" true (run () = run ())
 
@@ -195,8 +252,8 @@ let t_multi_txn_stream () =
   let stream k = if k < 3 then Some (Spec.txn ~dur:2 [ Spec.write ~at:0 ~obj:0 ]) else None in
   let r = Engine.run ~manager:greedy ~n_objects:1 [| stream |] in
   check_int "three commits" 3 r.Engine.commits;
-  (* Idle tick between transactions: each txn takes 2 ticks + 1 idle. *)
-  check_bool "makespan >= 6" true (makespan_exn r >= 6)
+  (* Each transaction starts in the tick its predecessor commits at. *)
+  check_int "makespan" 6 (makespan_exn r)
 
 (* ------------------------------------------------------------------ *)
 (* Engine semantics                                                    *)
@@ -268,11 +325,12 @@ let t_upgrade_then_abort_leaves_no_reader () =
         Spec.txn ~dur:7 [ Spec.write ~at:5 ~obj:0 ];
       ]
   in
-  let r = Engine.run_instance ~horizon:20 ~manager:recorder inst in
+  let r, events =
+    Record.capture (fun () -> Engine.run_instance ~horizon:20 ~manager:recorder inst)
+  in
   Alcotest.(check (list int)) "only thread 1 was an enemy" [ 2 ] !Recorder.enemies;
   check_bool "completed" true r.Engine.completed;
-  Alcotest.(check (list (triple int int int)))
-    "commits" [ (0, 0, 4); (2, 0, 7) ] r.Engine.commit_log
+  Alcotest.(check (list (pair int int))) "commits" [ (0, 4); (2, 7) ] (commit_order events)
 
 let t_reread_owned_object () =
   (* Re-reading an object the thread writes is no open: the manager
@@ -310,9 +368,9 @@ let t_chain_exact_makespans () =
 let t_chain_commit_order () =
   let s = 5 in
   let inst, ranks = Scenarios.adversarial_chain ~s () in
-  let r = Engine.run_instance ~ranks ~manager:greedy inst in
+  let _, events = Record.capture (fun () -> Engine.run_instance ~ranks ~manager:greedy inst) in
   Alcotest.(check (list int)) "T_s first, then descending" [ 5; 4; 3; 2; 1; 0 ]
-    (List.map (fun (tid, _, _) -> tid) r.Engine.commit_log)
+    (List.map fst (commit_order ~ranks events))
 
 let t_chain_optimal_vs_greedy () =
   let s = 6 in
@@ -351,25 +409,50 @@ let t_pending_commit_greedy () =
   List.iter
     (fun seed ->
       let inst = Scenarios.random_instance ~seed ~n:5 ~s:3 () in
-      let r = Engine.run_instance ~record_grid:true ~manager:greedy inst in
-      check_bool (Printf.sprintf "pending commit (seed %d)" seed) true (Props.pending_commit r))
+      let r, events = Record.capture (fun () -> Engine.run_instance ~manager:greedy inst) in
+      check_bool
+        (Printf.sprintf "pending commit (seed %d)" seed)
+        true (Props.pending_commit r events))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
-let t_pending_commit_needs_grid () =
+(* The checker reads the run's events: without them no attempt is
+   known to commit, and only an empty run passes. *)
+let t_pending_commit_needs_events () =
   let inst = Spec.instance [ Spec.txn ~dur:1 [ Spec.write ~at:0 ~obj:0 ] ] in
-  let r = Engine.run_instance ~manager:greedy inst in
-  Alcotest.check_raises "requires grid"
-    (Invalid_argument "Props.pending_commit: run with ~record_grid:true") (fun () ->
-      ignore (Props.pending_commit r))
+  let r, events = Record.capture (fun () -> Engine.run_instance ~manager:greedy inst) in
+  check_bool "with the events" true (Props.pending_commit r events);
+  check_bool "without them" false (Props.pending_commit r [||]);
+  check_bool "empty run" true
+    (Props.pending_commit (Engine.run ~manager:greedy ~n_objects:0 [||]) [||])
 
 let t_pending_commit_incomplete () =
   let inst = Scenarios.dependency_cycle () in
-  let r =
-    Engine.run_instance ~horizon:200 ~record_grid:true
-      ~manager:unbounded_fifo
-      inst
+  let r, events =
+    Record.capture (fun () -> Engine.run_instance ~horizon:200 ~manager:unbounded_fifo inst)
   in
-  check_bool "false on livelock" false (Props.pending_commit r)
+  check_bool "false on livelock" false (Props.pending_commit r events)
+
+(* Greedy's oldest transaction never waits and is never aborted, so
+   some attempt runs to its commit at every tick of a completed run,
+   streams of several transactions per thread included.  Seed 15 is
+   the exception, and a real one: transaction 8 blocks behind the
+   older 7, which commits at the end of tick 17; in tick 18 the
+   younger 9, whose thread comes first in the access phase, still sees
+   8 waiting and aborts it, so no attempt running at tick 18 runs
+   uninterrupted to its commit. *)
+let t_pending_commit_streams () =
+  List.iter
+    (fun seed ->
+      let r, events =
+        Record.capture (fun () ->
+            Engine.run ~horizon:2_000 ~seed ~manager:greedy ~n_objects:4
+              (mixed_streams ~seed ~threads:5 ~s:4))
+      in
+      check_bool (Printf.sprintf "completed (seed %d)" seed) true r.Engine.completed;
+      check_bool
+        (Printf.sprintf "pending commit (seed %d)" seed)
+        (seed <> 15) (Props.pending_commit r events))
+    [ 11; 12; 13; 14; 15; 16; 17; 18 ]
 
 let prop_theorem9 =
   QCheck.Test.make ~name:"theorem 9 bound on random instances (greedy)" ~count:80
@@ -466,12 +549,11 @@ let t_randomized_greedy () =
   let inst, ranks = Scenarios.adversarial_chain ~s () in
   List.iter
     (fun seed ->
-      let r =
-        Engine.run_instance ~ranks ~record_grid:true ~seed
-          ~manager:rand_greedy inst
+      let r, events =
+        Record.capture (fun () -> Engine.run_instance ~ranks ~seed ~manager:rand_greedy inst)
       in
       check_bool "completes" true r.Engine.completed;
-      check_bool "pending commit" true (Props.pending_commit r);
+      check_bool "pending commit" true (Props.pending_commit r events);
       check_bool "abort budget" true (Props.greedy_abort_budget ~n:(s + 1) r))
     [ 1; 2; 3; 4; 5 ];
   (* Averaged over seeds the chain loses its sting. *)
@@ -488,17 +570,61 @@ let t_randomized_greedy () =
   check_bool "beats arrival-order greedy on average" true
     (mean_makespan < float_of_int (2 * (s + 1)))
 
+(* A rendering without its legend, the last line. *)
+let timeline_rows s = String.sub s 0 (String.rindex_from s (String.length s - 2) '\n' + 1)
+
+(* Row [i] of a rendering, after the ruler. *)
+let timeline_row s i = List.nth (String.split_on_char '\n' s) (i + 1)
+
+let count_char c s = String.fold_left (fun n x -> if x = c then n + 1 else n) 0 s
+
 let t_timeline_render () =
   let inst, ranks = Scenarios.adversarial_chain ~s:3 () in
-  let r = Engine.run_instance ~ranks ~record_grid:true ~manager:greedy inst in
-  let s = Timeline.render r in
+  let r, events = Record.capture (fun () -> Engine.run_instance ~ranks ~manager:greedy inst) in
+  let s = timeline_rows (Timeline.render r events) in
   check_bool "mentions threads" true (String.length s > 0);
   check_bool "has commit marks" true (String.contains s 'C');
   check_bool "has abort marks" true (String.contains s 'X');
-  (* Without a grid, render degrades gracefully. *)
-  let r2 = Engine.run_instance ~ranks ~manager:greedy inst in
-  check_bool "no-grid message" true
-    (String.length (Timeline.render r2) > 0 && not (String.contains (Timeline.render r2) 'C'))
+  (* Without the events, render draws the ruler alone. *)
+  let empty = timeline_rows (Timeline.render r [||]) in
+  check_int "no rows" 1 (count_char '\n' empty)
+
+(* One thread, three transactions back to back: three rows, each
+   ending in its commit, and no abort. *)
+let t_timeline_stream () =
+  let stream k = if k < 3 then Some (Spec.txn ~dur:2 [ Spec.write ~at:0 ~obj:0 ]) else None in
+  let r, events =
+    Record.capture (fun () -> Engine.run ~manager:greedy ~n_objects:1 [| stream |])
+  in
+  let s = timeline_rows (Timeline.render r events) in
+  check_int "three commits" 3 (count_char 'C' s);
+  check_int "no abort" 0 (count_char 'X' s);
+  Alcotest.(check (list string)) "rows" [ "T0      RC     "; "T1        RC   "; "T2          RC " ]
+    (List.init 3 (timeline_row s))
+
+(* Greedy-ft aborts the halted owner: an abort, not a commit, ends its
+   row. *)
+let t_timeline_halted () =
+  let r, events =
+    Record.capture (fun () ->
+        Engine.run_instance ~horizon:100_000 ~seed:3 ~manager:(manager "greedy-ft")
+          (Scenarios.halted_owner ~n:4 ()))
+  in
+  check_bool "completed" true r.Engine.completed;
+  let row = timeline_row (Timeline.render r events) 0 in
+  check_bool "no commit in the halted row" false (String.contains row 'C');
+  check_int "one abort" 1 (count_char 'X' row)
+
+(* The horizon cuts a transaction that has not committed. *)
+let t_timeline_horizon () =
+  let r, events =
+    Record.capture (fun () ->
+        Engine.run_instance ~horizon:3 ~manager:greedy
+          (Spec.instance [ Spec.txn ~dur:5 [ Spec.write ~at:0 ~obj:0 ] ]))
+  in
+  check_bool "cut" false r.Engine.completed;
+  Alcotest.(check string) "running to the end" "T0      RRR"
+    (timeline_row (Timeline.render r events) 0)
 
 let t_oldest_never_aborted () =
   (* Greedy's core invariant: the highest-priority transaction is never
@@ -548,84 +674,97 @@ let t_pinned_sweep () =
   Alcotest.(check string) "sweep rows digest" "f76c3fd92371c79031072102d4410a20"
     (Digest.to_hex (Digest.string (String.concat ";" rows)))
 
-(* Every field of a run, the grid included. *)
+(* Every field of a run. *)
 let result_string (r : Engine.result) =
   let b = Buffer.create 256 in
   Printf.bprintf b "%s t%d %b m%d c%d a%d x%d|" r.Engine.manager_name r.Engine.ticks
     r.Engine.completed
     (Option.value ~default:(-1) r.Engine.makespan)
     r.Engine.commits r.Engine.aborts r.Engine.max_aborts_one_txn;
-  List.iter (fun (th, k, tick) -> Printf.bprintf b "%d.%d@%d " th k tick) r.Engine.commit_log;
   Array.iter (Printf.bprintf b "c%d ") r.Engine.per_thread_commits;
   Array.iter (Printf.bprintf b "a%d ") r.Engine.per_thread_aborts;
-  Array.iter
-    (fun row ->
-      Buffer.add_char b '|';
-      Array.iter
-        (fun (c : Engine.cell) ->
-          Printf.bprintf b "%d%c" c.Engine.attempt
-            (match c.Engine.kind with
-            | Engine.Run -> 'r'
-            | Engine.Wait -> 'w'
-            | Engine.Back -> 'b'
-            | Engine.Idle -> 'i'
-            | Engine.Done -> 'd'))
-        row)
-    r.Engine.grid;
   Buffer.contents b
 
-(* Three transactions per thread over [s] objects, reads and writes
-   mixed, so an object may be read and later written (an upgrade) or
-   written and read again. *)
-let mixed_streams ~seed ~threads ~s =
-  Array.init threads (fun tid k ->
-      if k >= 3 then None
-      else
-        let rng = Tcm_stm.Splitmix.create ((seed * 7_919) + (tid * 131) + k) in
-        let dur = 2 + Tcm_stm.Splitmix.int rng 8 in
-        let n_acc = 1 + Tcm_stm.Splitmix.int rng 4 in
-        Some
-          (Spec.txn ~dur
-             (List.init n_acc (fun _ ->
-                  let at = Tcm_stm.Splitmix.int rng dur and obj = Tcm_stm.Splitmix.int rng s in
-                  if Tcm_stm.Splitmix.bool rng then Spec.write ~at ~obj else Spec.read ~at ~obj))))
+type canonical = {
+  run : Engine.result;
+  events : Tcm_trace.Event.t array;
+  one_shot : bool;  (** One transaction per thread. *)
+  halts : bool;  (** The instance has a halting transaction. *)
+}
 
 (* Every simulated manager over the canonical scenarios: random
    instances with and without inverted ranks, the Section 4 chain, a
    halted owner (the timeout managers' Block deadlines), a Zipf hot
    spot, the dependency cycle and mixed read/write streams, each run
-   recorded tick by tick. *)
+   with its trace. *)
+let canonical_runs =
+  lazy
+    (List.concat_map
+       (fun m ->
+         let canonical ~one_shot ~halts f =
+           let run, events = Record.capture f in
+           { run; events; one_shot; halts }
+         in
+         let run ?ranks ?(horizon = 3_000) ?(halts = false) ~seed inst =
+           canonical ~one_shot:true ~halts (fun () ->
+               Engine.run_instance ?ranks ~horizon ~seed ~manager:m inst)
+         in
+         let randoms =
+           List.concat_map
+             (fun seed ->
+               let n = 3 + (seed mod 4) in
+               let inst = Scenarios.random_instance ~seed ~n ~s:3 () in
+               [ run ~seed inst; run ~ranks:(Array.init n (fun i -> n - i)) ~seed inst ])
+             [ 1; 2; 3; 4; 5; 6 ]
+         in
+         let chain, ranks = Scenarios.adversarial_chain ~s:4 () in
+         randoms
+         @ [
+             run ~ranks ~seed:7 chain;
+             run ~halts:true ~seed:8 (Scenarios.halted_owner ~n:4 ());
+             run ~seed:9 (Scenarios.hotspot_instance ~seed:9 ~n:8 ~s:3 ~dur:4 ());
+             run ~horizon:500 ~seed:10 (Scenarios.dependency_cycle ());
+           ]
+         @ List.map
+             (fun seed ->
+               canonical ~one_shot:false ~halts:false (fun () ->
+                   Engine.run ~horizon:2_000 ~seed ~manager:m ~n_objects:4
+                     (mixed_streams ~seed ~threads:5 ~s:4)))
+             [ 11; 12 ])
+       Tcm_core.Registry.simulated)
+
+let digest_lines f runs =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map f runs)))
+
 let t_pinned_scenarios () =
-  let b = Buffer.create 65_536 in
-  let add r =
-    Buffer.add_string b (result_string r);
-    Buffer.add_char b '\n'
+  Alcotest.(check string) "scenario results digest" "e1142d37e4e28b1ca2734c51cc1d71df"
+    (digest_lines (fun c -> result_string c.run) (Lazy.force canonical_runs))
+
+let t_pinned_events () =
+  Alcotest.(check string) "scenario events digest" "18f3c50295872b2a0419aa7eb1155ebc"
+    (digest_lines (fun c -> events_string c.events) (Lazy.force canonical_runs))
+
+(* The pending-commit verdict of every one-shot run, 1 for true. *)
+let t_pinned_verdicts () =
+  let verdicts =
+    List.filter_map
+      (fun c ->
+        if c.one_shot then Some (if Props.pending_commit c.run c.events then '1' else '0')
+        else None)
+      (Lazy.force canonical_runs)
   in
-  List.iter
-    (fun m ->
-      let run ?ranks ?(horizon = 3_000) ~seed inst =
-        add (Engine.run_instance ?ranks ~horizon ~record_grid:true ~seed ~manager:m inst)
-      in
-      for seed = 1 to 6 do
-        let n = 3 + (seed mod 4) in
-        let inst = Scenarios.random_instance ~seed ~n ~s:3 () in
-        run ~seed inst;
-        run ~ranks:(Array.init n (fun i -> n - i)) ~seed inst
-      done;
-      let chain, ranks = Scenarios.adversarial_chain ~s:4 () in
-      run ~ranks ~seed:7 chain;
-      run ~seed:8 (Scenarios.halted_owner ~n:4 ());
-      run ~seed:9 (Scenarios.hotspot_instance ~seed:9 ~n:8 ~s:3 ~dur:4 ());
-      run ~horizon:500 ~seed:10 (Scenarios.dependency_cycle ());
-      List.iter
-        (fun seed ->
-          add
-            (Engine.run ~horizon:2_000 ~record_grid:true ~seed ~manager:m ~n_objects:4
-               (mixed_streams ~seed ~threads:5 ~s:4)))
-        [ 11; 12 ])
-    Tcm_core.Registry.simulated;
-  Alcotest.(check string) "scenario results digest" "e609f87c1acadb54f5d72a120a0e8f70"
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+  Alcotest.(check string) "pending-commit verdicts"
+    "111111111111101111111111111110110000001100001001000000110000000000000011000000011111111111111011000000110000000000000011000000001111111111111011000000110000000000000011000000010000001100000000111111111111101011111111111110111111111111111011"
+    (String.of_seq (List.to_seq verdicts))
+
+let t_pinned_timelines () =
+  let runs =
+    List.filter
+      (fun c -> c.one_shot && (not c.halts) && c.run.Engine.completed)
+      (Lazy.force canonical_runs)
+  in
+  Alcotest.(check string) "timelines digest" "b3d5b69f8f771026ececce171eb34c55"
+    (digest_lines (fun c -> timeline_rows (Timeline.render c.run c.events)) runs)
 
 let t_halted_transactions () =
   (* Section 6: a transaction halts while holding the hot object.
@@ -712,13 +851,14 @@ let () =
       ( "properties",
         [
           Alcotest.test_case "greedy satisfies pending commit" `Quick t_pending_commit_greedy;
-          Alcotest.test_case "pending commit needs the grid" `Quick t_pending_commit_needs_grid;
+          Alcotest.test_case "pending commit needs the events" `Quick t_pending_commit_needs_events;
           Alcotest.test_case "pending commit false on livelock" `Quick t_pending_commit_incomplete;
           QCheck_alcotest.to_alcotest prop_theorem9;
           QCheck_alcotest.to_alcotest prop_greedy_completes;
           QCheck_alcotest.to_alcotest prop_greedy_abort_budget;
           Alcotest.test_case "abort budget fails with several objects" `Quick
             t_abort_budget_counterexample;
+          Alcotest.test_case "greedy pending commit on streams" `Quick t_pending_commit_streams;
         ] );
       ( "policies",
         [
@@ -731,8 +871,14 @@ let () =
           Alcotest.test_case "golden deterministic values" `Quick t_golden_sim_values;
           Alcotest.test_case "pinned fig1-fig4 sweep" `Quick t_pinned_sweep;
           Alcotest.test_case "pinned scenario results" `Quick t_pinned_scenarios;
+          Alcotest.test_case "pinned scenario events" `Quick t_pinned_events;
+          Alcotest.test_case "pinned pending-commit verdicts" `Quick t_pinned_verdicts;
+          Alcotest.test_case "pinned timelines" `Quick t_pinned_timelines;
           Alcotest.test_case "randomized greedy (open problem)" `Quick t_randomized_greedy;
           Alcotest.test_case "timeline rendering" `Quick t_timeline_render;
+          Alcotest.test_case "timeline of a stream" `Quick t_timeline_stream;
+          Alcotest.test_case "timeline of a halted owner" `Quick t_timeline_halted;
+          Alcotest.test_case "timeline cut by the horizon" `Quick t_timeline_horizon;
           Alcotest.test_case "halted transactions (section 6)" `Quick t_halted_transactions;
           Alcotest.test_case "halts_at validation" `Quick t_halts_at_validation;
           Alcotest.test_case "timestamp retention ablation" `Quick t_starvation_ablation;

@@ -192,8 +192,8 @@ let t_stm_trace_sanity () =
   check_int "uncontended: all commit" 50 (count Event.Commit);
   check_int "uncontended: no aborts" 0 (count Event.Abort);
   check_int "one locator install per txn" 50 (count Event.Open);
-  let wa = Analysis.wasted_work tr in
-  check_int "no wasted opens" 0 wa.Analysis.opens_wasted;
+  let p = Analysis.price tr in
+  check_int "no wasted opens" 0 p.Analysis.work_wasted;
   let pc = Analysis.pending_commit tr in
   check_int "no conflicts" 0 pc.Analysis.conflicts
 
@@ -330,11 +330,11 @@ let t_analysis_wasted_work () =
       ev 6 Event.Commit 1 102 0;
     |]
   in
-  let wa = Analysis.wasted_work tr in
-  check_int "attempts" 2 wa.Analysis.attempts;
-  check_int "aborted" 1 wa.Analysis.aborted;
-  check_int "total opens" 3 wa.Analysis.opens_total;
-  check_int "opens in the aborted attempt" 2 wa.Analysis.opens_wasted
+  let p = Analysis.price tr in
+  check_int "attempts" 2 p.Analysis.p_attempts;
+  check_int "aborted" 1 p.Analysis.p_aborted;
+  check_int "total opens" 3 p.Analysis.work_total;
+  check_int "opens in the aborted attempt" 2 p.Analysis.work_wasted
 
 (* ------------------------------------------------------------------ *)
 (* Simulator traces                                                    *)
