@@ -10,10 +10,6 @@ module Rng = Tcm_stm.Splitmix
 
 let two53 = 9007199254740992.0
 
-(* [Rng.float], computed here: a float returned from another module
-   is boxed. *)
-let[@inline] uniform rng = float_of_int (Rng.bits53 rng) /. two53
-
 module Zipf = struct
   (* The Gray et al. generator ("Quickly generating billion-record
      synthetic databases", SIGMOD '94), as popularized by YCSB:
@@ -235,7 +231,7 @@ end
     rate (events per unit time); the gap is in the same time unit. *)
 let exp_draw rng ~rate =
   if rate <= 0. then invalid_arg "Samplers.exp_draw: rate > 0";
-  -.log (1. -. uniform rng) /. rate
+  -.log (1. -. Rng.float rng) /. rate
 
 (** Precomputed arrival schedules.
 
@@ -246,13 +242,14 @@ let exp_draw rng ~rate =
     process the open-loop generator used to sample inline — same rng
     discipline, same distribution, zero allocation at fire time. *)
 module Schedule = struct
+  type on_off = { base_rate : float; burst_rate : float; period_s : float; burst_frac : float }
+
   (** Arrival times (strictly increasing, in [0, horizon)) of a
-      Poisson process whose instantaneous rate is [rate_at t],
-      thinned against [peak] (an upper bound on [rate_at]); without
-      [rate_at], a homogeneous process at [peak].
-      Deterministic in the rng stream.
+      Poisson process at the [on_off] rate, thinned against [peak] (an
+      upper bound on it); without [on_off], a homogeneous process at
+      [peak].  Deterministic in the rng stream.
       @raise Invalid_argument on a non-positive peak or horizon. *)
-  let arrivals ?rate_at rng ~peak ~horizon =
+  let arrivals ?on_off rng ~peak ~horizon =
     if peak <= 0. then invalid_arg "Samplers.Schedule.arrivals: peak > 0";
     if horizon <= 0. then invalid_arg "Samplers.Schedule.arrivals: horizon > 0";
     (* Expected count is peak·horizon before thinning; grow by
@@ -266,16 +263,21 @@ module Schedule = struct
     (* The gap is [exp_draw]'s, drawn here so that no float is boxed.
        A homogeneous process still draws the bits of its thinning
        uniform [u], which always passes ([u < 1], so [u * peak <=
-       peak]): every stream stays the same. *)
+       peak]): every stream stays the same.  The on/off rate is
+       computed in the loop from the record's unboxed fields. *)
     while !continue do
-      t := !t +. (-.log (1. -. uniform rng) /. peak);
+      t := !t +. (-.log (1. -. Rng.float rng) /. peak);
       if !t >= horizon then continue := false
       else if
-        match rate_at with
+        match on_off with
         | None ->
             ignore (Rng.bits53 rng);
             true
-        | Some rate_at -> uniform rng *. peak <= rate_at !t
+        | Some p ->
+            Rng.float rng *. peak
+            <=
+            if Float.rem !t p.period_s < p.burst_frac *. p.period_s then p.burst_rate
+            else p.base_rate
       then begin
         if !n = !cap then begin
           let bigger = Array.make (2 * !cap) 0. in
@@ -300,7 +302,7 @@ let pick_weighted rng ~weights =
     total := !total +. weights.(i)
   done;
   if not (!total > 0.) then invalid_arg "Samplers.pick_weighted: total weight > 0";
-  let u = uniform rng *. !total in
+  let u = Rng.float rng *. !total in
   let acc = ref 0. and i = ref 0 and chosen = ref (-1) in
   while !chosen < 0 && !i < n do
     let w = weights.(!i) in

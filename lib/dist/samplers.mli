@@ -58,16 +58,24 @@ module Zipf : sig
 end
 
 module Schedule : sig
-  val arrivals :
-    ?rate_at:(float -> float) -> Rng.t -> peak:float -> horizon:float -> float array
+  type on_off = {
+    base_rate : float;
+    burst_rate : float;
+    period_s : float;  (** One on+off cycle. *)
+    burst_frac : float;  (** Fraction of the period at [burst_rate]. *)
+  }
+  (** An on/off-modulated rate: [burst_rate] for the first [burst_frac]
+      of every [period_s], [base_rate] for the rest.  All fields are
+      floats, so the record stores them unboxed. *)
+
+  val arrivals : ?on_off:on_off -> Rng.t -> peak:float -> horizon:float -> float array
   (** Arrival times (strictly increasing, in [0, horizon)) of a
-      non-homogeneous Poisson process with instantaneous rate
-      [rate_at t], materialized ahead of time by thinning against
-      [peak] (an upper bound on [rate_at]) — the allocation-free-at-
-      fire-time form of the open-loop generator's draw.  Without
-      [rate_at] the process is homogeneous at [peak], and nothing but
-      the result is allocated; each [rate_at] call boxes its argument.
-      Either way the rng stream is the same.
+      non-homogeneous Poisson process with the [on_off] rate,
+      materialized ahead of time by thinning against [peak] (an upper
+      bound on that rate) — the allocation-free-at-fire-time form of
+      the open-loop generator's draw.  Without [on_off] the process is
+      homogeneous at [peak].  Either way nothing but the result is
+      allocated, and the rng stream is the same.
       @raise Invalid_argument on non-positive [peak] or [horizon]. *)
 end
 

@@ -63,9 +63,10 @@ let schedule process rng ~horizon =
   let peak = peak_rate process in
   match process with
   | Poisson _ -> Tcm_dist.Samplers.Schedule.arrivals rng ~peak ~horizon
-  | Bursty _ ->
-      Tcm_dist.Samplers.Schedule.arrivals rng ~rate_at:(fun t -> rate_at process ~t) ~peak
-        ~horizon
+  | Bursty { base_rate; burst_rate; period_s; burst_frac } ->
+      Tcm_dist.Samplers.Schedule.arrivals rng
+        ~on_off:{ base_rate; burst_rate; period_s; burst_frac }
+        ~peak ~horizon
 
 let describe = function
   | Poisson { rate } -> Printf.sprintf "poisson(%.0f rps)" rate

@@ -37,7 +37,7 @@ let pick mix rng : t =
   let r = mix.read_w and s = mix.scan_w and w = mix.rmw_w in
   let total = 0. +. r +. s +. w in
   if not (total > 0.) then invalid_arg "Sclass.pick: total weight > 0";
-  let u = float_of_int (Tcm_stm.Splitmix.bits53 rng) /. 0x1p53 *. total in
+  let u = Tcm_stm.Splitmix.float rng *. total in
   if r > 0. && u < r then Read
   else if s > 0. && u < (if r > 0. then r +. s else s) then Scan
   else if w > 0. then Rmw

@@ -5,9 +5,9 @@
     its seed and nothing touches the global [Random] state shared
     across domains.
 
-    The state is one unboxed 64-bit word: {!int}, {!bool} and {!bits53}
-    allocate nothing.  {!float} returns a boxed float (two words), so a
-    hot loop in another module scales {!bits53} itself.  Each draw
+    The state is one unboxed 64-bit word: {!int}, {!bool}, {!bits53}
+    and {!float} allocate nothing (a {!float} called from another module
+    is unboxed because the build inlines across modules).  Each draw
     consumes exactly one {!next} output (except [int t b] with
     [b <= 1], which consumes none), so every derived stream replays
     from its seed. *)
@@ -38,5 +38,4 @@ val bits53 : t -> int
     its key table with. *)
 
 val float : t -> float
-(** [bits53 t / 2^53], uniform in [\[0, 1)]; exact, so a caller that
-    scales {!bits53} itself sees the same value. *)
+(** [bits53 t / 2^53], uniform in [\[0, 1)]; exact. *)

@@ -299,7 +299,10 @@ let t_kv_window_replay () =
     (digest_of total (fun b i -> add_int b keys.(i)))
 
 (* Exact allocation counts: a draw stores its state in place and
-   returns an immediate, so a million of them allocate nothing. *)
+   returns an immediate, so a million of them allocate nothing.  A
+   [Splitmix.float] returned to this module stays unboxed only when the
+   build inlines across modules: with [-opaque] (dune's dev profile) it
+   costs 2 words a draw, so this also guards the release build. *)
 let zero_words name f =
   let m0 = Gc.minor_words () in
   f ();
@@ -316,6 +319,10 @@ let t_draws_allocate_nothing () =
   zero_words "1e6 Splitmix.bool" (fun () ->
       for _ = 1 to n do
         if Rng.bool r then incr sink
+      done);
+  zero_words "1e6 Splitmix.float" (fun () ->
+      for _ = 1 to n do
+        if Rng.float r < 0.5 then incr sink
       done);
   let z = S.Zipf.create ~n:8_192 ~theta:0.9 in
   zero_words "1e6 Zipf.draw at theta 0.9" (fun () ->
@@ -384,10 +391,7 @@ let t_bursty_thinning_ratio () =
 
 let t_schedule_shape_and_rate () =
   let rate = 2_000. and horizon = 20. in
-  let arr =
-    S.Schedule.arrivals (Rng.create 53) ~rate_at:(fun _ -> rate) ~peak:rate
-      ~horizon
-  in
+  let arr = S.Schedule.arrivals (Rng.create 53) ~peak:rate ~horizon in
   let n = Array.length arr in
   (* Poisson count: mean 40k, sd 200; +-5 sd. *)
   check_bool "count near rate * horizon" true
@@ -400,19 +404,19 @@ let t_schedule_shape_and_rate () =
     arr;
   check_bool "strictly increasing within [0, horizon)" true !ok;
   (* Same seed, same schedule — the engine replays these verbatim. *)
-  let again =
-    S.Schedule.arrivals (Rng.create 53) ~rate_at:(fun _ -> rate) ~peak:rate
-      ~horizon
-  in
+  let again = S.Schedule.arrivals (Rng.create 53) ~peak:rate ~horizon in
   check_bool "deterministic in the seed" true (arr = again)
 
+(* An on/off rate whose two phases are equal is constant. *)
+let constant rate =
+  { S.Schedule.base_rate = rate; burst_rate = rate; period_s = 1.; burst_frac = 0.5 }
+
 let t_schedule_thinning () =
-  (* rate_at = peak/4 everywhere: thinning must keep ~1/4 of the
+  (* A rate of peak/4 everywhere: thinning must keep ~1/4 of the
      dominating process, not all of it. *)
   let peak = 4_000. and horizon = 10. in
   let arr =
-    S.Schedule.arrivals (Rng.create 59) ~rate_at:(fun _ -> peak /. 4.) ~peak
-      ~horizon
+    S.Schedule.arrivals (Rng.create 59) ~on_off:(constant (peak /. 4.)) ~peak ~horizon
   in
   let n = float_of_int (Array.length arr) in
   check_bool "thinned to the instantaneous rate" true
@@ -420,7 +424,7 @@ let t_schedule_thinning () =
   (* A zero-rate region must produce no arrivals at all. *)
   let gated =
     S.Schedule.arrivals (Rng.create 61)
-      ~rate_at:(fun t -> if t < 5. then 1_000. else 0.)
+      ~on_off:{ base_rate = 0.; burst_rate = 1_000.; period_s = horizon; burst_frac = 0.5 }
       ~peak:1_000. ~horizon
   in
   check_bool "zero-rate tail is empty" true
@@ -431,13 +435,15 @@ let t_schedule_invalid () =
     check_bool name true (try ignore (f ()); false with Invalid_argument _ -> true)
   in
   reject "peak = 0 rejected" (fun () ->
-      S.Schedule.arrivals (Rng.create 1) ~rate_at:(fun _ -> 1.) ~peak:0. ~horizon:1.);
+      S.Schedule.arrivals (Rng.create 1) ~peak:0. ~horizon:1.);
   reject "horizon = 0 rejected" (fun () ->
-      S.Schedule.arrivals (Rng.create 1) ~rate_at:(fun _ -> 1.) ~peak:1. ~horizon:0.)
+      S.Schedule.arrivals (Rng.create 1) ~peak:1. ~horizon:0.)
 
 (* A homogeneous schedule allocates its buffer and its result and
-   nothing per arrival, and draws the stream a constant [rate_at]
-   draws. *)
+   nothing per arrival, and draws the stream a constant on/off rate
+   draws.  A bursty one allocates nothing per arrival either; its
+   digest and next draw come from the closure-thinned implementation
+   (3.75 words per kept arrival) that the on/off record replaced. *)
 let t_schedule_allocation () =
   let rate = 1_000. and horizon = 0.1 in
   (* Both arrays are small enough for the minor heap, so both are
@@ -451,8 +457,8 @@ let t_schedule_allocation () =
   check_bool "arrivals fill part of the buffer" true (n > 50 && n < cap);
   Alcotest.(check (float 0.)) "minor words: buffer and result only"
     (float_of_int (cap + 1 + n + 1)) words;
-  check_bool "same arrivals as a constant rate_at" true
-    (arr = S.Schedule.arrivals (Rng.create 67) ~rate_at:(fun _ -> rate) ~peak:rate ~horizon);
+  check_bool "same arrivals as a constant on/off rate" true
+    (arr = S.Schedule.arrivals (Rng.create 67) ~on_off:(constant rate) ~peak:rate ~horizon);
   (* A kv-hot window: both arrays go straight to the major heap, so the
      minor heap sees nothing at all. *)
   let rng = Rng.create 53 in
@@ -460,7 +466,22 @@ let t_schedule_allocation () =
   let arr = S.Schedule.arrivals rng ~peak:150_000. ~horizon:0.8 in
   let words = Gc.minor_words () -. m0 in
   check_bool "a kv-hot window's arrivals" true (Array.length arr > 100_000);
-  Alcotest.(check (float 0.)) "kv-hot window: minor words" 0. words
+  Alcotest.(check (float 0.)) "kv-hot window: minor words" 0. words;
+  let bursty =
+    Tcm_service.Arrival.Bursty
+      { base_rate = 50_000.; burst_rate = 150_000.; period_s = 0.1; burst_frac = 0.3 }
+  in
+  let rng = Rng.create 71 in
+  let m0 = Gc.minor_words () in
+  let arr = Tcm_service.Arrival.schedule bursty rng ~horizon:0.8 in
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check int) "bursty window: arrivals" 63_908 (Array.length arr);
+  (* The arrays go to the major heap; the minor heap sees the on/off
+     record (4 floats and a header) and the [Some] around it. *)
+  Alcotest.(check (float 0.)) "bursty window: minor words, none per arrival" 7. words;
+  Alcotest.(check string) "bursty window: arrival times" "977c4946efe4a38cc8fc667c060ba596"
+    (digest_of (Array.length arr) (fun b i -> add_float b arr.(i)));
+  Alcotest.(check int) "bursty window: next draw" 550_415_258 (Rng.int rng 1_000_000_000)
 
 (* ------------------------------------------------------------------ *)
 (* Weighted pick                                                       *)

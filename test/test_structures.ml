@@ -370,65 +370,6 @@ let t_forest_ops_wrapper () =
   check_ilist "ops snapshot" [ 9 ] (Stm.atomically rt (fun tx -> ops.S.Intset.snapshot tx))
 
 (* ------------------------------------------------------------------ *)
-(* Array                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let t_array_basics () =
-  let rt = rt () in
-  let a = S.Tarray.init 8 (fun i -> i * 10) in
-  check_int "length" 8 (S.Tarray.length a);
-  check_int "get" 30 (Stm.atomically rt (fun tx -> S.Tarray.get tx a 3));
-  Stm.atomically rt (fun tx -> S.Tarray.set tx a 3 99);
-  Stm.atomically rt (fun tx -> S.Tarray.modify tx a 0 succ);
-  Alcotest.(check (array int)) "peek" [| 1; 10; 20; 99; 40; 50; 60; 70 |] (S.Tarray.peek a)
-
-let t_array_swap_snapshot () =
-  let rt = rt () in
-  let a = S.Tarray.init 4 Fun.id in
-  Stm.atomically rt (fun tx -> S.Tarray.swap tx a 0 3);
-  Alcotest.(check (array int)) "swapped" [| 3; 1; 2; 0 |]
-    (Stm.atomically rt (fun tx -> S.Tarray.snapshot tx a));
-  Stm.atomically rt (fun tx -> S.Tarray.swap tx a 1 1);
-  check_int "self-swap no-op" 1 (Stm.atomically rt (fun tx -> S.Tarray.get tx a 1));
-  check_int "fold" 6 (Stm.atomically rt (fun tx -> S.Tarray.fold tx ( + ) 0 a))
-
-let t_array_validation () =
-  check_bool "negative length" true
-    (try
-       ignore (S.Tarray.make (-1) 0);
-       false
-     with Invalid_argument _ -> true)
-
-let t_array_concurrent_swaps () =
-  (* Random swaps preserve the multiset of elements. *)
-  let rt = rt () in
-  let n = 16 in
-  let a = S.Tarray.init n Fun.id in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            let rng = Splitmix.create (d + 40) in
-            for _ = 1 to 300 do
-              let i = Splitmix.int rng n and j = Splitmix.int rng n in
-              Stm.atomically rt (fun tx -> S.Tarray.swap tx a i j)
-            done))
-  in
-  List.iter Domain.join doms;
-  let final = Array.to_list (S.Tarray.peek a) |> List.sort compare in
-  Alcotest.(check (list int)) "permutation preserved" (List.init n Fun.id) final
-
-let t_queue_pop_wait () =
-  let rt = rt () in
-  let q = S.Tqueue.create () in
-  let consumer =
-    Domain.spawn (fun () ->
-        List.init 3 (fun _ -> Stm.atomically rt (fun tx -> S.Tqueue.pop_wait tx q)))
-  in
-  Unix.sleepf 0.02;
-  List.iter (fun v -> Stm.atomically rt (fun tx -> S.Tqueue.push tx q v)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "blocking pops in order" [ 1; 2; 3 ] (Domain.join consumer)
-
-(* ------------------------------------------------------------------ *)
 (* Hash map                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -608,87 +549,6 @@ let t_hashmap_preload_equiv () =
   check_bool "remove after preload" true
     (Stm.atomically rt (fun tx -> S.Thashmap.remove tx pre 0))
 
-(* ------------------------------------------------------------------ *)
-(* Counter and queue                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let t_counter () =
-  let rt = rt () in
-  let c = S.Tcounter.create ~init:5 () in
-  Stm.atomically rt (fun tx -> S.Tcounter.add tx c 10);
-  Stm.atomically rt (fun tx -> S.Tcounter.incr tx c);
-  check_int "adds" 16 (S.Tcounter.peek c);
-  check_int "get inside txn" 16 (Stm.atomically rt (fun tx -> S.Tcounter.get tx c));
-  Stm.atomically rt (fun tx -> S.Tcounter.set tx c 0);
-  check_int "set" 0 (S.Tcounter.peek c)
-
-let t_queue_fifo () =
-  let rt = rt () in
-  let q = S.Tqueue.create () in
-  check_bool "empty" true (Stm.atomically rt (fun tx -> S.Tqueue.is_empty tx q));
-  Stm.atomically rt (fun tx -> S.Tqueue.push tx q "a");
-  Stm.atomically rt (fun tx -> S.Tqueue.push tx q "b");
-  Stm.atomically rt (fun tx -> S.Tqueue.push tx q "c");
-  check_int "length" 3 (Stm.atomically rt (fun tx -> S.Tqueue.length tx q));
-  Alcotest.(check (option string)) "fifo 1" (Some "a") (Stm.atomically rt (fun tx -> S.Tqueue.pop tx q));
-  Stm.atomically rt (fun tx -> S.Tqueue.push tx q "d");
-  Alcotest.(check (option string)) "fifo 2" (Some "b") (Stm.atomically rt (fun tx -> S.Tqueue.pop tx q));
-  Alcotest.(check (option string)) "fifo 3" (Some "c") (Stm.atomically rt (fun tx -> S.Tqueue.pop tx q));
-  Alcotest.(check (option string)) "fifo 4" (Some "d") (Stm.atomically rt (fun tx -> S.Tqueue.pop tx q));
-  Alcotest.(check (option string)) "drained" None (Stm.atomically rt (fun tx -> S.Tqueue.pop tx q))
-
-let prop_queue_model =
-  QCheck.Test.make ~name:"queue matches list model" ~count:60
-    QCheck.(small_list (option (int_bound 50)))
-    (fun ops ->
-      (* Some k = push k; None = pop. *)
-      let rt = rt () in
-      let q = S.Tqueue.create () in
-      let model = Queue.create () in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some k ->
-              Stm.atomically rt (fun tx -> S.Tqueue.push tx q k);
-              Queue.push k model;
-              true
-          | None ->
-              let got = Stm.atomically rt (fun tx -> S.Tqueue.pop tx q) in
-              let want = Queue.take_opt model in
-              got = want)
-        ops
-      && Stm.atomically rt (fun tx -> S.Tqueue.to_list tx q)
-         = List.of_seq (Queue.to_seq model))
-
-let t_queue_concurrent () =
-  let rt = rt () in
-  let q = S.Tqueue.create () in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to 249 do
-              Stm.atomically rt (fun tx -> S.Tqueue.push tx q ((p * 1000) + i))
-            done))
-  in
-  let popped = Atomic.make 0 in
-  let consumers =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            let mine = ref 0 in
-            let tries = ref 0 in
-            while !mine < 200 && !tries < 1_000_000 do
-              incr tries;
-              match Stm.atomically rt (fun tx -> S.Tqueue.pop tx q) with
-              | Some _ -> incr mine
-              | None -> Domain.cpu_relax ()
-            done;
-            ignore (Atomic.fetch_and_add popped !mine)))
-  in
-  List.iter Domain.join producers;
-  List.iter Domain.join consumers;
-  let remaining = Stm.atomically rt (fun tx -> S.Tqueue.length tx q) in
-  check_int "pushed = popped + remaining" 500 (Atomic.get popped + remaining)
-
 let () =
   Alcotest.run "structures"
     [
@@ -729,15 +589,6 @@ let () =
           Alcotest.test_case "pick rule" `Quick t_forest_pick;
           Alcotest.test_case "ops wrapper" `Quick t_forest_ops_wrapper;
         ] );
-      ( "array",
-        [
-          Alcotest.test_case "basics" `Quick t_array_basics;
-          Alcotest.test_case "swap and snapshot" `Quick t_array_swap_snapshot;
-          Alcotest.test_case "validation" `Quick t_array_validation;
-          Alcotest.test_case "concurrent swaps preserve permutation" `Quick
-            t_array_concurrent_swaps;
-          Alcotest.test_case "blocking queue pop" `Quick t_queue_pop_wait;
-        ] );
       ( "hashmap",
         [
           Alcotest.test_case "basics" `Quick t_hashmap_basics;
@@ -753,12 +604,5 @@ let () =
             (t_hashmap_resize_concurrent Stm.Tl2_backend);
           Alcotest.test_case "preload equivalent to transactional build" `Quick
             t_hashmap_preload_equiv;
-        ] );
-      ( "counter-queue",
-        [
-          Alcotest.test_case "counter" `Quick t_counter;
-          Alcotest.test_case "queue fifo" `Quick t_queue_fifo;
-          QCheck_alcotest.to_alcotest prop_queue_model;
-          Alcotest.test_case "queue concurrent conservation" `Quick t_queue_concurrent;
         ] );
     ]
