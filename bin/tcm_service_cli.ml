@@ -274,7 +274,7 @@ let validate_store n =
         | None -> fail "%s: get %d returned None after preload" name k)
       (0 :: (n - 1) :: List.init 64 (fun _ -> Tcm_stm.Splitmix.int rng n));
     if get n <> None then fail "%s: get %d (out of range) returned a binding" name n;
-    (* Ordered scans through the skiplist index: [len] consecutive keys
+    (* Ordered scans over the dense keyspace: [len] consecutive keys
        from a random base must come back complete and correctly
        summed. *)
     for _ = 1 to 16 do

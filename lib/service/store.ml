@@ -1,19 +1,17 @@
 (** The transactional key-value store behind the service: values in a
-    {!Tcm_structures.Thashmap} (point ops conflict only per bucket)
-    with a {!Tcm_structures.Tskiplist} key index for ordered range
-    scans.
+    {!Tcm_structures.Thashmap}, so point ops conflict only per bucket.
 
-    The keyspace is fixed at prefill: the service draws every key from
-    [0 .. n_keys - 1], so [put]/[rmw] hit existing bindings and never
-    have to update the index — scans and point ops then conflict only
-    through the hashmap buckets and the skiplist nodes they actually
-    read. *)
+    The keyspace is dense and fixed at build: {!preload} or {!prefill}
+    binds every key of [0 .. n_keys - 1], and the service draws every
+    key from that range, so [put]/[rmw] hit existing bindings.  Ordered
+    scans need no separate key index: the keys from [lo] on are
+    [lo, lo + 1, ...], each looked up in the hashmap, and a scan
+    conflicts only through the buckets it reads. *)
 
 open Tcm_stm
 module H = Tcm_structures.Thashmap
-module S = Tcm_structures.Tskiplist
 
-type t = { map : int H.t; index : S.t; n_keys : int }
+type t = { map : int H.t; n_keys : int }
 
 (* Batch size for prefill transactions: big enough to amortize the
    per-transaction cost over millions of keys, small enough to keep
@@ -22,21 +20,16 @@ let prefill_batch = 64
 
 let create ?buckets ~n_keys () =
   if n_keys < 1 then invalid_arg "Store.create: n_keys >= 1";
-  (* Low single-digit hashmap occupancy and a log2-sized skiplist by
-     default (see the structures' sizing notes); [buckets] still
-     overrides the hashmap exactly. *)
-  { map = H.create ?buckets ~expect:n_keys ();
-    index = S.create_sized ~expect:n_keys ();
-    n_keys }
+  (* Low single-digit hashmap occupancy by default (see the hashmap's
+     sizing notes); [buckets] overrides it exactly. *)
+  { map = H.create ?buckets ~expect:n_keys (); n_keys }
 
 (** Populate keys [0 .. n_keys - 1] (value = key) directly, without
     transactions — only sound before the store is published to any
     worker.  This is how a service run builds a million-key store in
     tens of milliseconds instead of minutes of STM commits; {!prefill}
     remains as the transactional reference build. *)
-let preload t =
-  H.unsafe_preload t.map (Array.init t.n_keys (fun k -> (k, k)));
-  S.unsafe_preload t.index (Array.init t.n_keys (fun k -> k))
+let preload t = H.unsafe_preload t.map (Array.init t.n_keys (fun k -> (k, k)))
 
 (** Populate keys [0 .. n_keys - 1] (value = key), batched. *)
 let prefill rt t =
@@ -47,8 +40,7 @@ let prefill rt t =
     ignore
       (Stm.atomically rt (fun tx ->
            for key = lo to hi - 1 do
-             H.add tx t.map key key;
-             ignore (S.insert tx t.index key)
+             H.add tx t.map key key
            done;
            hi - lo));
     k := hi
@@ -63,15 +55,21 @@ let put tx t k v = H.add tx t.map k v
 (** Read-modify-write one binding (insert-if-absent included). *)
 let rmw tx t k f = H.update tx t.map k f
 
-(** Ordered scan: up to [len] keys starting at the smallest key >=
-    [lo], each followed by a point lookup of its value; returns the
-    number of bindings read and the sum of their values (forcing the
-    reads). *)
+(** Ordered scan over the dense keyspace: the [len] keys from
+    [max 0 lo] on, cut at [n_keys], each a point lookup; returns the
+    number of bindings found and the sum of their values.  The cut is
+    taken before adding, so no [len] overflows. *)
 let scan tx t ~lo ~len =
-  let keys = S.range tx t.index ~lo ~len in
-  List.fold_left
-    (fun (n, sum) k ->
-      match H.find tx t.map k with
-      | Some v -> (n + 1, sum + v)
-      | None -> (n, sum))
-    (0, 0) keys
+  let lo = max 0 lo in
+  let stop =
+    if len <= 0 then lo else if len >= t.n_keys - lo then t.n_keys else lo + len
+  in
+  let n = ref 0 and sum = ref 0 in
+  for k = lo to stop - 1 do
+    match H.find tx t.map k with
+    | Some v ->
+        incr n;
+        sum := !sum + v
+    | None -> ()
+  done;
+  (!n, !sum)

@@ -179,9 +179,25 @@ let rec locate tx t h j fuel =
       if depth <= j || h land ((t.base lsl depth) - 1) = b then (b, depth, items)
       else locate tx t h (j + 1) (fuel - 1)
 
+(* Bucket probes: [List.assoc_opt], [mem_assoc] and [remove_assoc]
+   with the key typed [int], so each step is an int compare instead of
+   a call to the polymorphic [compare].  Same order, results and
+   allocation as the Stdlib functions. *)
+let rec assoc_opt (k : int) = function
+  | [] -> None
+  | (k', v) :: l -> if k' = k then Some v else assoc_opt k l
+
+let rec mem_assoc (k : int) = function
+  | [] -> false
+  | (k', _) :: l -> k' = k || mem_assoc k l
+
+let rec remove_assoc (k : int) = function
+  | [] -> []
+  | ((k', _) as kv) :: l -> if k' = k then l else kv :: remove_assoc k l
+
 let find tx t k =
   let _, _, items = locate tx t (hash k) (Atomic.get t.depth_hint) locate_fuel in
-  List.assoc_opt k items
+  assoc_opt k items
 
 let mem tx t k = find tx t k <> None
 
@@ -226,14 +242,14 @@ let add tx t k v =
   let h = hash k in
   let rec go () =
     let b, d, items = locate tx t h (Atomic.get t.depth_hint) locate_fuel in
-    let present = List.mem_assoc k items in
+    let present = mem_assoc k items in
     if (not present) && List.length items >= split_threshold && d < max_extra
     then begin
       split tx t b d items;
       go () (* the key now homes at depth d+1: re-locate. *)
     end
     else begin
-      let items = if present then List.remove_assoc k items else items in
+      let items = if present then remove_assoc k items else items in
       let bv = tvar_of t b in
       ignore (Stm.read_for_write tx bv);
       Stm.write tx bv (Items { depth = d; items = (k, v) :: items });
@@ -247,10 +263,10 @@ let add tx t k v =
 let remove tx t k =
   let h = hash k in
   let b, d, items = locate tx t h (Atomic.get t.depth_hint) locate_fuel in
-  if List.mem_assoc k items then begin
+  if mem_assoc k items then begin
     let bv = tvar_of t b in
     ignore (Stm.read_for_write tx bv);
-    Stm.write tx bv (Items { depth = d; items = List.remove_assoc k items });
+    Stm.write tx bv (Items { depth = d; items = remove_assoc k items });
     bump_size t (-1) m_removes;
     true
   end
@@ -263,9 +279,9 @@ let remove tx t k =
 let update tx t k f =
   let h = hash k in
   let b, d, items = locate tx t h (Atomic.get t.depth_hint) locate_fuel in
-  let old_v = List.assoc_opt k items in
+  let old_v = assoc_opt k items in
   let rest =
-    match old_v with None -> items | Some _ -> List.remove_assoc k items
+    match old_v with None -> items | Some _ -> remove_assoc k items
   in
   match (f old_v, old_v) with
   | Some v, _ ->

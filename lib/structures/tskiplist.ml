@@ -5,27 +5,14 @@
     Node levels are drawn from a deterministic splitmix stream seeded
     per structure, so runs are reproducible regardless of thread
     interleaving (the level only affects performance, never
-    correctness).
-
-    The level cap is per structure: the historical default (8) is right
-    for the paper's 256-key micro-benchmarks, but a cap of [l] bounds
-    the index at [2^l] keys — beyond that the bottom level degrades
-    toward a linked list.  {!create_sized} derives the cap from the
-    expected population (1M keys ⇒ 20 levels), and {!unsafe_preload}
-    bulk-builds a sorted population without paying an STM commit per
-    node. *)
+    correctness).  Towers are capped at 8 levels, right for the
+    paper's 256-key micro-benchmarks. *)
 
 open Tcm_stm
 
 let name = "skiplist"
 
-let default_max_level = 8
-
-(** Smallest cap that keeps O(log n) behavior for [expect] keys:
-    ceil(log2 expect), clamped to [4, 30]. *)
-let level_for ~expect =
-  let rec go l = if l >= 30 || 1 lsl l >= expect then l else go (l + 1) in
-  max 4 (go 1)
+let max_level = 8
 
 type link = Nil | N of node
 
@@ -36,24 +23,15 @@ type t = {
   level_seed : int Atomic.t;
 }
 
-let make_head max_level =
-  if max_level < 1 || max_level > 30 then
-    invalid_arg "Tskiplist: max_level in [1, 30]";
-  Array.init max_level (fun _ -> Tvar.make Nil)
-
 let create () =
-  { head = make_head default_max_level; level_seed = Atomic.make 0x2545F491 }
+  {
+    head = Array.init max_level (fun _ -> Tvar.make Nil);
+    level_seed = Atomic.make 0x2545F491;
+  }
 
-let create_sized ?max_level ~expect () =
-  let ml = match max_level with Some l -> l | None -> level_for ~expect in
-  { head = make_head ml; level_seed = Atomic.make 0x2545F491 }
-
-let level_cap t = Array.length t.head
-
-(* Geometric level in [1, level_cap]: count trailing ones of a hashed
+(* Geometric level in [1, max_level]: count trailing ones of a hashed
    counter (p = 1/2 per level). *)
 let random_level t =
-  let max_level = level_cap t in
   let x = Atomic.fetch_and_add t.level_seed 0x61c88647 in
   let h = x * 0x45d9f3b in
   let h = (h lxor (h lsr 16)) * 0x45d9f3b in
@@ -67,7 +45,6 @@ let random_level t =
    found at level l necessarily reaches level l, so indexing its
    forward array at l-1 is safe. *)
 let find_slots tx t k : link Tvar.t array * link =
-  let max_level = level_cap t in
   let slots = Array.make max_level t.head.(0) in
   let pred = ref None in
   for lvl = max_level - 1 downto 0 do
@@ -119,23 +96,6 @@ let remove tx t k =
       true
   | _ -> false
 
-(** Ascending keys >= [lo], at most [len] of them — the ordered range
-    scan backing the service layer's scan transactions.  Costs one
-    O(log n) descent plus [len] level-0 hops. *)
-let range tx t ~lo ~len =
-  if len <= 0 then []
-  else begin
-    let _, first = find_slots tx t lo in
-    let rec go link k acc =
-      if k = 0 then List.rev acc
-      else
-        match link with
-        | Nil -> List.rev acc
-        | N { key; forward } -> go (Stm.read tx forward.(0)) (k - 1) (key :: acc)
-    in
-    go first len []
-  end
-
 let to_list tx t =
   let rec go link acc =
     match link with
@@ -143,67 +103,3 @@ let to_list tx t =
     | N { key; forward } -> go (Stm.read tx forward.(0)) (key :: acc)
   in
   go (Stm.read tx t.head.(0)) []
-
-(** Bulk-build from strictly ascending [keys] into an {e empty, not
-    yet published} structure — no transactions, no commits: the node
-    chain is stitched with {!Tvar.unsafe_init}, which is only sound
-    before any concurrent transaction can observe the structure.
-    Node levels come from the same deterministic stream as
-    transactional inserts, so a preloaded structure is
-    indistinguishable (level-for-level) from one built by inserting
-    the same keys in order.
-    @raise Invalid_argument if the structure is non-empty or [keys]
-    is not strictly ascending. *)
-let unsafe_preload t keys =
-  (match Tvar.peek t.head.(0) with
-  | N _ -> invalid_arg "Tskiplist.unsafe_preload: structure not empty"
-  | Nil -> ());
-  let n = Array.length keys in
-  for i = 1 to n - 1 do
-    if keys.(i) <= keys.(i - 1) then
-      invalid_arg "Tskiplist.unsafe_preload: keys must be strictly ascending"
-  done;
-  let max_level = level_cap t in
-  (* Levels are drawn in ascending-key order (the stream equivalence
-     with transactional inserts), but nodes are built highest key
-     first: building right-to-left means every forward pointer's final
-     target is known at node construction, so each link costs one
-     [Tvar.make] instead of a placeholder plus a restitch — on a
-     million-key preload that halves the locator allocations. *)
-  let levels = Array.make n 0 in
-  for i = 0 to n - 1 do
-    levels.(i) <- random_level t
-  done;
-  (* nexts.(l): the first already-built node reaching level l — the
-     successor the next (lower-keyed) node links to. *)
-  let nexts = Array.make max_level Nil in
-  for i = n - 1 downto 0 do
-    let lvl = levels.(i) in
-    let forward = Array.init lvl (fun l -> Tvar.make nexts.(l)) in
-    let node = N { key = keys.(i); forward } in
-    for l = 0 to lvl - 1 do
-      nexts.(l) <- node
-    done
-  done;
-  for l = 0 to max_level - 1 do
-    match nexts.(l) with
-    | Nil -> ()
-    | node -> Tvar.unsafe_init t.head.(l) node
-  done
-
-(** Per-level node counts ([counts.(l)] = nodes whose tower height is
-    [l + 1]), read non-transactionally via {!Tvar.peek} — a debugging /
-    test probe for the level distribution; racy under concurrent
-    writers. *)
-let level_counts t =
-  let counts = Array.make (level_cap t) 0 in
-  let rec go link =
-    match link with
-    | Nil -> ()
-    | N { forward; _ } ->
-        let l = Array.length forward - 1 in
-        counts.(l) <- counts.(l) + 1;
-        go (Tvar.peek forward.(0))
-  in
-  go (Tvar.peek t.head.(0));
-  counts

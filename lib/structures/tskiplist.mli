@@ -1,38 +1,6 @@
 (** Transactional skiplist (Figure 2's application) with per-level
-    forward pointers in [Tvar]s and deterministic level choice.  The
-    level cap is per structure: {!create} keeps the historical default
-    (8, right for ~256-key micro-benchmarks); million-key index use
-    goes through {!create_sized}. *)
+    forward pointers in [Tvar]s and deterministic level choice.  Towers
+    are capped at 8 levels, right for the paper's 256-key
+    micro-benchmarks. *)
 
 include Intset.S
-
-val default_max_level : int
-(** Level cap used by {!create} (8). *)
-
-val level_for : expect:int -> int
-(** Size-derived level cap: ceil(log2 [expect]), clamped to [4, 30]
-    (1M keys ⇒ 20). *)
-
-val create_sized : ?max_level:int -> expect:int -> unit -> t
-(** A skiplist whose level cap suits an expected population of
-    [expect] keys ({!level_for}, overridable).
-    @raise Invalid_argument on a cap outside [1, 30]. *)
-
-val level_cap : t -> int
-(** This structure's maximum tower height. *)
-
-val range : Tcm_stm.Stm.tx -> t -> lo:int -> len:int -> int list
-(** Ascending keys >= [lo], at most [len] of them: one O(log n)
-    descent plus [len] bottom-level hops. *)
-
-val unsafe_preload : t -> int array -> unit
-(** Bulk-build from strictly ascending keys, non-transactionally
-    ({!Tcm_stm.Tvar.unsafe_init}) — only sound on an empty structure
-    {e before} it is published to any transaction.  Levels come from
-    the same deterministic stream as transactional inserts.
-    @raise Invalid_argument on a non-empty structure or unsorted
-    keys. *)
-
-val level_counts : t -> int array
-(** [counts.(l)] = nodes of tower height [l + 1], read via [Tvar.peek]
-    (test probe; racy under concurrent writers). *)

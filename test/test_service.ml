@@ -293,6 +293,80 @@ let store_ops backend () =
   let n, _ = Stm.atomically rt (fun tx -> Store.scan tx st ~lo:126 ~len:10) in
   check_int "tail scan truncates" 2 n
 
+(* Every observable store result, hashed: [get] of every key in and
+   around [0, n_keys), then [scan]'s (n, sum) over a grid of (lo, len)
+   at the edges of the keyspace and of [int], after a seeded mix of
+   increments, deletes and puts inside and outside the keyspace.  The
+   digest was computed when [scan] still walked a separate skiplist key
+   index; both builds, on both backends, must keep producing it. *)
+let store_pin_keys = 300
+
+let store_pin_digest = "58eb5c27675e427918467227d4809552"
+
+let store_digest rt build =
+  let n = store_pin_keys in
+  let st = Store.create ~n_keys:n () in
+  build st;
+  let rng = Tcm_stm.Splitmix.create 23 in
+  for _ = 1 to 2_000 do
+    let op = Tcm_stm.Splitmix.int rng 3 in
+    let k = Tcm_stm.Splitmix.int rng (n + (n / 2)) - (n / 4) in
+    let v = Tcm_stm.Splitmix.int rng 1_000_000 in
+    Stm.atomically rt (fun tx ->
+        match op with
+        | 0 -> Store.rmw tx st k (function Some x -> Some (x + 1) | None -> Some 1)
+        | 1 -> Store.rmw tx st k (fun _ -> None)
+        | _ -> Store.put tx st k v)
+  done;
+  let b = Buffer.create 16_384 in
+  let add x = Buffer.add_int64_le b (Int64.of_int x) in
+  for k = -(n / 4) to n + (n / 4) do
+    match Stm.atomically rt (fun tx -> Store.get tx st k) with
+    | Some v -> add k; add v
+    | None -> add k; add min_int
+  done;
+  List.iter
+    (fun lo ->
+      List.iter
+        (fun len ->
+          let c, sum = Stm.atomically rt (fun tx -> Store.scan tx st ~lo ~len) in
+          add lo; add len; add c; add sum)
+        [ min_int; -7; -1; 0; 1; 5; 32; n - 1; n; n + 1; max_int ])
+    [ min_int; -40; -1; 0; 1; 17; n / 2; n - 33; n - 1; n; n + 9; max_int ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let t_store_pinned backend () =
+  let rt = Stm.create ~backend (module Tcm_core.Greedy : Tcm_stm.Cm_intf.S) in
+  Alcotest.(check string) "preload" store_pin_digest (store_digest rt Store.preload);
+  Alcotest.(check string) "prefill" store_pin_digest
+    (store_digest rt (Store.prefill rt))
+
+(* The store's build cost, exactly: every word [create] and [preload]
+   allocate at [n_keys] = 4096.  Minor words come from [Gc.minor_words]
+   (the calling domain's allocation pointer); words allocated straight
+   into the major heap are [Gc.counters]' major minus promoted words.
+   [Gc.counters]' own minor field is not exact in OCaml 5.1.1: it
+   counts the words allocated since the last minor collection at one
+   eighth (977 for a 100-key build that allocates 7,831).  At 4096 keys
+   (1024 buckets) the build is about 12.8 words a key: per key a
+   3-word binding, a 3-word cons and a preload-array slot; per bucket
+   an 18-word variable, its 3-word item block and two array slots. *)
+let store_build_words = 52_309.
+
+let t_store_footprint () =
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let measure f =
+    let w0 = allocated () in
+    f ();
+    allocated () -. w0
+  in
+  let meter = measure ignore in
+  let w = measure (fun () -> Store.preload (Store.create ~n_keys:4096 ())) -. meter in
+  Alcotest.(check (float 0.)) "create + preload at 4096 keys" store_build_words w
+
 (* ------------------------------------------------------------------ *)
 (* Engine end-to-end                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -534,6 +608,11 @@ let () =
         [
           Alcotest.test_case "ops (locator)" `Quick (store_ops Stm.Locator);
           Alcotest.test_case "ops (tl2)" `Quick (store_ops Stm.Tl2_backend);
+          Alcotest.test_case "pinned results (locator)" `Quick
+            (t_store_pinned Stm.Locator);
+          Alcotest.test_case "pinned results (tl2)" `Quick
+            (t_store_pinned Stm.Tl2_backend);
+          Alcotest.test_case "build footprint" `Quick t_store_footprint;
         ] );
       ( "engine",
         [

@@ -234,100 +234,6 @@ let t_skiplist_interleaved_removal () =
   let remaining = Stm.atomically rt (fun tx -> S.Tskiplist.to_list tx s) in
   check_ilist "odds remain" (List.init 50 (fun i -> (2 * i) + 1)) remaining
 
-(* Ordered range reads (the service layer's scan primitive): up to
-   [len] keys starting from the smallest key >= [lo]. *)
-let t_skiplist_range () =
-  let rt = rt () in
-  let s = S.Tskiplist.create () in
-  List.iter
-    (fun k -> ignore (Stm.atomically rt (fun tx -> S.Tskiplist.insert tx s k)))
-    [ 9; 1; 5; 3; 7 ];
-  let range ~lo ~len = Stm.atomically rt (fun tx -> S.Tskiplist.range tx s ~lo ~len) in
-  check_ilist "mid-range, between keys" [ 3; 5; 7 ] (range ~lo:2 ~len:3);
-  check_ilist "lo on an existing key" [ 5; 7 ] (range ~lo:5 ~len:2);
-  check_ilist "whole set" [ 1; 3; 5; 7; 9 ] (range ~lo:0 ~len:10);
-  check_ilist "truncated at the tail" [ 9 ] (range ~lo:8 ~len:5);
-  check_ilist "past the tail" [] (range ~lo:10 ~len:3);
-  check_ilist "len zero" [] (range ~lo:0 ~len:0);
-  check_ilist "len negative" [] (range ~lo:0 ~len:(-1));
-  check_ilist "empty list" []
-    (let s2 = S.Tskiplist.create () in
-     Stm.atomically rt (fun tx -> S.Tskiplist.range tx s2 ~lo:0 ~len:5))
-
-(* ------------------------------------------------------------------ *)
-(* Store scaling: sized skiplists and the non-transactional preload    *)
-(* ------------------------------------------------------------------ *)
-
-let t_skiplist_sized_levels () =
-  check_int "1M keys cap at 20" 20 (S.Tskiplist.level_for ~expect:1_000_000);
-  check_int "tiny populations clamp at 4" 4 (S.Tskiplist.level_for ~expect:1);
-  check_int "huge populations clamp at 30" 30 (S.Tskiplist.level_for ~expect:max_int);
-  check_int "default create keeps the historical cap" S.Tskiplist.default_max_level
-    (S.Tskiplist.level_cap (S.Tskiplist.create ()));
-  check_int "explicit override wins" 12
-    (S.Tskiplist.level_cap (S.Tskiplist.create_sized ~max_level:12 ~expect:64 ()));
-  (* Tower heights under a parametric cap: every tower fits the cap,
-     every node is counted once, and the distribution is geometric-ish
-     (ground level dominates, tall towers are rare). *)
-  let n = 4096 in
-  let s = S.Tskiplist.create_sized ~expect:n () in
-  check_int "expect-derived cap" (S.Tskiplist.level_for ~expect:n)
-    (S.Tskiplist.level_cap s);
-  S.Tskiplist.unsafe_preload s (Array.init n (fun i -> i));
-  let counts = S.Tskiplist.level_counts s in
-  check_int "counts array spans the cap" (S.Tskiplist.level_cap s)
-    (Array.length counts);
-  check_int "every node counted once" n (Array.fold_left ( + ) 0 counts);
-  check_bool "ground towers dominate" true (counts.(0) > n / 3);
-  check_bool "tall towers are rare" true (counts.(0) > 8 * counts.(4))
-
-let t_skiplist_preload_equiv () =
-  (* The preload must be observationally identical to a transactional
-     build of the same keys: same contents, same range reads, and —
-     because levels come from the same deterministic stream — the same
-     tower-height histogram. *)
-  let keys = Array.init 500 (fun i -> 3 * i) in
-  let pre = S.Tskiplist.create_sized ~expect:500 () in
-  S.Tskiplist.unsafe_preload pre keys;
-  let rt = rt () in
-  let txn = S.Tskiplist.create_sized ~expect:500 () in
-  Array.iter
-    (fun k -> ignore (Stm.atomically rt (fun tx -> S.Tskiplist.insert tx txn k)))
-    keys;
-  let contents t = Stm.atomically rt (fun tx -> S.Tskiplist.to_list tx t) in
-  check_ilist "same contents" (contents txn) (contents pre);
-  Alcotest.(check (array int))
-    "same level histogram"
-    (S.Tskiplist.level_counts txn)
-    (S.Tskiplist.level_counts pre);
-  let range t ~lo ~len =
-    Stm.atomically rt (fun tx -> S.Tskiplist.range tx t ~lo ~len)
-  in
-  List.iter
-    (fun (lo, len) ->
-      check_ilist
-        (Printf.sprintf "same range lo=%d len=%d" lo len)
-        (range txn ~lo ~len) (range pre ~lo ~len))
-    [ (0, 10); (7, 64); (1_200, 500); (1_497, 5); (1_500, 5) ];
-  (* Preloaded structures stay fully transactional afterwards. *)
-  check_bool "insert after preload" true
-    (Stm.atomically rt (fun tx -> S.Tskiplist.insert tx pre 1));
-  check_bool "remove after preload" true
-    (Stm.atomically rt (fun tx -> S.Tskiplist.remove tx pre 0));
-  check_bool "member after preload" true
-    (Stm.atomically rt (fun tx -> S.Tskiplist.member tx pre 3))
-
-let t_skiplist_preload_rejects () =
-  let s = S.Tskiplist.create ()
-  and sorted = [| 1; 2; 3 |] in
-  Alcotest.check_raises "unsorted keys" (Invalid_argument
-    "Tskiplist.unsafe_preload: keys must be strictly ascending")
-    (fun () -> S.Tskiplist.unsafe_preload (S.Tskiplist.create ()) [| 2; 1 |]);
-  S.Tskiplist.unsafe_preload s sorted;
-  Alcotest.check_raises "non-empty structure"
-    (Invalid_argument "Tskiplist.unsafe_preload: structure not empty")
-    (fun () -> S.Tskiplist.unsafe_preload s sorted)
-
 (* ------------------------------------------------------------------ *)
 (* Forest specifics                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -434,27 +340,54 @@ let t_hashmap_bucket_rounding () =
 
 let prop_hashmap_model =
   QCheck.Test.make ~name:"hashmap matches Hashtbl model" ~count:60
-    QCheck.(small_list (pair (int_bound 64) (option (int_bound 100))))
+    QCheck.(small_list (pair (int_bound 64) (pair (int_bound 4) (int_bound 100))))
     (fun ops ->
-      (* (k, Some v) = add; (k, None) = remove. *)
+      (* (k, (0, v)) = add; (k, (1, _)) = remove; (k, (2, v)) = update
+         to [Some v] (insert or replace); (k, (3, _)) = update to [None]
+         (delete); (k, (4, v)) = update adding [v] to a present binding.
+         Two initial buckets, so every probe walks buckets holding
+         several keys until splits spread them. *)
       let rt = rt () in
-      let m = S.Thashmap.create ~buckets:8 () in
+      let m = S.Thashmap.create ~buckets:2 () in
       let model = Hashtbl.create 16 in
+      let seen_ok = ref true in
+      let update k f =
+        Stm.atomically rt (fun tx ->
+            S.Thashmap.update tx m k (fun old ->
+                if old <> Hashtbl.find_opt model k then seen_ok := false;
+                f old));
+        match f (Hashtbl.find_opt model k) with
+        | Some v -> Hashtbl.replace model k v
+        | None -> Hashtbl.remove model k
+      in
       List.iter
-        (fun (k, op) ->
+        (fun (k, (op, v)) ->
           match op with
-          | Some v ->
+          | 0 ->
               Stm.atomically rt (fun tx -> S.Thashmap.add tx m k v);
               Hashtbl.replace model k v
-          | None ->
-              ignore (Stm.atomically rt (fun tx -> S.Thashmap.remove tx m k));
-              Hashtbl.remove model k)
+          | 1 ->
+              let present = Stm.atomically rt (fun tx -> S.Thashmap.remove tx m k) in
+              if present <> Hashtbl.mem model k then seen_ok := false;
+              Hashtbl.remove model k
+          | 2 -> update k (fun _ -> Some v)
+          | 3 -> update k (fun _ -> None)
+          | _ -> update k (Option.map (fun x -> x + v)))
         ops;
       let expect =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
-      Stm.atomically rt (fun tx -> S.Thashmap.bindings tx m) = expect)
+      let points_ok =
+        Stm.atomically rt (fun tx ->
+            List.for_all
+              (fun k ->
+                S.Thashmap.find tx m k = Hashtbl.find_opt model k
+                && S.Thashmap.mem tx m k = Hashtbl.mem model k)
+              (List.init 67 (fun k -> k - 1)))
+      in
+      !seen_ok && points_ok
+      && Stm.atomically rt (fun tx -> S.Thashmap.bindings tx m) = expect)
 
 let t_hashmap_concurrent () =
   let rt = rt () in
@@ -574,13 +507,6 @@ let () =
         [
           Alcotest.test_case "dense inserts" `Quick t_skiplist_dense;
           Alcotest.test_case "interleaved removal" `Quick t_skiplist_interleaved_removal;
-          Alcotest.test_case "range reads" `Quick t_skiplist_range;
-          Alcotest.test_case "sized level caps and tower histogram" `Quick
-            t_skiplist_sized_levels;
-          Alcotest.test_case "preload equivalent to transactional build" `Quick
-            t_skiplist_preload_equiv;
-          Alcotest.test_case "preload rejects unsound input" `Quick
-            t_skiplist_preload_rejects;
         ] );
       ( "forest",
         [
