@@ -68,7 +68,7 @@ sim-smoke:
 # conflict-attribution entries and the consult-cost microbench on
 # both backends).
 bench:
-	dune exec bench/main.exe -- --quick --no-micro --service --obs --consult --backend both --json BENCH_$(N).json
+	dune exec bench/main.exe -- --quick --service --obs --consult --backend both --json BENCH_$(N).json
 
 ci: build test bench-smoke metrics-smoke write-smoke tl2-smoke service-smoke obs-smoke cm-smoke sim-smoke
 

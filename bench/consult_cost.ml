@@ -1,6 +1,6 @@
 (** Consult-path cost gate: ns + GC minor words per [resolve] for every
-    registered manager, through the consult entry points of both STM
-    backends (the simulator shares the locator's).
+    registered manager, through the one [Runtime_intf.consult] that
+    both STM backends and the simulator call (rows per backend label).
 
     Usage: consult_cost.exe [iters] [--backend locator|tl2|all] [--check]
 

@@ -4,8 +4,8 @@
     Sections (all printed to stdout):
 
     + Figures 1–4 — deterministic simulator reproduction (the primary
-      one on this single-core host) and a live-STM reproduction on
-      OCaml domains.
+      one: live runs on a 2-vCPU host timeslice beyond two domains)
+      and a live-STM reproduction on OCaml domains.
     + Section 4 table — the adversarial chain: greedy vs optimal
       makespan for growing [s].
     + Theorem 9 sweep — greedy makespan vs optimal list schedule on
@@ -13,14 +13,12 @@
     + Lemma 7 demo — scores of random partitions of G(m, s).
     + Ablations — fresh-vs-retained timestamps, greedy-vs-greedy-ft
       under the chain.
-    + Bechamel micro-benchmarks — one [Test.make] per figure workload
-      (single-thread per-operation cost) and one for the simulator.
 
     Flags: [--quick] shrinks every sweep (used by CI/tests);
-    [--no-real] skips the live-STM sweeps; [--no-micro] skips
-    Bechamel; [--json FILE] additionally writes the live-STM figure
-    sweeps (throughput, p50/p99 latency, abort breakdown) as JSON —
-    the perf-trajectory format committed as BENCH_*.json;
+    [--no-real] skips the live-STM sweeps; [--json FILE] additionally
+    writes the live-STM figure sweeps (throughput, p50/p99 latency,
+    abort breakdown) as JSON — the perf-trajectory format committed as
+    BENCH_*.json;
     [--trace FILE] captures tcm.trace event dumps of live-STM runs
     (writes greedy/backoff/aggressive as named sections of FILE,
     JSONL) and prints empirical pending-commit / cascade /
@@ -44,14 +42,35 @@
     tables and the ledger-vs-metrics reconciliation, and adds
     [kind = "obs"] attribution entries to the JSON dump.  [--consult]
     runs the consult-path microbench (ns + minor words per resolve for
-    every manager through both backend consult entry points) and adds
-    [kind = "consult"] entries to the JSON dump. *)
+    every manager, rows per backend) and adds [kind = "consult"]
+    entries to the JSON dump.  Any other argument prints the usage and
+    exits 2. *)
 
 open Tcm_workload
 
+let usage =
+  "usage: main.exe [--quick] [--no-real] [--service] [--obs] [--consult] [--seed N]\n\
+  \                [--backend locator|tl2|both] [--json FILE] [--trace FILE] [--metrics FILE]"
+
+(* A mistyped flag must not be ignored: it would cost a full run of
+   the wrong configuration. *)
+let () =
+  let switches = [ "--quick"; "--no-real"; "--service"; "--obs"; "--consult" ]
+  and valued = [ "--seed"; "--backend"; "--json"; "--trace"; "--metrics" ] in
+  let rec scan i =
+    if i < Array.length Sys.argv then
+      let a = Sys.argv.(i) in
+      if List.mem a switches then scan (i + 1)
+      else if List.mem a valued then scan (i + 2)
+      else begin
+        Printf.eprintf "bench: unknown argument %S\n%s\n" a usage;
+        exit 2
+      end
+  in
+  scan 1
+
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let no_real = Array.exists (( = ) "--no-real") Sys.argv
-let no_micro = Array.exists (( = ) "--no-micro") Sys.argv
 let with_obs = Array.exists (( = ) "--obs") Sys.argv
 
 (* --obs rides on the service sweep (that is where transaction classes
@@ -59,9 +78,8 @@ let with_obs = Array.exists (( = ) "--obs") Sys.argv
 let with_service = with_obs || Array.exists (( = ) "--service") Sys.argv
 
 (* --consult: the consult-path microbench (ns + minor words per
-   resolve, every manager through both backend consult entry points);
-   prints the table and adds
-   [kind = "consult"] entries to the JSON dump. *)
+   resolve, every manager, one row set per backend label); prints the
+   table and adds [kind = "consult"] entries to the JSON dump. *)
 let with_consult = Array.exists (( = ) "--consult") Sys.argv
 
 (* Fail fast on a flag with a missing argument: silently dropping
@@ -144,7 +162,7 @@ let run_real_figures () =
     (fun backend ->
       section
         (Printf.sprintf
-           "Figures 1-4 (live STM on domains, %s backend; single-core host, %d-thread sweep)"
+           "Figures 1-4 (live STM on domains, %s backend; %d-thread sweep)"
            (Tcm_stm.Stm.backend_name backend)
            (List.length real_threads));
       List.iter
@@ -417,7 +435,7 @@ let run_open_problems () =
 (* ------------------------------------------------------------------ *)
 
 (* Bursty on/off arrivals: the base rate is comfortably sustainable on
-   this single-core host, the burst overdrives the admission queue so
+   one worker, the burst overdrives the admission queue so
    overload shows up as queueing delay and sheds, not as a slower
    generator. *)
 let service_process =
@@ -500,7 +518,7 @@ let run_service_sweep () =
       backends
   in
   (* The open-loop sweep above only contends when worker domains truly
-     overlap; on a single-core host it prices clean runs.  The
+     overlap; with one worker per vCPU it prices mostly clean runs.  The
      deterministic simulator contends by construction, so with --obs
      we also sweep the whole manager zoo over the fig1 list model —
      the priced ranking in EXPERIMENTS.md reads from the resulting
@@ -789,66 +807,6 @@ let run_metrics_capture path =
     (List.length snap.Tcm_metrics.Snapshot.entries)
     (List.length windows)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let op_test name structure =
-    let cfg = { Harness.default with structure; threads = 1 } in
-    let rt = Tcm_stm.Stm.create cfg.Harness.manager in
-    let ops = Harness.make_ops structure in
-    let rng = Tcm_stm.Splitmix.create 7 in
-    for k = 0 to 127 do
-      ignore
-        (Tcm_stm.Stm.atomically rt (fun tx ->
-             ops.Tcm_structures.Intset.insert tx ~key:(k * 2) ~r:k))
-    done;
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let key = Tcm_stm.Splitmix.int rng 256 in
-           let r = Tcm_stm.Splitmix.int rng max_int in
-           ignore
-             (Tcm_stm.Stm.atomically rt (fun tx ->
-                  if Tcm_stm.Splitmix.bool rng then
-                    ops.Tcm_structures.Intset.insert tx ~key ~r
-                  else ops.Tcm_structures.Intset.remove tx ~key ~r))))
-  in
-  let sim_test =
-    Test.make ~name:"table:sec4-chain-sim"
-      (Staged.stage (fun () ->
-           let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s:8 () in
-           ignore (Tcm_sim.Engine.run_instance ~ranks ~manager:(module Tcm_core.Greedy) inst)))
-  in
-  Test.make_grouped ~name:"tcm"
-    [
-      op_test "fig1:list-op" Harness.List_s;
-      op_test "fig2:skiplist-op" Harness.Skiplist_s;
-      op_test "fig3:rbtree-op" Harness.Rbtree_s;
-      op_test "fig4:rbforest-op" Harness.Rbforest_s;
-      sim_test;
-    ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (ns per op, single thread, greedy)";
-  let open Bechamel in
-  let quota = if quick then 0.2 else 0.5 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (micro_tests ()) in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols_result) ->
-         let est =
-           match Analyze.OLS.estimates ols_result with
-           | Some (e :: _) -> Printf.sprintf "%12.1f ns/op" e
-           | _ -> "n/a"
-         in
-         Format.fprintf fmt "  %-28s %s@." name est);
-  Format.fprintf fmt "@."
-
 let () =
   Format.fprintf fmt "tcm benchmark harness (%s mode)@." (if quick then "quick" else "full");
   run_sim_figures ();
@@ -869,6 +827,5 @@ let () =
   if with_consult then run_consult_probe ();
   Option.iter run_trace_capture trace_path;
   Option.iter run_metrics_capture metrics_path;
-  if not no_micro then run_micro ();
   Option.iter run_json_dump json_path;
   Format.fprintf fmt "done.@."

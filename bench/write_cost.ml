@@ -16,13 +16,13 @@
     Usage: write_cost.exe [iters] [--backend locator|tl2] [--check]
 
     [--check] is the @write-smoke / @tl2-smoke sanity bound.  It
-    enforces the absolute minor-words budget for the steady-state
-    4-write transaction (catching an accidental reintroduction of
-    per-open allocation), fails if that transaction allocates more
-    with [tcm.metrics] on (the "+metrics" row), and holds the
-    [Tvar.make] row to exactly [tvar_words] words per variable, so a
-    field added to the variable fails it.  On TL2 it
-    additionally runs the same workload on the locator backend and
+    holds the steady-state 4-write transaction to its floor of 15
+    minor words per commit (the transaction's descriptors; any
+    allocation added to the transaction path fails it), fails if that
+    transaction allocates more with [tcm.metrics] on (the "+metrics"
+    row), and holds the [Tvar.make] row to exactly [tvar_words] words
+    per variable, so a field added to the variable fails it.  On TL2
+    it additionally runs the same workload on the locator backend and
     fails if the TL2 uncontended commit allocates more minor words per
     commit than the locator's — the PR-4 allocation discipline must
     carry over to the second backend, not just to the first. *)
@@ -200,13 +200,13 @@ let () =
     end;
     Printf.printf "write-smoke OK: Tvar.make allocates exactly %d words per variable\n"
       tvar_words;
-    (* Absolute ceiling: the steady-state 4-write transaction must stay
-       well under the pre-pooling cost (~138 minor words per commit;
-       pooled it measures ~14.4 on the locator — the fixed per-attempt
-       overhead, independent of write-set size).  Generous enough to be
-       scheduling-noise-proof, tight enough to catch a reintroduced
-       per-open allocation (each write used to cost ~25 words). *)
-    let budget = 24.0 in
+    (* Absolute ceiling: the steady-state 4-write transaction
+       allocates exactly its descriptors — [Txn.shared] (6 words), the
+       attempt record (5) and its two atomics (4) — on either backend,
+       independent of write-set size (before locator pooling a commit
+       cost ~138 words).  The count is exact, so the budget is the
+       floor: any allocation added to the transaction path fails it. *)
+    let budget = 15.0 in
     let w4 = List.nth rows w4_index in
     if w4.minor_per_commit > budget then begin
       Printf.eprintf
@@ -234,12 +234,11 @@ let () =
     | Stm.Tl2_backend ->
         (* Relative gate: TL2's uncontended commit must not allocate
            more than the locator's on the identical workload.  Both
-           backends allocate 21 words per 4-write commit (the
-           per-attempt descriptor plus the facade dispatch, shared by
-           both paths); the comparison allows sub-box slack — any
-           genuine extra allocation site (a boxed log entry, a
-           closure) costs at least one 2-word box and still trips
-           it. *)
+           backends allocate the same 15 words per 4-write commit (the
+           transaction's descriptors; the facade allocates nothing);
+           the comparison allows sub-box slack — any genuine extra
+           allocation site (a boxed log entry, a closure) costs at
+           least one 2-word box and still trips it. *)
         let slack = 1.5 in
         let loc_w4 = List.nth (rows_for Stm.Locator) w4_index in
         if w4.minor_per_commit > loc_w4.minor_per_commit +. slack then begin

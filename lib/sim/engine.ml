@@ -394,10 +394,10 @@ let run ?(horizon = default_horizon) ?ranks
           end
           else begin
             let enemy = threads.(e) in
-            (* The locator backend's conflict adapter: the simulator
-               models the eager locator protocol, so its verdicts come
-               from the code path the live runtime takes. *)
-            let d = Runtime.consult t.cm ~me:t.txn ~other:enemy.txn ~attempts:t.stuck in
+            (* The live runtime's conflict adapter: the simulator
+               models the eager locator protocol, and its verdicts come
+               from the code path both live backends take. *)
+            let d = Runtime_intf.consult t.cm ~me:t.txn ~other:enemy.txn ~attempts:t.stuck in
             Tcm_obs.Probe.verdict t.probe ~me:(Txn.timestamp t.txn)
               ~other:(Txn.timestamp enemy.txn) ~code:(Runtime_intf.decision_trace_code d)
               ~key:a.Spec.obj ~tick:now;

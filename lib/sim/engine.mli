@@ -11,7 +11,7 @@
 
     Conflicts are resolved by the live [Tcm_core] managers, one
     instance per thread, over real [Txn.t] descriptors, through the
-    locator backend's [Runtime.consult]; decision durations convert to
+    live runtime's [Runtime_intf.consult]; decision durations convert to
     ticks at [usec_per_tick] (default {!default_usec_per_tick}).
 
     A run's record is the [Tcm_trace] events its probe emits at each

@@ -1,10 +1,11 @@
-(** The STM execution engine.
+(** The locator protocol: the obstruction-free DSTM/SXM backend.
 
-    [atomically rt f] runs [f] as a transaction under the runtime's
-    contention manager, retrying on abort until the commit CAS
-    succeeds.  Conflicts are detected eagerly, at access time, exactly
-    as in DSTM/SXM: the acquiring transaction consults its local
-    contention manager and either aborts the enemy or stands back.
+    Its part of the one transaction lifecycle ({!Stm} runs the attempt
+    loop) is [read], [write] and [read_for_write], the commit hook (the
+    status CAS) and the abort hook (the hazard-slot release).
+    Conflicts are detected eagerly, at access time, exactly as in
+    DSTM/SXM: the acquiring transaction consults its local contention
+    manager and either aborts the enemy or stands back.
 
     Reads are {e visible}: a reader registers on the variable, and a
     writer resolves each active reader through the contention manager
@@ -20,39 +21,29 @@
 
     - locators come from the per-domain pool in [Tvar], refilled in
       place and recycled when displaced;
-    - the transaction context [tx] is a per-domain scratch record,
-      reused across attempts and logical transactions;
-    - per logical transaction the runtime allocates only the [shared]
-      descriptor, and per attempt only the [Txn.t] attempt record with
-      its two atomics — those must stay fresh, because enemies abort a
-      specific attempt by CAS-ing {e its} status word, and a reused
-      status cell could receive an abort meant for a dead attempt.
+    - the transaction context [tx] is the per-domain scratch record
+      of {!Runtime_intf}, reused across attempts and logical
+      transactions;
+    - per logical transaction {!Stm.atomically} allocates only the
+      [shared] descriptor, and per attempt only the [Txn.t] attempt
+      record with its two atomics — those must stay fresh, because
+      enemies abort a specific attempt by CAS-ing {e its} status word,
+      and a reused status cell could receive an abort meant for a dead
+      attempt.
 
     A read-only commit still takes the status CAS: registered
     reader-slot entries are reclaimed by writers {e only} when the
     registrant's status is decided, so a forever-Active reader
     descriptor would pin its slots and stall writers. *)
 
-let backend_name = "locator"
-
-(* The control-flow exceptions, configuration and statistics type
-   are shared with the TL2 backend through [Runtime_intf]; the
-   re-export equations below keep existing [Runtime.]-qualified
-   callers compiling unchanged. *)
-
-exception Abort_attempt = Runtime_intf.Abort_attempt
-exception Too_many_attempts = Runtime_intf.Too_many_attempts
-exception Retry_wait = Runtime_intf.Retry_wait
-
-type config = Runtime_intf.config = {
-  max_attempts : int option;
-  block_poll_usec : int;
-  backoff_cap_usec : int;
-}
-
-let default_config = Runtime_intf.default_config
-
-type stats_snapshot = Runtime_intf.stats_snapshot = {
+(* A runtime's counters ({!Stm.stats}), named here so that callers
+   name the fields through [Runtime] (the workload outcome, the
+   benchmark and the examples do).  Each domain's [Tcm_obs.Probe]
+   counts into its own plane slot of the runtime's statistics group,
+   folded into the group's retired total when the domain exits; a
+   snapshot ordered after the counting domains' work — joined
+   domains, as in the harness and every test — is exact. *)
+type stats_snapshot = Tcm_obs.Probe.stats = {
   n_commits : int;
   n_aborts : int;
   n_conflicts : int;
@@ -62,77 +53,7 @@ type stats_snapshot = Runtime_intf.stats_snapshot = {
   n_backoffs : int;
 }
 
-type t = {
-  config : config;
-  cm : Cm_intf.factory;
-  stats : Tcm_metrics.Plane.group;  (** One slot per domain that used this runtime. *)
-  dls : per_domain Domain.DLS.key;
-}
-
-and per_domain = {
-  cm_state : Cm_intf.packed;
-  probe : Tcm_obs.Probe.t;
-      (** This domain's lifecycle handle: statistics, trace, metrics,
-          ledger and hot keys, one call per lifecycle point. *)
-  pool : Tvar.pool;  (** This domain's locator freelist + hazard slot. *)
-  scratch : tx;
-      (** The domain's reusable transaction context; reset by field
-          stores, never reallocated, at each attempt start. *)
-  mutable running : bool;
-      (** Whether [scratch] is currently inside [atomically] (the
-          nested-transaction test; replaces an allocated [tx option]). *)
-}
-
-and tx = {
-  cfg : config;
-  dom : per_domain;
-  mutable txn : Txn.t;  (** Current attempt; fresh per attempt. *)
-  mutable n_opens : int;
-      (** Objects opened by this attempt (reads and writes) — the
-          read-set-size sample recorded at commit. *)
-}
-
-let create ?(config = default_config) cm =
-  let stats = Tcm_metrics.Plane.group () in
-  let dls =
-    Domain.DLS.new_key (fun () ->
-        let rec dom =
-          {
-            cm_state = Cm_intf.instantiate cm;
-            probe =
-              Tcm_obs.Probe.create ~stats ~runtime:"live" ~backend:backend_name
-                (Cm_intf.name cm);
-            pool = Tvar.domain_pool ();
-            scratch;
-            running = false;
-          }
-        and scratch = { cfg = config; dom; txn = Txn.committed_sentinel; n_opens = 0 } in
-        dom)
-  in
-  { config; cm; stats; dls }
-
-let manager_name t = Cm_intf.name t.cm
-let stats t = Tcm_obs.Probe.stats t.stats
-let pp_stats = Runtime_intf.pp_stats
-
-(* ------------------------------------------------------------------ *)
-(* Attempt-local helpers                                               *)
-(* ------------------------------------------------------------------ *)
-
-let check_self tx = Runtime_intf.check_active tx.txn
-let consult = Runtime_intf.consult
-
-(* The shared verdict execution, for a conflict over the variable
-   whose id is [key]. *)
-let resolve_conflict tx ~other ~attempts ~key =
-  Runtime_intf.resolve_conflict ~cm:tx.dom.cm_state ~probe:tx.dom.probe ~config:tx.cfg
-    ~me:tx.txn ~other ~attempts ~key
-
-let cm_opened tx =
-  tx.n_opens <- tx.n_opens + 1;
-  Txn.record_open tx.txn;
-  let (Cm_intf.Packed ((module M), st)) = tx.dom.cm_state in
-  M.opened st tx.txn
+open Runtime_intf
 
 (* ------------------------------------------------------------------ *)
 (* Open for write                                                      *)
@@ -340,114 +261,26 @@ let read tx tvar = read_visible tx tvar 0
 
 (** Read through the write path: acquires the variable exclusively.
     Use for read-modify-write accesses to avoid upgrade conflicts. *)
-let read_for_write (tx : tx) tvar =
+let read_for_write tx tvar =
   (* [v] is never used on the [put = false] path; any value of the
      right type will do, and the variable's own current value is one
      we can name without touching the user's type. *)
   open_write tx tvar ~put:false (Atomic.get tvar.Tvar.loc).Tvar.old_v 0
 
-let modify tx tvar f = write tx tvar (f (read_for_write tx tvar))
-
-(** User-requested abort-and-retry of the current attempt. *)
-let retry_now tx : 'a =
-  ignore (Txn.try_abort tx.txn);
-  raise Abort_attempt
-
-(** Blocking retry (Harris-et-al style [retry]): abort and re-run the
-    transaction after a pause, so the caller effectively waits for the
-    state it read to change.  The pause grows geometrically up to the
-    configured cap. *)
-let retry_wait tx : 'a =
-  ignore (Txn.try_abort tx.txn);
-  raise Retry_wait
-
-(** [check tx cond]: proceed if [cond] holds, otherwise block (via
-    {!retry_wait}) until a later re-execution sees it hold. *)
-let check tx cond = if not cond then retry_wait tx
-
 (* ------------------------------------------------------------------ *)
-(* The atomic block                                                    *)
+(* Lifecycle hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One attempt bookkeeping cycle.  Top-level (not a closure inside
-   [atomically]) so the per-transaction path allocates nothing beyond
-   the attempt descriptor itself. *)
+(* Commit is the status CAS.  Opens leave the hazard slot published
+   (one store per open, not a pair); release it now so the last
+   locator we touched does not linger un-recyclable. *)
+let commit tx =
+  Txn.try_commit tx.txn
+  && begin
+       Tvar.unprotect tx.dom.pool;
+       true
+     end
 
-let finish_abort dom tx =
-  ignore (Txn.try_abort tx.txn);
-  Atomic.set tx.txn.Txn.waiting false;
-  (* An abort can be raised while the hazard slot covers a locator
-     (conflict resolution inside [open_write], mid-drain). *)
-  Tvar.unprotect dom.pool;
-  (* The dead attempt's work — everything it opened — is what the
-     abort wastes, in the cost model's unit. *)
-  Tcm_obs.Probe.abort dom.probe ~txid:(Txn.timestamp tx.txn) ~attempt:tx.txn.Txn.attempt_id
-    ~tick:0 ~opens:tx.n_opens;
-  let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
-  M.aborted cm_st tx.txn;
-  dom.running <- false
-
-let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> int -> int -> 'a =
-  fun rt dom tx f shared wait_round n ->
-   (match rt.config.max_attempts with
-   | Some m when n > m -> raise (Too_many_attempts n)
-   | _ -> ());
-   let txn = Txn.new_attempt shared in
-   tx.txn <- txn;
-   tx.n_opens <- 0;
-   dom.running <- true;
-   let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
-   M.begin_attempt cm_st txn;
-   Tcm_obs.Probe.attempt_begin dom.probe ~txid:(Txn.timestamp txn)
-     ~attempt:txn.Txn.attempt_id ~tick:0;
-   match f tx with
-   | v ->
-       if Txn.try_commit txn then begin
-         (* Opens leave the hazard slot published (one store per open,
-            not a pair); release it now so the last locator we touched
-            does not linger un-recyclable. *)
-         Tvar.unprotect dom.pool;
-         Tcm_obs.Probe.commit dom.probe ~txid:(Txn.timestamp txn)
-           ~attempt:txn.Txn.attempt_id ~tick:0 ~opens:tx.n_opens;
-         M.committed cm_st txn;
-         dom.running <- false;
-         v
-       end
-       else begin
-         finish_abort dom tx;
-         attempt_loop rt dom tx f shared 0 (n + 1)
-       end
-   | exception Abort_attempt ->
-       finish_abort dom tx;
-       attempt_loop rt dom tx f shared 0 (n + 1)
-   | exception Retry_wait ->
-       finish_abort dom tx;
-       (* The caller is waiting for another transaction to change the
-          state it checked. *)
-       Runtime_intf.retry_pause rt.config wait_round;
-       attempt_loop rt dom tx f shared (wait_round + 1) (n + 1)
-   | exception e ->
-       (* User exception: abort the transaction, propagate. *)
-       finish_abort dom tx;
-       raise e
-
-let atomically rt f =
-  let dom = Domain.DLS.get rt.dls in
-  if dom.running then
-    if Txn.is_active dom.scratch.txn then
-      (* Nested atomically: flatten into the enclosing transaction. *)
-      f dom.scratch
-    else
-      (* The enclosing attempt was aborted by an enemy but has not yet
-         noticed.  Starting an unrelated top-level transaction here (the
-         historical behaviour) would alias the enclosing attempt's
-         reused context, so instead abort the enclosing attempt — it is
-         doomed anyway, and its restart re-runs this call. *)
-      raise Abort_attempt
-  else attempt_loop rt dom dom.scratch f (Txn.new_shared ()) 0 1
-
-(** Descriptor of the transaction currently running on this domain;
-    for diagnostics. *)
-let current_txn rt =
-  let dom = Domain.DLS.get rt.dls in
-  if dom.running then Some dom.scratch.txn else None
+(* An abort can be raised while the hazard slot covers a locator
+   (conflict resolution inside [open_write], mid-drain). *)
+let abort tx = Tvar.unprotect tx.dom.pool

@@ -1,48 +1,19 @@
-(** The STM execution engine.
+(** The locator protocol: the obstruction-free DSTM/SXM backend.
 
-    [atomically rt f] runs [f] as a transaction under the runtime's
-    contention manager, retrying on abort until the commit CAS
-    succeeds.  Conflicts are detected eagerly, at access time, exactly
-    as in DSTM/SXM: the acquirer consults its local manager and either
-    aborts the enemy or stands back.
+    Conflicts are detected eagerly, at access time, exactly as in
+    DSTM/SXM: the acquirer consults its local manager and either
+    aborts the enemy or stands back.  Reads are visible: readers
+    register on the variable, and writers resolve each active reader
+    through the manager after acquiring, so read-write conflicts go
+    through the manager and executions are serializable without read
+    validation.
 
-    Reads are visible: readers register on the variable, and writers
-    resolve each active reader through the manager after acquiring, so
-    read-write conflicts go through the manager and executions are
-    serializable without read validation. *)
+    This module is the protocol only.  {!Stm} runs the one transaction
+    lifecycle over it and over {!Tl2}: [create], [atomically], the
+    attempt loop, the abort path and the retry API, calling the hooks
+    below at commit and abort. *)
 
-val backend_name : string
-(** ["locator"]. *)
-
-exception Abort_attempt
-(** Internal control flow: the current attempt is aborted and must
-    restart.  User code inside [atomically] should let it propagate.
-    (Equal to {!Runtime_intf.Abort_attempt}, shared with the TL2
-    backend.) *)
-
-exception Too_many_attempts of int
-(** Raised when [max_attempts] is exceeded.  (Equal to
-    {!Runtime_intf.Too_many_attempts}.) *)
-
-type config = Runtime_intf.config = {
-  max_attempts : int option;  (** [None] = retry forever. *)
-  block_poll_usec : int;
-      (** Cap on the sleep period while blocked on an enemy; the wait
-          spins, then yields, then sleeps geometrically up to this. *)
-  backoff_cap_usec : int;  (** Cap applied to [Backoff] verdicts. *)
-}
-
-val default_config : config
-
-type t
-(** A runtime: configuration + contention-manager factory + statistics.
-    Create one per experiment; it instantiates one manager per domain
-    via domain-local storage. *)
-
-type tx
-(** Per-attempt context threaded through transactional operations. *)
-
-type stats_snapshot = Runtime_intf.stats_snapshot = {
+type stats_snapshot = Tcm_obs.Probe.stats = {
   n_commits : int;
   n_aborts : int;
   n_conflicts : int;
@@ -51,42 +22,24 @@ type stats_snapshot = Runtime_intf.stats_snapshot = {
   n_blocks : int;
   n_backoffs : int;
 }
+(** A runtime's counters (see {!Stm.stats}); re-exported so callers
+    name the fields through [Runtime]. *)
 
-val create : ?config:config -> Cm_intf.factory -> t
-val manager_name : t -> string
-val stats : t -> stats_snapshot
-val pp_stats : Format.formatter -> stats_snapshot -> unit
+val read : Runtime_intf.tx -> 'a Tvar.t -> 'a
+(** Visible read: registers the attempt as a reader. *)
 
-val atomically : t -> (tx -> 'a) -> 'a
-(** Run a transaction to commit, retrying on aborts.  Nested calls on
-    the same domain flatten into the enclosing transaction.  [f] may
-    run several times and so must be free of non-transactional side
-    effects.  User exceptions abort the transaction and propagate. *)
+val write : Runtime_intf.tx -> 'a Tvar.t -> 'a -> unit
+(** Acquire the variable (install a pooled locator owned by the
+    attempt) and set its tentative value. *)
 
-val read : tx -> 'a Tvar.t -> 'a
-val write : tx -> 'a Tvar.t -> 'a -> unit
-
-val read_for_write : tx -> 'a Tvar.t -> 'a
+val read_for_write : Runtime_intf.tx -> 'a Tvar.t -> 'a
 (** Read through the write path (acquires the variable exclusively);
     use for read-modify-write accesses to avoid upgrade conflicts. *)
 
-val modify : tx -> 'a Tvar.t -> ('a -> 'a) -> unit
+val commit : Runtime_intf.tx -> bool
+(** Commit hook: the attempt's status CAS, then the hazard-slot
+    release; [false] iff an enemy aborted the attempt first. *)
 
-val retry_now : tx -> 'a
-(** Abort the current attempt and restart the transaction. *)
-
-val retry_wait : tx -> 'a
-(** Blocking retry (Harris-et-al style): abort and re-run after a
-    geometrically growing pause — wait for the state read so far to
-    change. *)
-
-val check : tx -> bool -> unit
-(** [check tx cond] proceeds if [cond] holds, else blocks via
-    {!retry_wait} until a re-execution sees it hold. *)
-
-val current_txn : t -> Txn.t option
-(** Descriptor of the transaction currently running on this domain. *)
-
-val consult : Cm_intf.packed -> me:Txn.t -> other:Txn.t -> attempts:int -> Decision.t
-(** The backend's conflict adapter (see {!Runtime_intf.S.consult});
-    exposed for the cross-backend verdict-agreement test. *)
+val abort : Runtime_intf.tx -> unit
+(** Abort hook: release the hazard slot, which an abort raised
+    mid-open may leave covering a locator. *)

@@ -1,9 +1,13 @@
-(** The TL2-style lock-based runtime backend.
+(** The TL2-style lock-based protocol.
 
     A {e progressive} (lock-based) STM in the style of Dice, Shalev
-    and Shavit's TL2, sharing {!Runtime_intf} with the obstruction-free
-    locator runtime so the two are swappable under every structure,
-    workload and bench:
+    and Shavit's TL2.  {!Stm} runs the one transaction lifecycle over
+    it and over the obstruction-free locator protocol ({!Runtime}), so
+    the two are swappable under every structure, workload and bench.
+    This module is the protocol only: [read], [write],
+    [read_for_write] and three hooks — begin (the read stamp and the
+    log reset), commit (lock, validate, write back) and abort
+    (release).  Its parts:
 
     - a {b global version clock} ([now]/[next_stamp] below);
     - a {b striped ownership-record table}: a fixed global array of
@@ -48,7 +52,8 @@
       return when the enemy is decided or starts waiting itself, then
       re-consult.  Greedy's Rule 1 dynamics (abort a waiting enemy)
       carry over unchanged because the waiting flag lives on [Txn.t].
-    - [Backoff] → sleep, capped by the configuration, re-consult.
+    - [Backoff] → sleep, capped at {!Runtime_intf.backoff_cap_usec},
+      re-consult.
 
     {1 Progress and consistency caveats}
 
@@ -68,21 +73,7 @@
     writers and TL2 writers sharing one variable would not observe
     each other's ownership. *)
 
-exception Abort_attempt = Runtime_intf.Abort_attempt
-exception Too_many_attempts = Runtime_intf.Too_many_attempts
-exception Retry_wait = Runtime_intf.Retry_wait
-
-type config = Runtime_intf.config = {
-  max_attempts : int option;
-  block_poll_usec : int;
-  backoff_cap_usec : int;
-}
-
-let default_config = Runtime_intf.default_config
-
-type stats_snapshot = Runtime_intf.stats_snapshot
-
-let backend_name = "tl2"
+open Runtime_intf
 
 (* ------------------------------------------------------------------ *)
 (* The version clock and the ownership-record table                    *)
@@ -102,8 +93,8 @@ let next_stamp () = 1 + Atomic.fetch_and_add clock 1
    validators.  Locking CASes the owner cell directly — no separate
    lock word — so a contender always reads a coherent (owner, status)
    pair: the owner it sees is the very attempt whose status word
-   arbitration goes through. *)
-type orec = { o_version : int Atomic.t; o_owner : Txn.t Atomic.t }
+   arbitration goes through.  (The [orec] record is declared in
+   [Runtime_intf], whose scratch context logs orecs.) *)
 
 let no_owner = Txn.committed_sentinel
 
@@ -133,118 +124,12 @@ let orec_for_id id = orecs.(stripe_of_id id)
 let dummy_orec = { o_version = Atomic.make 0; o_owner = Atomic.make no_owner }
 
 (* ------------------------------------------------------------------ *)
-(* Runtime and per-attempt context                                     *)
-(* ------------------------------------------------------------------ *)
-
-type t = {
-  config : config;
-  cm : Cm_intf.factory;
-  stats : Tcm_metrics.Plane.group;  (** One slot per domain that used this runtime. *)
-  dls : per_domain Domain.DLS.key;
-}
-
-and per_domain = {
-  cm_state : Cm_intf.packed;
-  probe : Tcm_obs.Probe.t;
-      (** This domain's lifecycle handle; conflict keys are orec
-          stripe indices. *)
-  scratch : tx;
-      (** The domain's reusable transaction context; reset (by lengths
-          and field stores, never reallocation) at each attempt start. *)
-  mutable running : bool;
-}
-
-and tx = {
-  cfg : config;
-  dom : per_domain;
-  mutable txn : Txn.t;  (** Current attempt; fresh per attempt. *)
-  mutable rv : int;
-      (** Read version: the whole read set is known valid at this
-          clock value; advanced by successful extensions. *)
-  mutable rs : orec array;  (** Read set: stripes sampled by reads. *)
-  mutable rs_len : int;
-  mutable ws_var : Obj.t array;  (** Redo log: written variables, erased. *)
-  mutable ws_val : Obj.t array;  (** Redo log: buffered values, erased. *)
-  mutable ws_len : int;
-  mutable locked : orec array;  (** Stripes this attempt holds (commit). *)
-  mutable locked_len : int;
-  mutable n_opens : int;  (** Objects opened (reads and writes). *)
-}
-
-let empty_orecs : orec array = [||]
-let empty_objs : Obj.t array = [||]
-
-let create ?(config = default_config) cm =
-  let stats = Tcm_metrics.Plane.group () in
-  let dls =
-    Domain.DLS.new_key (fun () ->
-        let rec dom =
-          {
-            cm_state = Cm_intf.instantiate cm;
-            probe =
-              Tcm_obs.Probe.create ~stats ~runtime:"live" ~backend:backend_name
-                (Cm_intf.name cm);
-            scratch;
-            running = false;
-          }
-        and scratch =
-          {
-            cfg = config;
-            dom;
-            txn = Txn.committed_sentinel;
-            rv = 0;
-            rs = empty_orecs;
-            rs_len = 0;
-            ws_var = empty_objs;
-            ws_val = empty_objs;
-            ws_len = 0;
-            locked = empty_orecs;
-            locked_len = 0;
-            n_opens = 0;
-          }
-        in
-        dom)
-  in
-  { config; cm; stats; dls }
-
-let manager_name t = Cm_intf.name t.cm
-let stats t = Tcm_obs.Probe.stats t.stats
-
-(* ------------------------------------------------------------------ *)
-(* Attempt-local helpers                                               *)
-(* ------------------------------------------------------------------ *)
-
-let check_self tx = Runtime_intf.check_active tx.txn
-let consult = Runtime_intf.consult
-
-(* How this backend executes each verdict; the registry duel test
-   asserts the mapping stays total and the verdicts themselves agree
-   with the locator backend's adapter. *)
-type action = Steal_lock | Release_and_abort | Spin_then_retry | Backoff_then_retry
-
-let action_of_decision = function
-  | Decision.Abort_other -> Steal_lock
-  | Decision.Abort_self -> Release_and_abort
-  | Decision.Block _ -> Spin_then_retry
-  | Decision.Backoff _ -> Backoff_then_retry
-
-(* The shared verdict execution, for a conflict over orec stripe
-   [key]; the lock steal happens at the caller. *)
-let resolve_conflict tx ~other ~attempts ~key =
-  Runtime_intf.resolve_conflict ~cm:tx.dom.cm_state ~probe:tx.dom.probe ~config:tx.cfg
-    ~me:tx.txn ~other ~attempts ~key
-
-let cm_opened tx =
-  tx.n_opens <- tx.n_opens + 1;
-  Txn.record_open tx.txn;
-  let (Cm_intf.Packed ((module M), st)) = tx.dom.cm_state in
-  M.opened st tx.txn
-
-(* ------------------------------------------------------------------ *)
 (* Scratch-log plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
 let obj_dummy = Obj.repr 0
+let empty_orecs : orec array = [||]
+let empty_objs : Obj.t array = [||]
 
 let push_rs tx o =
   let cap = Array.length tx.rs in
@@ -423,18 +308,6 @@ let read_for_write : 'a. tx -> 'a Tvar.t -> 'a =
     v
   end
 
-let modify tx tvar f = write tx tvar (f (read_for_write tx tvar))
-
-let retry_now tx : 'a =
-  ignore (Txn.try_abort tx.txn);
-  raise Abort_attempt
-
-let retry_wait tx : 'a =
-  ignore (Txn.try_abort tx.txn);
-  raise Retry_wait
-
-let check tx cond = if not cond then retry_wait tx
-
 (* ------------------------------------------------------------------ *)
 (* Commit                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -469,7 +342,7 @@ let rec acquire tx o ~stripe ~attempts ~round =
         if Atomic.compare_and_set o.o_owner owner tx.txn then push_locked tx o
         else acquire tx o ~stripe ~attempts ~round
     | Status.Committed ->
-        Runtime_intf.wait_step ~round ~cap_usec:tx.cfg.block_poll_usec;
+        wait_step round;
         acquire tx o ~stripe ~attempts ~round:(round + 1)
     | Status.Active ->
         resolve_conflict tx ~other:owner ~attempts ~key:stripe;
@@ -502,7 +375,7 @@ let lock_and_validate tx =
   if wv > tx.rv + 1 then validate_reads tx;
   wv
 
-let commit tx =
+let write_back tx =
   if tx.ws_len = 0 then
     (* Read-only fast path: every read was validated against [rv] at
        read time, so the read set is a consistent snapshot already —
@@ -542,82 +415,27 @@ let commit tx =
         end
 
 (* ------------------------------------------------------------------ *)
-(* The atomic block                                                    *)
+(* Lifecycle hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let finish_abort dom tx =
-  ignore (Txn.try_abort tx.txn);
-  Atomic.set tx.txn.Txn.waiting false;
+let begin_attempt tx =
+  tx.rv <- now ();
+  tx.rs_len <- 0;
+  tx.ws_len <- 0;
+  tx.locked_len <- 0
+
+let commit tx =
+  write_back tx
+  && begin
+       clear_logs tx;
+       true
+     end
+
+let abort tx =
   (* Defensive: locks are normally released inside [commit]; an abort
      raised while any are held must not leave stripes locked forever. *)
   if tx.locked_len > 0 then release_locked tx;
-  clear_logs tx;
-  (* The dead attempt's work — everything it opened — is what the
-     abort wastes, in the cost model's unit. *)
-  Tcm_obs.Probe.abort dom.probe ~txid:(Txn.timestamp tx.txn) ~attempt:tx.txn.Txn.attempt_id
-    ~tick:0 ~opens:tx.n_opens;
-  let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
-  M.aborted cm_st tx.txn;
-  dom.running <- false
-
-let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> int -> int -> 'a
-    =
-  fun rt dom tx f shared wait_round n ->
-   (match rt.config.max_attempts with
-   | Some m when n > m -> raise (Too_many_attempts n)
-   | _ -> ());
-   let txn = Txn.new_attempt shared in
-   tx.txn <- txn;
-   tx.rv <- now ();
-   tx.rs_len <- 0;
-   tx.ws_len <- 0;
-   tx.locked_len <- 0;
-   tx.n_opens <- 0;
-   dom.running <- true;
-   let (Cm_intf.Packed ((module M), cm_st)) = dom.cm_state in
-   M.begin_attempt cm_st txn;
-   Tcm_obs.Probe.attempt_begin dom.probe ~txid:(Txn.timestamp txn) ~attempt:txn.Txn.attempt_id
-     ~tick:0;
-   match f tx with
-   | v ->
-       if commit tx then begin
-         clear_logs tx;
-         Tcm_obs.Probe.commit dom.probe ~txid:(Txn.timestamp txn)
-           ~attempt:txn.Txn.attempt_id ~tick:0 ~opens:tx.n_opens;
-         M.committed cm_st txn;
-         dom.running <- false;
-         v
-       end
-       else begin
-         finish_abort dom tx;
-         attempt_loop rt dom tx f shared 0 (n + 1)
-       end
-   | exception Abort_attempt ->
-       finish_abort dom tx;
-       attempt_loop rt dom tx f shared 0 (n + 1)
-   | exception Retry_wait ->
-       finish_abort dom tx;
-       Runtime_intf.retry_pause rt.config wait_round;
-       attempt_loop rt dom tx f shared (wait_round + 1) (n + 1)
-   | exception e ->
-       finish_abort dom tx;
-       raise e
-
-let atomically rt f =
-  let dom = Domain.DLS.get rt.dls in
-  if dom.running then
-    if Txn.is_active dom.scratch.txn then
-      (* Nested atomically: flatten into the enclosing transaction. *)
-      f dom.scratch
-    else
-      (* The enclosing attempt was aborted by an enemy but has not yet
-         noticed; abort it rather than alias its reused context. *)
-      raise Abort_attempt
-  else attempt_loop rt dom dom.scratch f (Txn.new_shared ()) 0 1
-
-let current_txn rt =
-  let dom = Domain.DLS.get rt.dls in
-  if dom.running then Some dom.scratch.txn else None
+  clear_logs tx
 
 (* ------------------------------------------------------------------ *)
 (* Test hooks                                                          *)

@@ -208,6 +208,10 @@ let pool_key =
 
 let domain_pool () = Domain.DLS.get pool_key
 
+(* Never registered and never used: TL2 contexts hold it in place of
+   a pool, so a TL2 domain takes no hazard slot. *)
+let no_pool = { items = [||]; len = 0; last_hit = false; hazard = Atomic.make no_hazard }
+
 let pool_size p = p.len
 let last_take_hit p = p.last_hit
 

@@ -98,6 +98,10 @@ val domain_pool : unit -> pool
 (** The calling domain's pool (created on first use; shared by every
     runtime on the domain). *)
 
+val no_pool : pool
+(** A pool that is never registered nor used: what a TL2 runtime's
+    per-domain context holds in place of the domain's pool. *)
+
 val take_locator : pool -> owner:Txn.t -> old_v:'a -> new_v:'a -> 'a locator
 (** A locator owned by [owner] with the given value slots (tentative
     value preset before publication); refilled from the freelist when

@@ -1,7 +1,7 @@
 (** Transaction descriptors.
 
     A {e logical transaction} corresponds to one call to
-    [Runtime.atomically].  It may run as several {e attempts}: when an
+    [Stm.atomically].  It may run as several {e attempts}: when an
     attempt aborts, the runtime starts a new attempt of the same logical
     transaction.  Fields that the paper requires to survive aborts — the
     timestamp above all (Section 3: "when a transaction begins, it is

@@ -1,6 +1,6 @@
 (** Transaction descriptors.
 
-    A {e logical transaction} is one call to [Runtime.atomically]; it
+    A {e logical transaction} is one call to [Stm.atomically]; it
     may run as several {e attempts}.  Fields the paper requires to
     survive aborts — above all the timestamp ("a timestamp which it
     retains even if it aborts and restarts", Section 3) — live in

@@ -5,15 +5,16 @@
     @cm-smoke gate) and [bench --consult].  Each row drives one
     manager instance exactly as the runtimes do — [begin_attempt],
     enough [opened] events to push the STO-style adaptive manager past
-    its timid threshold, then a tight loop of backend [consult] calls
-    with cycling attempt counts — and reports the per-resolve latency
-    and the loop's minor-heap allocation.  Minor words come from
-    [Gc.minor_words], which reads the calling domain's allocation
+    its timid threshold, then a tight loop of [Runtime_intf.consult]
+    calls with cycling attempt counts — and reports the per-resolve
+    latency and the loop's minor-heap allocation.  Minor words come
+    from [Gc.minor_words], which reads the calling domain's allocation
     pointer, so the count is exact to the word.
 
-    Rows exist for both STM backends, whose [consult] entry points are
-    distinct code paths.  The simulator takes its verdicts through the
-    locator's [Runtime.consult], so the locator rows cover it too.  The
+    Both STM backends and the simulator take their verdicts through
+    that one [consult], so a row's backend is only its label: the
+    locator and TL2 rows time the same code twice, and the dump keeps
+    one row per manager and backend.  The
     gates in {!check} are the teeth: not one minor word over the whole
     timed loop, an absolute latency ceiling, and a flatness band across
     managers of the same backend — a manager whose consult is an order
@@ -84,10 +85,6 @@ let conflict_pair () =
   Txn.set_cm_stamp other 1;
   (me, other)
 
-let backend_consult = function
-  | Stm.Locator -> Runtime.consult
-  | Stm.Tl2_backend -> Tl2.consult
-
 let measure_manager ~iters backend factory =
   let (Cm_intf.Packed ((module M), st) as packed) =
     Cm_intf.instantiate factory
@@ -97,14 +94,13 @@ let measure_manager ~iters backend factory =
   for _ = 1 to warm_opens do
     M.opened st me
   done;
-  let consult = backend_consult backend in
   let ns, minor =
     measure_loop ~iters (fun n ->
         for i = 1 to n do
           (* Cycle the attempt count through each manager's give-up
              branches; count verdicts into [sink] so the loop body
              cannot be considered dead. *)
-          match consult packed ~me ~other ~attempts:(i land 3) with
+          match Runtime_intf.consult packed ~me ~other ~attempts:(i land 3) with
           | Decision.Abort_other -> incr sink
           | _ -> ()
         done)

@@ -1,6 +1,7 @@
 (** Consult-path cost probe: ns and GC minor words per [resolve], per
-    manager × backend ("locator" or "tl2"; the simulator takes its
-    verdicts through the locator's entry point).  Measurement core
+    manager × backend ("locator" or "tl2"; both backends and the
+    simulator take their verdicts through the one
+    [Runtime_intf.consult], so the backend only labels a row).  Measurement core
     shared by [bench/consult_cost.exe] (the @cm-smoke gate) and [bench
     --consult]; {!check} holds the gate thresholds. *)
 
@@ -20,8 +21,7 @@ val flatness_ratio : float
 val flatness_floor_ns : float
 
 val measure_backend : ?iters:int -> Tcm_stm.Stm.backend -> row list
-(** One row per registered manager, driven through the given backend's
-    [consult] entry point. *)
+(** One row per registered manager, labelled with the given backend. *)
 
 val measure_all : ?iters:int -> unit -> row list
 (** Both backends. *)

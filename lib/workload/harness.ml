@@ -72,12 +72,12 @@ type outcome = {
       (** Tail latency: where contention-manager fairness shows up. *)
   minor_words : float;
       (** Minor-heap words allocated by the worker domains during the
-          measurement window: each domain's own [Gc.counters] delta,
-          summed ([Gc.quick_stat] counts every domain's allocation, so
-          summing its deltas would count k domains k times).  Divide
-          by [commits] for the allocation cost per committed
-          transaction. *)
-  major_words : float;  (** Major-heap words, same accounting. *)
+          measurement window: each domain's own [Gc.minor_words]
+          delta, exact, summed ([Gc.quick_stat] counts every domain's
+          allocation, so summing its deltas would count k domains k
+          times).  Divide by [commits] for the allocation cost per
+          committed transaction. *)
+  major_words : float;  (** Major-heap words: each domain's [Gc.counters] delta, summed. *)
   stats : Tcm_stm.Runtime.stats_snapshot;
       (** Full runtime counters (enemy/self aborts, blocks, backoffs)
           for detailed reporting, e.g. the bench's JSON dump. *)
@@ -127,7 +127,8 @@ let run ?poll (cfg : config) : outcome =
   let major_w = Array.make cfg.threads 0. in
   let body tid () =
     let samples = Tcm_dist.Stats.Sample.create 1024 in
-    let minor0, _, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    let _, _, major0 = Gc.counters () in
     let rng = Splitmix.create (cfg.seed + (tid * 7919) + 1) in
     let count = ref 0 in
     while not (Atomic.get stop) do
@@ -152,7 +153,8 @@ let run ?poll (cfg : config) : outcome =
     done;
     per_thread.(tid) <- !count;
     latencies.(tid) <- samples;
-    let minor1, _, major1 = Gc.counters () in
+    let minor1 = Gc.minor_words () in
+    let _, _, major1 = Gc.counters () in
     minor_w.(tid) <- minor1 -. minor0;
     major_w.(tid) <- major1 -. major0
   in

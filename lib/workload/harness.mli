@@ -45,10 +45,10 @@ type outcome = {
   latency_p99_us : float;  (** Tail latency (fairness indicator). *)
   minor_words : float;
       (** Minor-heap words allocated by the worker domains during the
-          window (each domain's own [Gc.counters] delta, summed);
-          divide by [commits] for the per-transaction allocation
-          cost. *)
-  major_words : float;  (** Major-heap words, same accounting. *)
+          window (each domain's own [Gc.minor_words] delta, exact,
+          summed); divide by [commits] for the per-transaction
+          allocation cost. *)
+  major_words : float;  (** Major-heap words: each domain's [Gc.counters] delta, summed. *)
   stats : Runtime.stats_snapshot;  (** Full runtime counters. *)
 }
 

@@ -455,18 +455,19 @@ let t_paper_lineup () =
 (* Cross-backend verdict agreement                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Both runtime backends expose the same conflict adapter
-   ([Runtime.consult] and [Tl2.consult]): unpack the per-domain
-   manager instance and ask it to resolve.  The manager zoo is the
-   experiment under test in this repo, so the two backends must agree
+(* Both runtime backends take their verdicts through one conflict
+   adapter ([Runtime_intf.consult]): unpack the per-domain manager
+   instance and ask it to resolve.  The manager zoo is the experiment
+   under test in this repo, so two domains' instances must agree
    verdict-for-verdict on an identical conflict history — otherwise a
    locator-vs-TL2 benchmark difference could be a contention-policy
-   difference in disguise.  The duel below scripts both priority
-   directions, escalating attempt counts, and the waiting flag (the
-   input Greedy-family rule 1 keys on); each backend replays it against
-   its own fresh manager instance (stateful managers — Karma, Polite,
-   Kindergarten — advance their state identically when fed identical
-   inputs). *)
+   difference in disguise, or a manager could carry state across
+   instances.  The duel below scripts both priority directions,
+   escalating attempt counts, and the waiting flag (the input
+   Greedy-family rule 1 keys on); it is replayed against two fresh
+   manager instances, one per backend's domain (stateful managers —
+   Karma, Polite, Kindergarten — advance their state identically when
+   fed identical inputs). *)
 
 type duel_step = { me_older : bool; attempts : int; other_waiting : bool }
 
@@ -498,22 +499,24 @@ let t_backends_agree () =
       let name = Cm_intf.name factory in
       (* One txn pair shared by both replays: timestamps, priorities
          and ids must be identical inputs, only the manager instance
-         (and the adapter under test) differs. *)
+         differs. *)
       let older, younger = fresh_pair () in
-      let via_locator =
-        replay (Runtime.consult (Cm_intf.instantiate factory)) ~older ~younger
+      let for_locator =
+        replay (Runtime_intf.consult (Cm_intf.instantiate factory)) ~older ~younger
       in
-      let via_tl2 = replay (Tl2.consult (Cm_intf.instantiate factory)) ~older ~younger in
+      let for_tl2 =
+        replay (Runtime_intf.consult (Cm_intf.instantiate factory)) ~older ~younger
+      in
       if String.equal name "randomized" then
         (* Coin-flipping manager: exact agreement is not required (nor
-           meaningful); both backends must stay inside its published
+           meaningful); both instances must stay inside its published
            verdict range. *)
         List.iter
           (fun d ->
             match d with
             | Decision.Abort_other | Decision.Backoff _ -> ()
             | d -> Alcotest.failf "randomized out of range: %a" Decision.pp d)
-          (via_locator @ via_tl2)
+          (for_locator @ for_tl2)
       else
         (* Backoff durations are jittered per manager instance (Polite
            and Polka draw from a private PRNG), so agreement there is
@@ -530,12 +533,12 @@ let t_backends_agree () =
             if not (agree dl dt) then
               Alcotest.failf "%s: step %d disagrees: locator %a, tl2 %a" name i
                 Decision.pp dl Decision.pp dt)
-          (List.combine via_locator via_tl2))
+          (List.combine for_locator for_tl2))
     Registry.all
 
 (* The registry-wide duel above exercises sto-adaptive only in its
-   timid phase (no opens are replayed, so both backends deterministically
-   see Abort_self).  Stamp both parties by hand to duel the fight phase
+   timid phase (no opens are replayed, so both instances deterministically
+   return Abort_self).  Stamp both parties by hand to duel the fight phase
    too: verdict classes are deterministic given the stamps, with
    agreement up to the jittered backoff duration as usual. *)
 let t_sto_fight_cross_backend () =
@@ -543,11 +546,11 @@ let t_sto_fight_cross_backend () =
   let older, younger = fresh_pair () in
   Txn.set_cm_stamp older 1;
   Txn.set_cm_stamp younger 2;
-  let via_locator =
-    replay (Runtime.consult (Cm_intf.instantiate factory)) ~older ~younger
+  let for_locator =
+    replay (Runtime_intf.consult (Cm_intf.instantiate factory)) ~older ~younger
   in
-  let via_tl2 =
-    replay (Tl2.consult (Cm_intf.instantiate factory)) ~older ~younger
+  let for_tl2 =
+    replay (Runtime_intf.consult (Cm_intf.instantiate factory)) ~older ~younger
   in
   let agree a b =
     match (a, b) with
@@ -559,23 +562,7 @@ let t_sto_fight_cross_backend () =
       if not (agree dl dt) then
         Alcotest.failf "fight step %d disagrees: locator %a, tl2 %a" i
           Decision.pp dl Decision.pp dt)
-    (List.combine via_locator via_tl2)
-
-(* The TL2 backend executes verdicts at commit-time lock acquisition;
-   pin the verdict -> lock-action mapping so a refactor cannot quietly
-   turn "abort the enemy" into "wait for the enemy". *)
-let t_tl2_action_mapping () =
-  let open Tl2 in
-  Alcotest.(check bool) "Abort_other steals the lock" true
-    (action_of_decision Decision.Abort_other = Steal_lock);
-  Alcotest.(check bool) "Abort_self releases and aborts" true
-    (action_of_decision Decision.Abort_self = Release_and_abort);
-  Alcotest.(check bool) "bounded Block spins" true
-    (action_of_decision (Decision.Block { timeout_usec = Some 100 }) = Spin_then_retry);
-  Alcotest.(check bool) "unbounded Block spins" true
-    (action_of_decision (Decision.Block { timeout_usec = None }) = Spin_then_retry);
-  Alcotest.(check bool) "Backoff sleeps then retries" true
-    (action_of_decision (Decision.Backoff { usec = 50 }) = Backoff_then_retry)
+    (List.combine for_locator for_tl2)
 
 (* ------------------------------------------------------------------ *)
 (* Manager state on the plane: slot lifecycle                          *)
@@ -765,7 +752,6 @@ let () =
           Alcotest.test_case "verdicts agree locator vs tl2" `Quick t_backends_agree;
           Alcotest.test_case "sto-adaptive fight phase agrees" `Quick
             t_sto_fight_cross_backend;
-          Alcotest.test_case "tl2 verdict-action mapping" `Quick t_tl2_action_mapping;
         ] );
       ( "cm-state",
         [

@@ -175,7 +175,7 @@ let t_ledger_wait_cost_vs_ticks () =
 (* A live probe prices a wait by the ladder rounds [block_on] reached,
    not by its duration: a 2 ms timed-out wait behind an enemy that
    stays active costs at least 2000 us but only tens of rounds (32
-   spins, 16 yields, then sleeps that double up to the 100 us cap). *)
+   spins, 16 yields, then sleeps that double up to the 50 us cap). *)
 let t_ledger_live_wait_rounds () =
   Tcm_obs.reset ();
   Tcm_metrics.enable ();
@@ -184,7 +184,7 @@ let t_ledger_live_wait_rounds () =
   in
   let me = Txn.new_attempt (Txn.new_shared ())
   and other = Txn.new_attempt (Txn.new_shared ()) in
-  Runtime_intf.block_on ~me ~other ~probe ~cap_usec:100 ~timeout_usec:(Some 2_000);
+  Runtime_intf.block_on ~me ~other ~probe ~timeout_usec:(Some 2_000);
   Tcm_metrics.disable ();
   match find_row ~backend:"testb" ~manager:"m1w" ~runtime:"live" ~cls:"-" (Ledger.rows ()) with
   | None -> Alcotest.fail "wait row missing"

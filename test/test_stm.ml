@@ -5,7 +5,7 @@
 
 open Tcm_stm
 
-let rt_with ?config name = Stm.create ?config (Tcm_core.Registry.find_exn name)
+let rt_with name = Stm.create (Tcm_core.Registry.find_exn name)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -267,18 +267,6 @@ let t_retry_now () =
   check_int "ran three times" 3 r;
   check_int "only final attempt committed" 3 (Tvar.peek v)
 
-let t_max_attempts () =
-  let config = { Runtime.default_config with max_attempts = Some 4 } in
-  let rt = Stm.create ~config (module Tcm_core.Greedy) in
-  let hits = ref 0 in
-  check_bool "raises Too_many_attempts" true
-    (try
-       Stm.atomically rt (fun tx ->
-           incr hits;
-           Stm.retry_now tx)
-     with Runtime.Too_many_attempts _ -> true);
-  check_int "ran exactly max_attempts times" 4 !hits
-
 let t_nested_flattens () =
   let rt = rt_with "greedy" in
   let v = Tvar.make 0 in
@@ -315,6 +303,32 @@ let t_read_only () =
   let v = Tvar.make 3 in
   check_int "read-only" 3 (Stm.atomically rt (fun tx -> Stm.read tx v));
   check_int "still one commit" 1 (Stm.stats rt).Runtime.n_commits
+
+(* The allocation floor of a transaction, counted exactly: its
+   [Txn.shared] descriptor (6 words), the attempt record (5) and the
+   attempt's two atomics (4).  Locators, logs and the context are
+   reused, so a 1-write transaction allocates nothing else on either
+   backend. *)
+let t_commit_words () =
+  List.iter
+    (fun backend ->
+      let rt = Stm.create ~backend (Tcm_core.Registry.find_exn "greedy") in
+      let v = Tvar.make 0 in
+      let body tx = Stm.write tx v 1 in
+      let n = 10_000 in
+      for _ = 1 to 100 do
+        Stm.atomically rt body
+      done;
+      let m0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Stm.atomically rt body
+      done;
+      let m1 = Gc.minor_words () in
+      check_int
+        (Printf.sprintf "minor words of %d 1-write commits (%s)" n (Stm.backend_name backend))
+        (15 * n)
+        (int_of_float (m1 -. m0)))
+    Stm.all_backends
 
 (* ------------------------------------------------------------------ *)
 (* Runtime: concurrency                                                *)
@@ -555,8 +569,7 @@ let t_pool_aba_hammer_visible () =
 (* The same facade operations through the second runtime backend.  A
    tvar is bound to one backend for its lifetime, so every test below
    creates its variables fresh under a TL2 runtime. *)
-let tl2_rt ?config name =
-  Stm.create ?config ~backend:Stm.Tl2_backend (Tcm_core.Registry.find_exn name)
+let tl2_rt name = Stm.create ~backend:Stm.Tl2_backend (Tcm_core.Registry.find_exn name)
 
 let t_tl2_read_write () =
   let rt = tl2_rt "greedy" in
@@ -771,17 +784,6 @@ let t_tl2_dead_owner_lock_is_free () =
   check_int "dead-owner lock reclaimed" 3 (Tvar.peek v);
   Tl2.Internal.unlock_for_test v enemy
 
-let t_tl2_max_attempts () =
-  let config = { Runtime.default_config with max_attempts = Some 4 } in
-  let rt = tl2_rt ~config "greedy" in
-  let hits = ref 0 in
-  (try
-     Stm.atomically rt (fun tx ->
-         incr hits;
-         Stm.retry_now tx)
-   with Runtime.Too_many_attempts _ -> ());
-  check_int "gave up after the configured attempts" 4 !hits
-
 (* The tcm.obs ledger rides both backends: the commits and aborts it
    attributes to the (backend, manager) family under forced conflicts
    must equal the runtime's own stats and the family's metric series,
@@ -848,7 +850,7 @@ let t_pp_stats_format () =
   Alcotest.(check string)
     "pp_stats"
     "commits=1 aborts=2 conflicts=3 enemy-aborts=4 self-aborts=5 blocks=6 backoffs=7"
-    (Format.asprintf "%a" Runtime.pp_stats s)
+    (Format.asprintf "%a" Stm.pp_stats s)
 let t_obs_ledger_tl2 () = obs_ledger_run Stm.Tl2_backend "tl2"
 
 (* qcheck: arbitrary interleavings of single-threaded transactions on a
@@ -897,7 +899,6 @@ let () =
           Alcotest.test_case "many tvars in one txn" `Quick t_multiple_tvars;
           Alcotest.test_case "user exception aborts" `Quick t_user_exception_aborts;
           Alcotest.test_case "retry_now reruns" `Quick t_retry_now;
-          Alcotest.test_case "max_attempts enforced" `Quick t_max_attempts;
           Alcotest.test_case "nested atomically flattens" `Quick t_nested_flattens;
           Alcotest.test_case "stats accumulate" `Quick t_stats_accumulate;
           Alcotest.test_case "pp_stats prints every counter" `Quick t_pp_stats_format;
@@ -905,6 +906,7 @@ let () =
           Alcotest.test_case "return value" `Quick t_atomic_return_value;
           Alcotest.test_case "read-only transaction" `Quick t_read_only;
           QCheck_alcotest.to_alcotest prop_register_semantics;
+          Alcotest.test_case "a commit allocates 15 words" `Quick t_commit_words;
         ] );
       ( "locator pool",
         [
@@ -940,7 +942,6 @@ let () =
             t_tl2_snapshot_isolation;
           Alcotest.test_case "lock steal executes Abort_other" `Quick t_tl2_lock_steal;
           Alcotest.test_case "dead-owner lock is free" `Quick t_tl2_dead_owner_lock_is_free;
-          Alcotest.test_case "max_attempts enforced" `Quick t_tl2_max_attempts;
         ] );
       ( "invisible validation",
         List.map

@@ -149,6 +149,20 @@ let t_harness_minor_words_per_domain () =
   if two > 1.5 *. one then
     Alcotest.failf "fig1 list: %.1f minor words per commit at 2 domains, %.1f at 1" two one
 
+(* The meter is exact: two 1-domain runs of the same workload read the
+   same words per commit.  [Gc.counters]' minor field, which the
+   meter used to read, counts the words since the last minor
+   collection at one eighth, and read 31.1-38.1 words per commit over
+   four 50 ms fig1 runs. *)
+let t_harness_minor_words_exact () =
+  let per_commit () =
+    let o = Harness.run { Harness.default with threads = 1; duration_s = 0.05 } in
+    o.Harness.minor_words /. float_of_int o.Harness.commits
+  in
+  let a = per_commit () and b = per_commit () in
+  if Float.abs (a -. b) >= 1. then
+    Alcotest.failf "fig1 list at 1 domain: %.2f and %.2f minor words per commit" a b
+
 let t_harness_post_work_slows () =
   let base = { Harness.default with threads = 1; duration_s = 0.05 } in
   let fast = Harness.run base in
@@ -599,6 +613,8 @@ let () =
           Alcotest.test_case "minor words counted per domain" `Quick
             t_harness_minor_words_per_domain;
           Alcotest.test_case "ops for every structure" `Quick t_make_ops_all;
+          Alcotest.test_case "minor words agree across runs" `Quick
+            t_harness_minor_words_exact;
         ] );
       ( "sim-models",
         [
