@@ -551,7 +551,7 @@ let ladder_curves : Tcm_service.Ladder.curve list ref = ref []
 (* Saturation sweep: fixed-rate Poisson rungs rising past the knee on
    every backend × manager pair.  Quick mode runs the 3-rung
    mini-ladder on greedy only (the smoke configuration); full mode
-   runs the 6-rung ladder over the paper's five managers. *)
+   runs the 8-rung ladder over the paper's five managers. *)
 let run_rate_ladder () =
   let rates =
     if quick then Tcm_service.Ladder.quick_rates

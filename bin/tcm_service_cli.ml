@@ -290,7 +290,7 @@ let validate_store n =
         fail "%s: scan lo=%d len=%d returned (%d, %d), expected (%d, %d)" name
           lo len count sum want want_sum
     done;
-    (* A read-modify-write through the hashmap write path. *)
+    (* A read-modify-write: a copy of the key's bucket, written back. *)
     let k = Tcm_stm.Splitmix.int rng n in
     Tcm_stm.Stm.atomically rt (fun tx ->
         Tcm_service.Store.rmw tx store k (Option.map (fun v -> v + 1)));
@@ -492,7 +492,7 @@ let rates_arg =
     & info [ "rates" ] ~docv:"RPS,..."
         ~doc:
           "Comma-separated rung rates (ascending).  Default: the 3-rung \
-           mini-ladder (8k/64k/512k).")
+           mini-ladder (8k/64k/2M).")
 
 let ladder_duration_arg =
   Arg.(

@@ -27,11 +27,11 @@ val knee : rung list -> float option
     {!knee_threshold}. *)
 
 val quick_rates : float array
-(** 3-rung mini-ladder (8k / 64k / 512k rps) for smoke gates — the top
+(** 3-rung mini-ladder (8k / 64k / 2M rps) for smoke gates — the top
     rung sits well past single-host capacity. *)
 
 val default_rates : float array
-(** 6 rungs, 12k → 384k rps, crossing the knee mid-ladder. *)
+(** 8 rungs, 12k → 1.536M rps, crossing the knee mid-ladder. *)
 
 val run : ?rates:float array -> Service.config -> curve
 (** Run every rung with [cfg]'s arrival process replaced by a Poisson

@@ -133,7 +133,7 @@ type config = {
   process : Arrival.process;
   queue_cap : int;
   n_keys : int;
-  buckets : int option;  (** Hashmap sizing override (see Store). *)
+  buckets : int option;  (** Ignored (see the interface). *)
   theta : float;  (** Zipf key skew, [0, 1). *)
   mix : Sclass.mix;
   reads_per_txn : int;  (** Point gets in one Read transaction. *)
@@ -283,7 +283,7 @@ let run (cfg : config) : summary =
   if cfg.workers < 1 then invalid_arg "Service.run: workers >= 1";
   if cfg.duration_s <= 0. then invalid_arg "Service.run: duration_s > 0";
   let rt = Stm.create ~backend:cfg.backend cfg.manager in
-  let store = Store.create ?buckets:cfg.buckets ~n_keys:cfg.n_keys () in
+  let store = Store.create ~n_keys:cfg.n_keys () in
   (* Direct preload: the store is not yet visible to any worker, so
      the non-transactional build is sound — and it is what makes
      million-key configurations practical. *)

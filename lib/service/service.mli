@@ -61,7 +61,9 @@ type config = {
   process : Arrival.process;
   queue_cap : int;
   n_keys : int;
-  buckets : int option;  (** Hashmap sizing override (see {!Store}). *)
+  buckets : int option;
+      (** Ignored: {!Store} sizes its fixed table from [n_keys] alone.
+          Kept while the repository benchmark still sets it. *)
   theta : float;  (** Zipf key skew, [0, 1). *)
   mix : Sclass.mix;
   reads_per_txn : int;

@@ -275,213 +275,6 @@ let t_forest_ops_wrapper () =
   check_bool "ops insert" true (Stm.atomically rt (fun tx -> ops.S.Intset.insert tx ~key:9 ~r:0));
   check_ilist "ops snapshot" [ 9 ] (Stm.atomically rt (fun tx -> ops.S.Intset.snapshot tx))
 
-(* ------------------------------------------------------------------ *)
-(* Hash map                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let t_hashmap_basics () =
-  let rt = rt () in
-  let m = S.Thashmap.create ~buckets:8 () in
-  check_int "power-of-two buckets" 8 (S.Thashmap.n_buckets m);
-  check_bool "find on empty" true (Stm.atomically rt (fun tx -> S.Thashmap.find tx m 1) = None);
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx m 1 "one");
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx m 2 "two");
-  Alcotest.(check (option string)) "find" (Some "one")
-    (Stm.atomically rt (fun tx -> S.Thashmap.find tx m 1));
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx m 1 "uno");
-  Alcotest.(check (option string)) "replace" (Some "uno")
-    (Stm.atomically rt (fun tx -> S.Thashmap.find tx m 1));
-  check_int "length" 2 (Stm.atomically rt (fun tx -> S.Thashmap.length tx m));
-  check_bool "remove" true (Stm.atomically rt (fun tx -> S.Thashmap.remove tx m 1));
-  check_bool "remove again" false (Stm.atomically rt (fun tx -> S.Thashmap.remove tx m 1));
-  check_bool "mem" true (Stm.atomically rt (fun tx -> S.Thashmap.mem tx m 2))
-
-let t_hashmap_update () =
-  let rt = rt () in
-  let m = S.Thashmap.create () in
-  Stm.atomically rt (fun tx ->
-      S.Thashmap.update tx m 7 (function None -> Some 1 | Some v -> Some (v + 1)));
-  Stm.atomically rt (fun tx ->
-      S.Thashmap.update tx m 7 (function None -> Some 1 | Some v -> Some (v + 1)));
-  Alcotest.(check (option int)) "upsert twice" (Some 2)
-    (Stm.atomically rt (fun tx -> S.Thashmap.find tx m 7));
-  Stm.atomically rt (fun tx -> S.Thashmap.update tx m 7 (fun _ -> None));
-  Alcotest.(check (option int)) "update to None deletes" None
-    (Stm.atomically rt (fun tx -> S.Thashmap.find tx m 7))
-
-(* The write-avoidance paths: insert-new, remove-missing and
-   delete-of-absent no longer rewrite the bucket, so they must stay
-   semantically identical while touching fewer tvars.  The observable
-   contract: a transaction doing only a no-op mutation takes the
-   read-only commit path (no conflicts possible), and the map is
-   unchanged. *)
-let t_hashmap_noop_mutations () =
-  let rt = rt () in
-  let m = S.Thashmap.create ~buckets:4 () in
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx m 1 10);
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx m 5 50);
-  (* Same bucket as key 1 (4 buckets): insert-new must not disturb the
-     existing binding. *)
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx m 9 90);
-  Alcotest.(check (option int)) "neighbor intact" (Some 10)
-    (Stm.atomically rt (fun tx -> S.Thashmap.find tx m 1));
-  check_bool "remove-missing is false" false
-    (Stm.atomically rt (fun tx -> S.Thashmap.remove tx m 13));
-  Stm.atomically rt (fun tx -> S.Thashmap.update tx m 13 (fun _ -> None));
-  check_int "delete-of-absent leaves length" 3
-    (Stm.atomically rt (fun tx -> S.Thashmap.length tx m));
-  Alcotest.(check (list (pair int int))) "bindings unchanged"
-    [ (1, 10); (5, 50); (9, 90) ]
-    (Stm.atomically rt (fun tx -> S.Thashmap.bindings tx m))
-
-let t_hashmap_bucket_rounding () =
-  check_int "rounds up" 16 (S.Thashmap.n_buckets (S.Thashmap.create ~buckets:9 ()));
-  check_int "minimum one" 1 (S.Thashmap.n_buckets (S.Thashmap.create ~buckets:0 ()))
-
-let prop_hashmap_model =
-  QCheck.Test.make ~name:"hashmap matches Hashtbl model" ~count:60
-    QCheck.(small_list (pair (int_bound 64) (pair (int_bound 4) (int_bound 100))))
-    (fun ops ->
-      (* (k, (0, v)) = add; (k, (1, _)) = remove; (k, (2, v)) = update
-         to [Some v] (insert or replace); (k, (3, _)) = update to [None]
-         (delete); (k, (4, v)) = update adding [v] to a present binding.
-         Two initial buckets, so every probe walks buckets holding
-         several keys until splits spread them. *)
-      let rt = rt () in
-      let m = S.Thashmap.create ~buckets:2 () in
-      let model = Hashtbl.create 16 in
-      let seen_ok = ref true in
-      let update k f =
-        Stm.atomically rt (fun tx ->
-            S.Thashmap.update tx m k (fun old ->
-                if old <> Hashtbl.find_opt model k then seen_ok := false;
-                f old));
-        match f (Hashtbl.find_opt model k) with
-        | Some v -> Hashtbl.replace model k v
-        | None -> Hashtbl.remove model k
-      in
-      List.iter
-        (fun (k, (op, v)) ->
-          match op with
-          | 0 ->
-              Stm.atomically rt (fun tx -> S.Thashmap.add tx m k v);
-              Hashtbl.replace model k v
-          | 1 ->
-              let present = Stm.atomically rt (fun tx -> S.Thashmap.remove tx m k) in
-              if present <> Hashtbl.mem model k then seen_ok := false;
-              Hashtbl.remove model k
-          | 2 -> update k (fun _ -> Some v)
-          | 3 -> update k (fun _ -> None)
-          | _ -> update k (Option.map (fun x -> x + v)))
-        ops;
-      let expect =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let points_ok =
-        Stm.atomically rt (fun tx ->
-            List.for_all
-              (fun k ->
-                S.Thashmap.find tx m k = Hashtbl.find_opt model k
-                && S.Thashmap.mem tx m k = Hashtbl.mem model k)
-              (List.init 67 (fun k -> k - 1)))
-      in
-      !seen_ok && points_ok
-      && Stm.atomically rt (fun tx -> S.Thashmap.bindings tx m) = expect)
-
-let t_hashmap_concurrent () =
-  let rt = rt () in
-  let m = S.Thashmap.create ~buckets:16 () in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to 199 do
-              let k = ((d * 200) + i) mod 64 in
-              Stm.atomically rt (fun tx ->
-                  S.Thashmap.update tx m k (function None -> Some 1 | Some v -> Some (v + 1)))
-            done))
-  in
-  List.iter Domain.join doms;
-  let total =
-    Stm.atomically rt (fun tx ->
-        List.fold_left (fun acc (_, v) -> acc + v) 0 (S.Thashmap.bindings tx m))
-  in
-  check_int "no lost increments" 800 total
-
-(* Incremental splits must not lose or corrupt bindings: a map forced
-   through many doublings keeps exact point lookups and sorted dumps. *)
-let t_hashmap_split_correctness () =
-  let rt = rt () in
-  let m = S.Thashmap.create ~buckets:1 () in
-  let n = 400 in
-  for k = 0 to n - 1 do
-    Stm.atomically rt (fun tx -> S.Thashmap.add tx m k (k * 7))
-  done;
-  check_bool "table actually split" true (S.Thashmap.depth m > 0);
-  check_bool "buckets grew" true (S.Thashmap.n_buckets m > 1);
-  check_int "length survives splits" n
-    (Stm.atomically rt (fun tx -> S.Thashmap.length tx m));
-  for k = 0 to n - 1 do
-    check_bool "find after splits" true
-      (Stm.atomically rt (fun tx -> S.Thashmap.find tx m k) = Some (k * 7))
-  done;
-  check_ilist "bindings sorted and complete"
-    (List.init n (fun k -> k))
-    (List.map fst (Stm.atomically rt (fun tx -> S.Thashmap.bindings tx m)));
-  check_int "size_hint exact without aborts" n (S.Thashmap.size_hint m)
-
-(* Resize under concurrent transactional writers, on both runtime
-   backends: 4 domains insert disjoint key ranges into a deliberately
-   undersized table, so bucket splits race with inserts into the
-   splitting bucket's buddy range.  Every binding must survive. *)
-let t_hashmap_resize_concurrent backend () =
-  let rt = Stm.create ~backend (module Tcm_core.Greedy) in
-  let m = S.Thashmap.create ~buckets:2 () in
-  let per = 150 in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              let k = (d * per) + i in
-              Stm.atomically rt (fun tx -> S.Thashmap.add tx m k (k + 1))
-            done))
-  in
-  List.iter Domain.join doms;
-  let n = 4 * per in
-  check_bool "splits happened under contention" true (S.Thashmap.depth m > 0);
-  check_int "no bindings lost across racing splits" n
-    (Stm.atomically rt (fun tx -> S.Thashmap.length tx m));
-  let bad =
-    Stm.atomically rt (fun tx ->
-        List.filter (fun (k, v) -> v <> k + 1) (S.Thashmap.bindings tx m))
-  in
-  check_int "no bindings corrupted" 0 (List.length bad)
-
-(* The bulk preload must agree with a transactional build of the same
-   bindings — contents only: preload targets the depth-0 table, so the
-   physical layout legitimately differs from a split-as-you-go build. *)
-let t_hashmap_preload_equiv () =
-  let rt = rt () in
-  let n = 300 in
-  let entries = Array.init n (fun i -> (i * 5, i)) in
-  let pre = S.Thashmap.create ~expect:n () in
-  S.Thashmap.unsafe_preload pre entries;
-  let txn = S.Thashmap.create ~expect:n () in
-  Array.iter
-    (fun (k, v) -> Stm.atomically rt (fun tx -> S.Thashmap.add tx txn k v))
-    entries;
-  let dump m = Stm.atomically rt (fun tx -> S.Thashmap.bindings tx m) in
-  Alcotest.(check (list (pair int int))) "same bindings" (dump txn) (dump pre);
-  check_int "same length" n
-    (Stm.atomically rt (fun tx -> S.Thashmap.length tx pre));
-  check_int "size_hint primed by preload" n (S.Thashmap.size_hint pre);
-  (* Preloaded maps stay live: mutations and splits keep working. *)
-  Stm.atomically rt (fun tx -> S.Thashmap.add tx pre 1 99);
-  check_bool "find after preload" true
-    (Stm.atomically rt (fun tx -> S.Thashmap.find tx pre 1) = Some 99);
-  check_bool "remove after preload" true
-    (Stm.atomically rt (fun tx -> S.Thashmap.remove tx pre 0))
-
 let () =
   Alcotest.run "structures"
     [
@@ -514,21 +307,5 @@ let () =
           Alcotest.test_case "single-tree operations" `Quick t_forest_single_tree;
           Alcotest.test_case "pick rule" `Quick t_forest_pick;
           Alcotest.test_case "ops wrapper" `Quick t_forest_ops_wrapper;
-        ] );
-      ( "hashmap",
-        [
-          Alcotest.test_case "basics" `Quick t_hashmap_basics;
-          Alcotest.test_case "atomic update" `Quick t_hashmap_update;
-          Alcotest.test_case "no-op mutations" `Quick t_hashmap_noop_mutations;
-          Alcotest.test_case "bucket rounding" `Quick t_hashmap_bucket_rounding;
-          QCheck_alcotest.to_alcotest prop_hashmap_model;
-          Alcotest.test_case "concurrent increments" `Quick t_hashmap_concurrent;
-          Alcotest.test_case "split correctness" `Quick t_hashmap_split_correctness;
-          Alcotest.test_case "concurrent resize (locator)" `Quick
-            (t_hashmap_resize_concurrent Stm.Locator);
-          Alcotest.test_case "concurrent resize (tl2)" `Quick
-            (t_hashmap_resize_concurrent Stm.Tl2_backend);
-          Alcotest.test_case "preload equivalent to transactional build" `Quick
-            t_hashmap_preload_equiv;
         ] );
     ]
